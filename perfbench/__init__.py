@@ -1,0 +1,5 @@
+"""Benchmark of the specfuse toolkit: workloads, output checks and layer tracing.
+
+Run `python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1`
+from the repository root; see perfbench/README.md.
+"""
