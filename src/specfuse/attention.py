@@ -4,8 +4,17 @@ Single-head only. Tokens carry a frame id; masks are defined on frame
 indices and admit all tokens of an admitted frame. A local window of
 span s admits key frames j with |i - j| < floor(s / 2) around the query
 frame i; masked keys are excluded before the softmax, so they get zero
-weight exactly. Logits and reductions run in float64 with max-subtracted
-softmax.
+weight exactly. Logits and reductions run in float64.
+
+One core, `_attend`, serves every variant. It takes several admitted-frame
+sets at once (local ranges, the whole sequence, key-frame sets) and makes
+one pass over the query frames. For each query frame it computes the
+logits of every key frame that some set admits once, keeps each key
+frame's online-softmax state (row max, row sum of exp(logit - max), and
+the unnormalised value sum), and builds each set's rows by merging the
+states of that set's own frames with log-sum-exp rescaling (Milakov &
+Gimelshein 2018). Nested windows therefore cost one pass of the widest,
+and each set's output equals the same set run alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, ShapeMismatchError
+
+# Logits are computed in stacks of whole key-frame blocks of at most this
+# many bytes, so each stack stays in a core's L2 cache between the softmax
+# passes.
+_BLOCK_BYTES = 2 << 20
 
 
 def _validate_frames(frame_index, n_tokens: int) -> np.ndarray:
@@ -108,6 +122,9 @@ class MacCounter:
 
     Counts queries x admitted_keys x 2*d per block: one d-MAC for the
     logit, one for the value accumulation. Softmax arithmetic excluded.
+    The count is logical: a branch's counter gets its own queries x its
+    own admitted keys x 2*d even when several branches share one pass,
+    whose physical work is that of the union of the branches' frames.
     """
 
     macs: int = 0
@@ -144,12 +161,6 @@ def _frame_slices(frames: np.ndarray) -> tuple[int, int]:
     return t, tpf
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _admitted_range(i: int, radius: int, t: int) -> tuple[int, int]:
     # |i - j| < radius, relaxed to the query's own frame when radius == 0.
     if radius <= 0:
@@ -157,48 +168,93 @@ def _admitted_range(i: int, radius: int, t: int) -> tuple[int, int]:
     return max(0, i - radius + 1), min(t, i + radius)
 
 
-def _attend(q, k, v, frames, admit, counter: MacCounter | None) -> np.ndarray:
-    """Frame-blocked attention core.
+def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None):
+    """The key frames each query frame admits, as `admitted(i)`.
 
-    `admit(i)` returns the admitted key-token index array for query frame
-    i. Rows are processed frame by frame; the reduction order inside a row
-    is fixed, so results do not depend on scheduling.
+    `admitted(i)` is a slice of frames for a window (local range or the
+    whole sequence) and the ascending key-frame array for a key-frame set;
+    either one indexes a (T, ...) per-frame array. Exactly one of `window`
+    / `keyframes` selects the set; both None means the whole sequence.
     """
-    t, tpf = _frame_slices(frames)
-    scale = 1.0 / math.sqrt(q.shape[1])
-    out = np.empty((q.shape[0], v.shape[1]), dtype=np.float64)
-    for i in range(t):
-        rows = slice(i * tpf, (i + 1) * tpf)
-        keys = admit(i)
-        logits = (q[rows] @ k[keys].T) * scale
-        weights = _softmax_rows(logits)
-        out[rows] = weights @ v[keys]
-        if counter is not None:
-            counter.add(tpf * keys.shape[0] * 2 * q.shape[1])
-    return out
-
-
-def _window_admit(window: AttentionWindow, t: int, tpf: int):
-    all_tokens = np.arange(t * tpf)
-    if window.kind == "global":
-        if window.span_frames < t:
+    if window is not None and keyframes is not None:
+        raise InvalidParameterError("pass either window or keyframes, not both")
+    if keyframes is not None:
+        keys = np.unique(np.asarray(list(keyframes), dtype=np.int64))
+        if keys.size == 0:
+            raise InvalidParameterError("keyframe set must be non-empty")
+        if keys[0] < 0 or keys[-1] >= t:
+            raise InvalidParameterError(f"keyframes must lie in [0, {t}), got {keys.tolist()}")
+        return lambda i: keys
+    if window is None or window.kind == "global":
+        if window is not None and window.span_frames < t:
             raise InvalidParameterError("global window must span the whole sequence")
-        return lambda i: all_tokens
+        return lambda i: slice(0, t)
     if window.kind != "local":
         raise InvalidParameterError(f"masked attention does not take {window.kind!r} windows")
     radius = window.span_frames // 2
-    def admit(i: int) -> np.ndarray:
-        lo, hi = _admitted_range(i, radius, t)
-        return all_tokens[lo * tpf : hi * tpf]
-    return admit
+    return lambda i: slice(*_admitted_range(i, radius, t))
+
+
+def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
+    """One-pass multi-window attention core; one (n, d_v) output per frame set.
+
+    For each query frame i, the logits of every key frame that some set
+    admits are computed once, as stacked (J, tpf, tpf) matmuls over groups
+    of frames sized to stay in cache. Each key frame j keeps its
+    online-softmax state: row max m_j, row sum l_j of exp(logit - m_j),
+    and the unnormalised output o_j = exp(logit - m_j) @ V_j. A set's rows
+    merge the states of its own frames in ascending frame order, rescaled
+    by exp(m_j - M) with M their largest m_j. A set's result therefore
+    depends only on its own frames' blocks, so it is bit-identical to the
+    same set run alone. `counters[b]`, if not None, receives set b's
+    logical MACs.
+    """
+    t, tpf = _frame_slices(frames)
+    d, dv = q.shape[1], v.shape[1]
+    q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
+    k3 = k.reshape(t, tpf, d)
+    v3 = v.reshape(t, tpf, dv)
+    group = max(1, _BLOCK_BYTES // (8 * tpf * tpf))
+    block = np.empty((min(group, t), tpf, tpf), dtype=np.float64)
+    row_max = np.empty((t, tpf), dtype=np.float64)
+    row_sum = np.empty((t, tpf), dtype=np.float64)
+    partial = np.empty((t, tpf, dv), dtype=np.float64)
+    outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
+    frame_ids = np.arange(t)
+    admitted_frames = np.zeros(len(frame_sets), dtype=np.int64)
+    for i in range(t):
+        admitted = [frame_set(i) for frame_set in frame_sets]
+        in_union = np.zeros(t, dtype=bool)
+        for b, keys in enumerate(admitted):
+            in_union[keys] = True
+            admitted_frames[b] += frame_ids[keys].size
+        union = np.flatnonzero(in_union)
+        for start in range(0, union.size, group):
+            part = union[start : start + group]
+            lo, hi = int(part[0]), int(part[-1]) + 1
+            keys = slice(lo, hi) if hi - lo == part.size else part
+            logits = np.matmul(q3[i], k3[keys].transpose(0, 2, 1), out=block[: part.size])
+            row_max[keys] = logits.max(axis=2)
+            logits -= row_max[keys][:, :, None]
+            np.exp(logits, out=logits)
+            row_sum[keys] = logits.sum(axis=2)
+            partial[keys] = logits @ v3[keys]
+        for out, keys in zip(outs, admitted):
+            scale = np.exp(row_max[keys] - row_max[keys].max(axis=0))
+            out[i] = (scale[:, :, None] * partial[keys]).sum(axis=0)
+            out[i] /= (scale * row_sum[keys]).sum(axis=0)[:, None]
+    for counter, count in zip(counters or (), admitted_frames):
+        if counter is not None:
+            counter.add(tpf * int(count) * tpf * 2 * d)
+    return [out.reshape(t * tpf, dv) for out in outs]
 
 
 def masked_attention(q, k, v, frame_index, window: AttentionWindow,
                      counter: MacCounter | None = None) -> TokenSequence:
     """Windowed (or global) attention under the frame-distance mask rule."""
     q, k, v, frames = _check_qkv(q, k, v, frame_index)
-    t, tpf = _frame_slices(frames)
-    out = _attend(q, k, v, frames, _window_admit(window, t, tpf), counter)
+    t, _ = _frame_slices(frames)
+    (out,) = _attend(q, k, v, frames, [_frame_set(t, window=window)], [counter])
     return TokenSequence(out, frames)
 
 
@@ -221,17 +277,11 @@ def sparse_attention(q, k, v, frame_index, keyframes,
     """Attention whose keys are restricted to the given frames.
 
     With keyframes covering every frame this reduces to global attention
-    bit-for-bit (same gather, same reduction order).
+    bit-for-bit (same frame blocks, same merge order).
     """
     q, k, v, frames = _check_qkv(q, k, v, frame_index)
-    t, tpf = _frame_slices(frames)
-    keys = np.unique(np.asarray(list(keyframes), dtype=np.int64))
-    if keys.size == 0:
-        raise InvalidParameterError("keyframe set must be non-empty")
-    if keys[0] < 0 or keys[-1] >= t:
-        raise InvalidParameterError(f"keyframes must lie in [0, {t}), got {keys.tolist()}")
-    key_tokens = (keys[:, None] * tpf + np.arange(tpf)[None, :]).reshape(-1)
-    out = _attend(q, k, v, frames, lambda i: key_tokens, counter)
+    t, _ = _frame_slices(frames)
+    (out,) = _attend(q, k, v, frames, [_frame_set(t, keyframes=keyframes)], [counter])
     return TokenSequence(out, frames)
 
 
@@ -245,25 +295,17 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     """
     q, k, _, frames = _check_qkv(q, k, q, frame_index)
     t, tpf = _frame_slices(frames)
-    n = t * tpf
-    if window is not None and keyframes is not None:
-        raise InvalidParameterError("pass either window or keyframes, not both")
-    if keyframes is not None:
-        keys = np.unique(np.asarray(list(keyframes), dtype=np.int64))
-        if keys.size == 0:
-            raise InvalidParameterError("keyframe set must be non-empty")
-        if keys[0] < 0 or keys[-1] >= t:
-            raise InvalidParameterError(f"keyframes must lie in [0, {t})")
-        key_tokens = (keys[:, None] * tpf + np.arange(tpf)[None, :]).reshape(-1)
-        admit = lambda i: key_tokens
-    else:
-        win = window if window is not None else AttentionWindow.global_for(t)
-        admit = _window_admit(win, t, tpf)
-    scale = 1.0 / math.sqrt(q.shape[1])
-    weights = np.zeros((n, n), dtype=np.float64)
+    admitted = _frame_set(t, window=window, keyframes=keyframes)
+    d = q.shape[1]
+    q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
+    k3 = k.reshape(t, tpf, d)
+    token_ids = np.arange(t * tpf).reshape(t, tpf)
+    weights = np.zeros((t * tpf, t * tpf), dtype=np.float64)
     for i in range(t):
-        rows = weights[i * tpf : (i + 1) * tpf]
-        keys_i = admit(i)
-        logits = (q[i * tpf : (i + 1) * tpf] @ k[keys_i].T) * scale
-        rows[:, keys_i] = _softmax_rows(logits)
+        keys = admitted(i)
+        logits = q3[i] @ k3[keys].reshape(-1, d).T
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+        weights[i * tpf : (i + 1) * tpf, token_ids[keys].reshape(-1)] = logits
     return weights

@@ -1,6 +1,7 @@
 """Branch attention plus frequency-domain fusion.
 
-Two composition schemes over shared Q, K, V:
+Two composition schemes over shared Q, K, V; every branch of a plan comes
+from one pass of the multi-window attention core:
 
 * spectral_blend_attention: a local windowed branch and a global branch,
   merged by a Gaussian low-pass split (low band from the global branch,
@@ -25,9 +26,9 @@ from .attention import (
     AttentionWindow,
     MacCounter,
     TokenSequence,
-    masked_attention,
+    _attend,
+    _frame_set,
     project_qkv,
-    sparse_attention,
     uniform_keyframes,
 )
 from .errors import InvalidParameterError, InvalidPlanError, ShapeMismatchError
@@ -215,22 +216,25 @@ def _branch_window(alpha: int, t_alpha: int, num_frames: int) -> AttentionWindow
 def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                     spatial: tuple[int, int],
                     counters: dict[int, MacCounter] | None = None) -> list[VideoLatent]:
-    """Run every branch of the plan on shared projections; returns latents."""
+    """Run every branch of the plan in one attention pass on shared projections.
+
+    Returns one latent per branch; `counters` maps branch index to a
+    MacCounter that receives that branch's logical MACs.
+    """
     t = tokens.num_frames
     plan.validate_for(t)
     q, k, v = project_qkv(tokens, qkv_weights)
-    frames = tokens.frame_index
-    outs = []
-    for i, alpha in enumerate(plan.alphas):
-        counter = counters.get(i) if counters is not None else None
-        if plan.sparse_global and i == len(plan.alphas) - 1:
-            keys = uniform_keyframes(t, SPARSE_KEY_FRACTION)
-            branch = sparse_attention(q, k, v, frames, keys, counter)
-        else:
-            window = _branch_window(alpha, plan.t_alpha, t)
-            branch = masked_attention(q, k, v, frames, window, counter)
-        outs.append(latent_from_tokens(branch, spatial))
-    return outs
+    last = len(plan.alphas) - 1
+    frame_sets = [
+        _frame_set(t, keyframes=uniform_keyframes(t, SPARSE_KEY_FRACTION))
+        if plan.sparse_global and i == last
+        else _frame_set(t, window=_branch_window(alpha, plan.t_alpha, t))
+        for i, alpha in enumerate(plan.alphas)
+    ]
+    branch_counters = [(counters or {}).get(i) for i in range(len(plan.alphas))]
+    outs = _attend(q, k, v, tokens.frame_index, frame_sets, branch_counters)
+    return [latent_from_tokens(TokenSequence(out, tokens.frame_index), spatial)
+            for out in outs]
 
 
 def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,

@@ -35,16 +35,18 @@ def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLaten
     """Orthonormal inverse 3D FFT; the imaginary residue is discarded.
 
     If `max_imag` is given, raises InvalidParameterError when the largest
-    absolute imaginary component of the inverse exceeds it. A spectrum
-    built from a real latent through symmetric masks keeps the residue
-    at rounding level.
+    absolute imaginary component of the inverse exceeds
+    max_imag * max(1, largest absolute real component). A spectrum built
+    from a real latent through symmetric masks keeps the residue at
+    rounding level relative to the signal, whatever its amplitude.
     """
     full = np.fft.ifftn(spectrum.data, axes=(1, 2, 3), norm="ortho")
     if max_imag is not None:
         residue = float(np.abs(full.imag).max())
-        if residue > max_imag:
+        limit = max_imag * max(1.0, float(np.abs(full.real).max()))
+        if residue > limit:
             raise InvalidParameterError(
-                f"imaginary residue {residue:.3e} exceeds {max_imag:.3e}; "
+                f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
                 "spectrum is not conjugate-symmetric"
             )
     return VideoLatent(full.real.astype(np.float32))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specfuse import (
     AttentionWindow,
@@ -15,6 +17,7 @@ from specfuse import (
     sparse_attention,
     uniform_keyframes,
 )
+from specfuse.attention import _attend, _frame_set
 
 
 def oracle_attention(q, k, v, frames, admit) -> np.ndarray:
@@ -234,3 +237,63 @@ class TestOracleSweep:
             assert np.abs(out.features - oracle).max() <= 1e-6
             cases += 1
         assert cases == 40
+
+
+@st.composite
+def multi_window_cases(draw):
+    """Random sizes, 1-4 local spans and an optional key-frame set."""
+    t = draw(st.integers(1, 16))
+    tpf = draw(st.integers(1, 8))
+    d = 2 * draw(st.integers(1, 4))
+    spans = draw(st.lists(st.integers(1, 2 * t + 1), min_size=1, max_size=4))
+    keyframes = draw(st.none() | st.sets(st.integers(0, t - 1), min_size=1))
+    return t, tpf, d, spans, keyframes, draw(st.integers(0, 2**16))
+
+
+def frame_oracle(q, k, v, frames, admitted: np.ndarray) -> np.ndarray:
+    """Full-matrix attention with -inf logits wherever admitted[fi, fj] is False."""
+    logits = (q @ k.T) / np.sqrt(q.shape[1])
+    logits[~admitted[frames][:, frames]] = -np.inf
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return (w / w.sum(axis=1, keepdims=True)) @ v
+
+
+class TestMultiWindowCore:
+    @given(multi_window_cases())
+    def test_one_call_matches_oracle_and_single_windows(self, case):
+        t, tpf, d, spans, keyframes, seed = case
+        toks = random_tokens(t, tpf, d, seed)
+        q, k, v = project_qkv(toks, random_weights(d, seed + 1))
+        frames = toks.frame_index
+        windows = [AttentionWindow.for_span(span, t) for span in spans]
+        sets = [_frame_set(t, window=w) for w in windows]
+        fi, fj = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
+        admitted = [window_admit(span)(fi, fj) | (w.kind == "global")
+                    for span, w in zip(spans, windows)]
+        alone_counters = [MacCounter() for _ in sets]
+        alone = [masked_attention(q, k, v, frames, w, c).features
+                 for w, c in zip(windows, alone_counters)]
+        if keyframes is not None:
+            sets.append(_frame_set(t, keyframes=keyframes))
+            admitted.append(np.isin(fj, sorted(keyframes)))
+            alone_counters.append(MacCounter())
+            alone.append(sparse_attention(q, k, v, frames, keyframes,
+                                          alone_counters[-1]).features)
+        counters = [MacCounter() for _ in sets]
+        outs = _attend(q, k, v, frames, sets, counters)
+        assert len(outs) == len(sets)
+        for out, admit, single in zip(outs, admitted, alone):
+            assert np.abs(out - frame_oracle(q, k, v, frames, admit)).max() <= 1e-6
+            assert np.array_equal(out, single)
+        # Counters stay logical: each set's own queries x admitted keys x 2d.
+        for counter, alone_counter, admit in zip(counters, alone_counters, admitted):
+            assert counter.macs == alone_counter.macs == admit.sum() * tpf * tpf * 2 * d
+
+    @given(multi_window_cases())
+    def test_sparse_over_all_frames_is_global(self, case):
+        t, tpf, d, _, _, seed = case
+        toks = random_tokens(t, tpf, d, seed)
+        q, k, v = project_qkv(toks, random_weights(d, seed + 1))
+        sparse = sparse_attention(q, k, v, toks.frame_index, range(t))
+        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(t))
+        assert np.array_equal(sparse.features, glob.features)

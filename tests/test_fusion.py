@@ -85,6 +85,13 @@ class TestSpectralBlend:
         expected = fft3(low).data[0] + fft3(high).data[0]
         assert np.abs(spec_out - expected).max() <= 1e-6
 
+    def test_large_amplitude_is_accepted(self):
+        # The imaginary residue grows with the amplitude; it is ~5e-4 here.
+        zg, zl = (VideoLatent((1e12 * gaussian_latent((2, 16, 8, 8), SeededRng(s)).data)
+                              .astype(np.float32)) for s in (8, 9))
+        out = spectral_blend(zg, zl, gaussian_lowpass((16, 8, 8), 0.25))
+        assert np.isfinite(out.data).all()
+
     def test_shape_mismatch(self):
         a = gaussian_latent((1, 4, 4, 4), SeededRng(6))
         b = gaussian_latent((1, 8, 4, 4), SeededRng(7))

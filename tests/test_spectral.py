@@ -85,6 +85,17 @@ class TestFft3:
         with pytest.raises(InvalidParameterError):
             ifft3(SpectralTensor(spec), max_imag=1e-9)
 
+    def test_residue_check_is_relative_to_the_signal(self):
+        big = 1e12 * gaussian_latent((2, 16, 8, 8), SeededRng(12)).data
+        lat = VideoLatent(big.astype(np.float32))
+        spec = fft3(lat).data
+        back = ifft3(SpectralTensor(spec), max_imag=1e-9)
+        assert np.abs(back.data - lat.data).max() <= 1e-4 * np.abs(lat.data).max()
+        lone = spec.copy()
+        lone[0, 1, 0, 0] += 1e12  # a bin with no conjugate partner
+        with pytest.raises(InvalidParameterError):
+            ifft3(SpectralTensor(lone), max_imag=1e-9)
+
 
 class TestGaussianLowpass:
     def test_dc_weight_is_one(self):
