@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeMismatchError
+from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
 # Logits are computed in stacks of whole key-frame blocks of at most this
 # many bytes, so each stack stays in a core's L2 cache between the softmax
@@ -54,7 +54,8 @@ class TokenSequence:
     """Token features (n_tokens, d_model) plus per-token frame ids.
 
     Frame ids are non-decreasing and every frame in [0, T) owns the same
-    number of tokens (the H*W spatial positions of that frame).
+    number of tokens (the H*W spatial positions of that frame). Features
+    must be finite.
     """
 
     features: np.ndarray
@@ -64,6 +65,8 @@ class TokenSequence:
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise InvalidParameterError("features must be (n_tokens, d_model)")
+        if not np.isfinite(feats).all():
+            raise NonFiniteValueError("token features must be finite")
         frames = _validate_frames(self.frame_index, feats.shape[0])
         feats.flags.writeable = False
         frames.flags.writeable = False

@@ -37,8 +37,8 @@ class TruncatedPayloadError(TensorFileError):
     """The payload holds fewer values than the header declares."""
 
 
-class NonFiniteValueError(TensorFileError):
-    """The payload contains NaN or Inf values."""
+class NonFiniteValueError(TensorFileError, InvalidShapeError):
+    """A file payload, tensor, spectrum or token array holds NaN or Inf values."""
 
 
 class UnsupportedFormatError(TensorFileError):

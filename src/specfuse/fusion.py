@@ -1,13 +1,13 @@
 """Branch attention plus frequency-domain fusion.
 
-Two composition schemes over shared Q, K, V; every branch of a plan comes
-from one pass of the multi-window attention core:
-
-* spectral_blend_attention: a local windowed branch and a global branch,
-  merged by a Gaussian low-pass split (low band from the global branch,
-  high band from the local one).
-* multiband_attention: one windowed branch per scale, each owning one
-  hard frequency band; the masked spectra sum to the fused output.
+One fusion path: every branch of a plan comes from one pass of the
+multi-window attention core on shared Q, K, V, and `fused_spectrum` sums
+the branches' mask-weighted spectra in float64 (the masks must form a
+partition of unity); the inverse checks the imaginary residue. The masks
+pick the scheme: one hard band per scale (`multiband_attention`) or the
+Gaussian low-pass pair [1 - P, P] (`spectral_blend_attention`, low band
+from the global branch). Branch outputs stay float64 up to the returned
+tokens; float32 `VideoLatent`s appear only at the latent API.
 
 Token <-> latent mapping: d_model is the channel axis; tokens are ordered
 frame-major, then row-major over (H, W). Branch windows saturate to fully
@@ -32,7 +32,7 @@ from .attention import (
     uniform_keyframes,
 )
 from .errors import InvalidParameterError, InvalidPlanError, ShapeMismatchError
-from .spectral import FrequencyMask, band_masks, fft3, gaussian_lowpass, ifft3
+from .spectral import FrequencyMask, _fftn, _ifftn_real, band_masks, gaussian_lowpass, ifft3
 from .tensor_core import SpectralTensor, VideoLatent
 
 PARTITION_TOLERANCE = 1e-6
@@ -40,24 +40,30 @@ IMAG_RESIDUE_LIMIT = 1e-5
 SPARSE_KEY_FRACTION = 0.5
 
 
+def _token_rows(grid: np.ndarray) -> np.ndarray:
+    """(C, T, H, W) values as (T*H*W, C) token rows in the canonical order."""
+    return grid.transpose(1, 2, 3, 0).reshape(-1, grid.shape[0])
+
+
+def _latent_grid(features: np.ndarray, t: int, spatial: tuple[int, int]) -> np.ndarray:
+    """Inverse of _token_rows, as a view; needs the (H, W) factorization."""
+    h, w = int(spatial[0]), int(spatial[1])
+    n, c = features.shape
+    if t * h * w != n:
+        raise ShapeMismatchError(f"spatial {h}x{w} does not factor {n // t} tokens per frame")
+    return features.reshape(t, h, w, c).transpose(3, 0, 1, 2)
+
+
 def tokens_from_latent(latent: VideoLatent) -> TokenSequence:
     """Flatten a (C, T, H, W) latent to tokens in the canonical order."""
-    c, t, h, w = latent.shape
-    feats = latent.data.astype(np.float64).transpose(1, 2, 3, 0).reshape(t * h * w, c)
+    t, h, w = latent.shape[1:]
     frames = np.repeat(np.arange(t, dtype=np.int64), h * w)
-    return TokenSequence(feats, frames)
+    return TokenSequence(_token_rows(latent.data.astype(np.float64)), frames)
 
 
 def latent_from_tokens(tokens: TokenSequence, spatial: tuple[int, int]) -> VideoLatent:
     """Inverse of tokens_from_latent; needs the (H, W) factorization."""
-    h, w = int(spatial[0]), int(spatial[1])
-    t = tokens.num_frames
-    if h * w != tokens.tokens_per_frame:
-        raise ShapeMismatchError(
-            f"spatial {h}x{w} does not factor {tokens.tokens_per_frame} tokens per frame"
-        )
-    data = tokens.features.reshape(t, h, w, tokens.d_model).transpose(3, 0, 1, 2)
-    return VideoLatent(data.astype(np.float32))
+    return VideoLatent(_latent_grid(tokens.features, tokens.num_frames, spatial))
 
 
 @dataclass(frozen=True)
@@ -77,10 +83,12 @@ class BranchConfig:
 class FusionPlan:
     """Branch layout: native length, ascending scales, options.
 
-    `domain_mode` selects how band masks measure frequency ("temporal" or
-    "radial"); `d0` is the low-pass stop frequency used by the two-branch
-    blend path. `sparse_global` switches the largest branch to key-frame
-    attention over half the frames.
+    `domain_mode` selects how masks measure frequency ("temporal" or
+    "radial"). `sparse_global` switches the largest branch to key-frame
+    attention over half the frames. `d0` is the Gaussian low-pass stop
+    frequency, read only by `spectral_blend_attention`, which
+    `harness.run_stack` picks for two-scale plans; the `fuse` CLI runs
+    those through hard bands, so the two entry points disagree on them.
     """
 
     t_alpha: int
@@ -109,7 +117,8 @@ class FusionPlan:
             )
 
     def branch_configs(self, shape: tuple[int, int, int]) -> list[BranchConfig]:
-        """Materialize per-branch band masks for a concrete (T, H, W)."""
+        """Per-branch scale, sparse flag and hard band mask for a concrete (T, H, W);
+        every fusion entry point reads the branch layout from here."""
         masks = band_masks(self.alphas, shape, self.domain_mode)
         last = len(self.alphas) - 1
         return [
@@ -158,21 +167,6 @@ def _check_same_shape(latents) -> tuple[int, int, int, int]:
     return shape
 
 
-def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
-                   lpf: FrequencyMask) -> VideoLatent:
-    """Low band of the global latent plus high band of the local latent.
-
-    Computes ifft3(fft3(z_global) * P + fft3(z_local) * (1 - P)) and
-    drops the (rounding-level) imaginary residue after a symmetry check.
-    """
-    shape = _check_same_shape([z_global, z_local])
-    if lpf.shape != shape[1:]:
-        raise ShapeMismatchError(f"filter shape {lpf.shape} does not match latent {shape[1:]}")
-    p = lpf.weights[None, :, :, :]
-    fused = fft3(z_global).data * p + fft3(z_local).data * (1.0 - p)
-    return ifft3(SpectralTensor(fused), max_imag=IMAG_RESIDUE_LIMIT)
-
-
 def _check_partition(masks) -> None:
     total = np.zeros(masks[0].shape, dtype=np.float64)
     for mask in masks:
@@ -187,8 +181,10 @@ def _check_partition(masks) -> None:
 def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
     """Sum of masked branch spectra, in branch order.
 
-    At bins where a branch's mask is zero its contribution is exactly
-    zero, so branches cannot leak outside their band.
+    Branch outputs are VideoLatents or real (C, T, H, W) arrays; each is
+    transformed in float64. At bins where a branch's mask is zero its
+    contribution is exactly zero, so branches cannot leak outside their
+    band.
     """
     if len(branch_outputs) != len(masks):
         raise InvalidParameterError("need one mask per branch output")
@@ -199,8 +195,8 @@ def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
         raise ShapeMismatchError(f"mask shape {masks[0].shape} does not match latent {shape[1:]}")
     _check_partition(masks)
     total = np.zeros(shape, dtype=np.complex128)
-    for latent, mask in zip(branch_outputs, masks):
-        total += fft3(latent).data * mask.weights[None, :, :, :]
+    for branch, mask in zip(branch_outputs, masks):
+        total += _fftn(branch) * mask.weights[None, :, :, :]
     return SpectralTensor(total)
 
 
@@ -209,32 +205,41 @@ def multiband_fuse(branch_outputs, masks) -> VideoLatent:
     return ifft3(fused_spectrum(branch_outputs, masks), max_imag=IMAG_RESIDUE_LIMIT)
 
 
+def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
+                   lpf: FrequencyMask) -> VideoLatent:
+    """Low band of the global latent plus high band of the local latent.
+
+    The two-band case of multiband_fuse, with masks [1 - P, P] over
+    [z_local, z_global]: ifft3(fft3(z_local) * (1 - P) + fft3(z_global) * P).
+    """
+    return multiband_fuse([z_local, z_global], [lpf.complement(), lpf])
+
+
 def _branch_window(alpha: int, t_alpha: int, num_frames: int) -> AttentionWindow:
     return AttentionWindow.for_span(alpha * t_alpha, num_frames)
 
 
 def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                     spatial: tuple[int, int],
-                    counters: dict[int, MacCounter] | None = None) -> list[VideoLatent]:
+                    counters: dict[int, MacCounter] | None = None) -> list[np.ndarray]:
     """Run every branch of the plan in one attention pass on shared projections.
 
-    Returns one latent per branch; `counters` maps branch index to a
-    MacCounter that receives that branch's logical MACs.
+    Returns one float64 (C, T, H, W) array per branch, in plan order;
+    `counters` maps branch index to a MacCounter that receives that
+    branch's logical MACs.
     """
     t = tokens.num_frames
     plan.validate_for(t)
     q, k, v = project_qkv(tokens, qkv_weights)
-    last = len(plan.alphas) - 1
     frame_sets = [
         _frame_set(t, keyframes=uniform_keyframes(t, SPARSE_KEY_FRACTION))
-        if plan.sparse_global and i == last
-        else _frame_set(t, window=_branch_window(alpha, plan.t_alpha, t))
-        for i, alpha in enumerate(plan.alphas)
+        if branch.sparse
+        else _frame_set(t, window=_branch_window(branch.alpha, plan.t_alpha, t))
+        for branch in plan.branch_configs((t, *spatial))
     ]
-    branch_counters = [(counters or {}).get(i) for i in range(len(plan.alphas))]
+    branch_counters = [(counters or {}).get(i) for i in range(len(frame_sets))]
     outs = _attend(q, k, v, tokens.frame_index, frame_sets, branch_counters)
-    return [latent_from_tokens(TokenSequence(out, tokens.frame_index), spatial)
-            for out in outs]
+    return [_latent_grid(out, t, spatial) for out in outs]
 
 
 def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
@@ -243,16 +248,15 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
 
     The plan must hold exactly two scales with the finer one at 1; the
     coarser branch runs globally (its window covers the sequence by the
-    plan invariant) and contributes the low band.
+    plan invariant) and contributes the low band. This is
+    multiband_attention with the masks [1 - P, P] of the plan's low-pass
+    filter P.
     """
     if len(plan.alphas) != 2 or plan.alphas[0] != 1:
         raise InvalidPlanError(f"blend plan needs alphas (1, global), got {plan.alphas}")
-    t = tokens.num_frames
-    plan.validate_for(t)
-    h, w = spatial
-    z_local, z_global = _branch_latents(tokens, qkv_weights, plan, spatial)
-    lpf = gaussian_lowpass((t, h, w), plan.d0, plan.domain_mode)
-    return tokens_from_latent(spectral_blend(z_global, z_local, lpf))
+    lpf = gaussian_lowpass((tokens.num_frames, *spatial), plan.d0, plan.domain_mode)
+    return multiband_attention(tokens, qkv_weights, plan, spatial,
+                               masks=[lpf.complement(), lpf])
 
 
 def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
@@ -265,12 +269,11 @@ def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
     ascending alphas); any partition of unity is accepted. `counters`
     maps branch index to a MacCounter for operation counting.
     """
-    t = tokens.num_frames
-    plan.validate_for(t)
-    h, w = spatial
     branch_outputs = _branch_latents(tokens, qkv_weights, plan, spatial, counters)
     if masks is None:
-        masks = band_masks(plan.alphas, (t, h, w), plan.domain_mode)
+        masks = [branch.mask for branch in plan.branch_configs((tokens.num_frames, *spatial))]
     elif len(masks) != len(plan.alphas):
         raise InvalidPlanError("need one mask per plan branch")
-    return tokens_from_latent(multiband_fuse(branch_outputs, masks))
+    fused = fused_spectrum(branch_outputs, masks)
+    return TokenSequence(_token_rows(_ifftn_real(fused.data, IMAG_RESIDUE_LIMIT)),
+                         tokens.frame_index)

@@ -108,7 +108,7 @@ def make_scene(scene: SyntheticScene) -> VideoLatent:
     if scene.noise_level > 0.0:
         noise = gaussian_latent(scene.shape, SeededRng(scene.seed)).data
         data += scene.noise_level * noise
-    return VideoLatent(data.astype(np.float32))
+    return VideoLatent(data)
 
 
 def scene_tokens(scene: SyntheticScene) -> TokenSequence:
@@ -133,16 +133,11 @@ def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
     """
     if depth < 1:
         raise InvalidParameterError(f"depth must be >= 1, got {depth}")
+    fuse = spectral_blend_attention if len(plan.alphas) == 2 else multiband_attention
     rng = SeededRng(seed)
     d = tokens.d_model
     out = tokens
     for _ in range(depth):
-        if identity_weights:
-            weights = (np.eye(d), np.eye(d), np.eye(d))
-        else:
-            weights = block_weights(d, rng)
-        if len(plan.alphas) == 2:
-            out = spectral_blend_attention(out, weights, plan, spatial)
-        else:
-            out = multiband_attention(out, weights, plan, spatial)
+        weights = (np.eye(d),) * 3 if identity_weights else block_weights(d, rng)
+        out = fuse(out, weights, plan, spatial)
     return out

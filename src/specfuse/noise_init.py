@@ -135,4 +135,4 @@ def specmix(params: SpecMixParams, chw: tuple[int, int, int],
     mixed, _, _ = mixed_spectra(params, chw, mix_domain)
     axes = (2, 3) if mix_domain == "spatial" else (1, 2, 3)
     out = np.fft.ifftn(mixed, axes=axes, norm="ortho").real
-    return VideoLatent(out.astype(np.float32))
+    return VideoLatent(out)

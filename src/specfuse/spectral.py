@@ -25,10 +25,33 @@ from .tensor_core import SpectralTensor, VideoLatent
 DOMAIN_MODES = ("temporal", "radial")
 
 
-def fft3(x: VideoLatent) -> SpectralTensor:
-    """Orthonormal 3D FFT over the (T, H, W) axes, per channel."""
-    spec = np.fft.fftn(x.data.astype(np.float64), axes=(1, 2, 3), norm="ortho")
-    return SpectralTensor(spec)
+def _fftn(x) -> np.ndarray:
+    """Orthonormal 3D FFT over (T, H, W) of a VideoLatent or a real (C, T, H, W) array."""
+    data = x.data if isinstance(x, VideoLatent) else x
+    return np.fft.fftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3), norm="ortho")
+
+
+def _ifftn_real(spectrum: np.ndarray, max_imag: float | None = None) -> np.ndarray:
+    """Real part of the orthonormal inverse 3D FFT, in float64; see ifft3."""
+    full = np.fft.ifftn(spectrum, axes=(1, 2, 3), norm="ortho")
+    if max_imag is not None:
+        residue = float(np.abs(full.imag).max())
+        limit = max_imag * max(1.0, float(np.abs(full.real).max()))
+        if residue > limit:
+            raise InvalidParameterError(
+                f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
+                "spectrum is not conjugate-symmetric"
+            )
+    return full.real
+
+
+def fft3(x) -> SpectralTensor:
+    """Orthonormal 3D FFT over the (T, H, W) axes, per channel.
+
+    `x` is a VideoLatent or a real (C, T, H, W) array; either is
+    transformed in float64.
+    """
+    return SpectralTensor(_fftn(x))
 
 
 def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLatent:
@@ -40,16 +63,7 @@ def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLaten
     from a real latent through symmetric masks keeps the residue at
     rounding level relative to the signal, whatever its amplitude.
     """
-    full = np.fft.ifftn(spectrum.data, axes=(1, 2, 3), norm="ortho")
-    if max_imag is not None:
-        residue = float(np.abs(full.imag).max())
-        limit = max_imag * max(1.0, float(np.abs(full.real).max()))
-        if residue > limit:
-            raise InvalidParameterError(
-                f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
-                "spectrum is not conjugate-symmetric"
-            )
-    return VideoLatent(full.real.astype(np.float32))
+    return VideoLatent(_ifftn_real(spectrum.data, max_imag))
 
 
 def axis_frequencies(n: int) -> np.ndarray:

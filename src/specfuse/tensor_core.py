@@ -49,17 +49,18 @@ def _check_shape4(shape: tuple) -> tuple[int, int, int, int]:
 class VideoLatent:
     """Real-valued (C, T, H, W) tensor holding features or noise.
 
-    The backing array is float32, C-contiguous, and marked read-only;
+    The backing array is a float32, C-contiguous copy of the input, marked
+    read-only, so the caller's array is neither aliased nor frozen;
     instances are safe to share across threads.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
+        arr = np.array(self.data, dtype=np.float32, order="C")
         _check_shape4(arr.shape)
         if not np.isfinite(arr).all():
-            raise InvalidShapeError("latent values must be finite")
+            raise NonFiniteValueError("latent values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -86,7 +87,7 @@ class SpectralTensor:
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
         _check_shape4(arr.shape)
         if not np.isfinite(arr).all():
-            raise InvalidShapeError("spectrum values must be finite")
+            raise NonFiniteValueError("spectrum values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
@@ -154,8 +155,7 @@ def gaussian_latent(shape: tuple, rng: SeededRng) -> VideoLatent:
     """
     dims = _check_shape4(shape)
     n = int(np.prod(dims))
-    values = rng.normals(n).astype(np.float32).reshape(dims)
-    return VideoLatent(values)
+    return VideoLatent(rng.normals(n).reshape(dims))
 
 
 def write_tensor(path, latent: VideoLatent) -> None:

@@ -9,6 +9,7 @@ from specfuse import (
     AttentionWindow,
     InvalidParameterError,
     MacCounter,
+    NonFiniteValueError,
     SeededRng,
     TokenSequence,
     attention_map,
@@ -53,6 +54,12 @@ def random_weights(d, seed):
 
 
 class TestTokenSequence:
+    def test_rejects_non_finite_features(self):
+        feats = np.zeros((6, 2))
+        feats[3, 1] = np.nan
+        with pytest.raises(NonFiniteValueError):
+            TokenSequence(feats, np.repeat(np.arange(3), 2))
+
     def test_counts_and_frames(self):
         toks = random_tokens(5, 3, 4, 1)
         assert toks.num_frames == 5

@@ -8,8 +8,17 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from specfuse import read_tensor
+from specfuse import (
+    FusionPlan,
+    SeededRng,
+    latent_from_tokens,
+    multiband_attention,
+    read_tensor,
+    spectral_blend_attention,
+    tokens_from_latent,
+)
 from specfuse.cli import main
+from specfuse.harness import block_weights
 
 SCENE_CFG = """\
 shape = 2,16,4,4
@@ -87,6 +96,22 @@ class TestFuseCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_two_scale_plan_runs_hard_bands(self, tmp_path, scene_file, plan_file):
+        # The CLI sends a two-scale plan through the hard bands; run_stack
+        # sends it through the Gaussian pair, so the two differ.
+        lat, out = tmp_path / "x.spfu", tmp_path / "f.spfu"
+        run_cli("scene", "--config", str(scene_file), "--out", str(lat))
+        code, _ = run_cli("fuse", "--input", str(lat), "--plan", str(plan_file),
+                          "--weights-seed", "3", "--out", str(out))
+        assert code == 0
+        tokens = tokens_from_latent(read_tensor(lat))
+        plan = FusionPlan.from_text(PLAN_CFG)
+        weights = block_weights(2, SeededRng(3))
+        banded = multiband_attention(tokens, weights, plan, (4, 4))
+        gaussian = spectral_blend_attention(tokens, weights, plan, (4, 4))
+        assert np.array_equal(read_tensor(out).data, latent_from_tokens(banded, (4, 4)).data)
+        assert not np.array_equal(banded.features, gaussian.features)
 
     def test_missing_input_is_runtime_error(self, tmp_path, plan_file, capsys):
         code = main(["fuse", "--input", str(tmp_path / "nope.spfu"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specfuse import (
     AttentionWindow,
@@ -9,6 +11,7 @@ from specfuse import (
     FusionPlan,
     InvalidParameterError,
     InvalidPlanError,
+    NonFiniteValueError,
     SeededRng,
     ShapeMismatchError,
     TokenSequence,
@@ -23,9 +26,11 @@ from specfuse import (
     multiband_attention,
     multiband_fuse,
     project_qkv,
+    sparse_attention,
     spectral_blend,
     spectral_blend_attention,
     tokens_from_latent,
+    uniform_keyframes,
 )
 from specfuse.harness import block_weights
 
@@ -33,6 +38,24 @@ from specfuse.harness import block_weights
 def random_tokens(t, tpf, d, seed) -> TokenSequence:
     feats = SeededRng(seed).normals(t * tpf * d).reshape(t * tpf, d)
     return TokenSequence(feats, np.repeat(np.arange(t), tpf))
+
+
+def fusion_oracle(toks, weights, plan, spatial) -> np.ndarray:
+    """float64 reference: each branch run alone, masked np.fft.fftn sum, ifftn."""
+    q, k, v = project_qkv(toks, weights)
+    t, (h, w) = toks.num_frames, spatial
+    masks = band_masks(plan.alphas, (t, h, w), plan.domain_mode)
+    total = np.zeros((toks.d_model, t, h, w), dtype=np.complex128)
+    for i, (alpha, mask) in enumerate(zip(plan.alphas, masks)):
+        if plan.sparse_global and i == len(plan.alphas) - 1:
+            out = sparse_attention(q, k, v, toks.frame_index, uniform_keyframes(t, 0.5))
+        else:
+            window = AttentionWindow.for_span(alpha * plan.t_alpha, t)
+            out = masked_attention(q, k, v, toks.frame_index, window)
+        grid = out.features.reshape(t, h, w, -1).transpose(3, 0, 1, 2)
+        total += np.fft.fftn(grid, axes=(1, 2, 3), norm="ortho") * mask.weights
+    fused = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
+    return fused.transpose(1, 2, 3, 0).reshape(t * h * w, -1)
 
 
 def temporal_tone(shape, k: int) -> VideoLatent:
@@ -136,6 +159,28 @@ class TestMultibandFuse:
             multiband_fuse([z], band_masks([1, 2], (8, 4, 4)))
 
 
+class TestFusionProperties:
+    @given(c=st.integers(1, 3), t=st.integers(1, 12), h=st.integers(1, 6),
+           w=st.integers(1, 6), d0=st.floats(0.05, 1.0),
+           mode=st.sampled_from(["temporal", "radial"]), seed=st.integers(0, 2**32))
+    def test_blend_is_two_band_multiband_fuse(self, c, t, h, w, d0, mode, seed):
+        zg = gaussian_latent((c, t, h, w), SeededRng(seed))
+        zl = gaussian_latent((c, t, h, w), SeededRng(seed + 1))
+        lpf = gaussian_lowpass((t, h, w), d0, mode)
+        blended = spectral_blend(zg, zl, lpf)
+        fused = multiband_fuse([zl, zg], [lpf.complement(), lpf])
+        assert np.array_equal(blended.data, fused.data)
+
+    @given(c=st.integers(1, 3), t=st.integers(1, 24), h=st.integers(1, 6),
+           w=st.integers(1, 6),
+           alphas=st.lists(st.integers(1, 16), min_size=1, max_size=5, unique=True).map(sorted),
+           mode=st.sampled_from(["temporal", "radial"]), seed=st.integers(0, 2**32))
+    def test_identical_branches_return_the_input(self, c, t, h, w, alphas, mode, seed):
+        z = gaussian_latent((c, t, h, w), SeededRng(seed))
+        out = multiband_fuse([z] * len(alphas), band_masks(alphas, (t, h, w), mode))
+        assert np.abs(out.data - z.data).max() <= 1e-6
+
+
 class TestFusionPlan:
     def test_text_roundtrip(self):
         plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True,
@@ -194,7 +239,7 @@ class TestFusedAttention:
         lpf = gaussian_lowpass((16, 4, 4), 0.25, "radial")
         banded = multiband_attention(toks, weights, plan, (4, 4),
                                      masks=[lpf.complement(), lpf])
-        assert np.abs(blend.features - banded.features).max() <= 1e-5
+        assert np.array_equal(blend.features, banded.features)
 
     def test_band_ownership(self):
         from specfuse.fusion import _branch_latents
@@ -238,6 +283,25 @@ class TestFusedAttention:
         inside = ~outside
         assert np.array_equal(dense.data[:, outside], sparse.data[:, outside])
         assert np.abs(dense.data[:, inside] - sparse.data[:, inside]).max() > 0.0
+
+    @pytest.mark.parametrize("plan", [
+        FusionPlan(t_alpha=8, alphas=(1, 2, 4)),
+        FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True),
+        FusionPlan(t_alpha=12, alphas=(1, 2), domain_mode="radial"),
+    ], ids=["dense", "sparse-global", "radial-two-scale"])
+    def test_matches_float64_oracle(self, plan):
+        toks = random_tokens(24, 16, 8, 26)
+        weights = block_weights(8, SeededRng(27))
+        out = multiband_attention(toks, weights, plan, (4, 4))
+        oracle = fusion_oracle(toks, weights, plan, (4, 4))
+        assert np.abs(out.features - oracle).max() <= 1e-12
+
+    def test_overflowing_features_raise_non_finite(self):
+        toks = random_tokens(16, 4, 4, 30)
+        huge = TokenSequence(1e200 * toks.features, toks.frame_index)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValueError):
+            multiband_attention(huge, block_weights(4, SeededRng(31)),
+                                FusionPlan(t_alpha=8, alphas=(1, 2)), (2, 2))
 
     def test_plan_must_cover_sequence(self):
         toks = random_tokens(32, 4, 4, 25)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specfuse import (
     FrequencyMask,
@@ -146,6 +148,14 @@ class TestBandMasks:
         masks = band_masks(alphas, (32, 6, 6), mode)
         total = sum(m.weights for m in masks)
         assert np.array_equal(total, np.ones((32, 6, 6)))
+
+    @given(alphas=st.lists(st.integers(1, 64), min_size=1, max_size=6, unique=True).map(sorted),
+           t=st.integers(1, 40), h=st.integers(1, 9), w=st.integers(1, 9),
+           mode=st.sampled_from(["temporal", "radial"]))
+    def test_random_alphas_partition_exactly(self, alphas, t, h, w, mode):
+        masks = band_masks(alphas, (t, h, w), mode)
+        assert all(set(np.unique(m.weights)) <= {0.0, 1.0} for m in masks)
+        assert np.array_equal(sum(m.weights for m in masks), np.ones((t, h, w)))
 
     def test_masks_are_indicators(self):
         for mask in band_masks([1, 2, 4], (16, 4, 4)):

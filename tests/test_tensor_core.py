@@ -8,6 +8,7 @@ from specfuse import (
     InvalidShapeError,
     NonFiniteValueError,
     SeededRng,
+    SpectralTensor,
     TruncatedPayloadError,
     UnsupportedFormatError,
     VideoLatent,
@@ -78,10 +79,32 @@ class TestVideoLatent:
         with pytest.raises(InvalidShapeError):
             VideoLatent(data)
 
+    def test_non_finite_is_its_own_error(self):
+        data = np.zeros((1, 2, 2, 2), dtype=np.float32)
+        data[0, 1, 0, 0] = np.inf
+        with pytest.raises(NonFiniteValueError):
+            VideoLatent(data)
+
+    def test_copies_the_callers_array(self):
+        data = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
+        before = data.copy()
+        lat = VideoLatent(data)
+        assert data.flags.writeable and np.array_equal(data, before)
+        data[0, 0, 0, 0] = 99.0
+        assert np.array_equal(lat.data, before)
+
     def test_immutable(self):
         lat = gaussian_latent((1, 2, 2, 2), SeededRng(3))
         with pytest.raises(ValueError):
             lat.data[0, 0, 0, 0] = 1.0
+
+
+class TestSpectralTensor:
+    def test_rejects_non_finite(self):
+        data = np.zeros((1, 2, 2, 2), dtype=np.complex128)
+        data[0, 0, 1, 0] = complex(0.0, np.nan)
+        with pytest.raises(NonFiniteValueError):
+            SpectralTensor(data)
 
 
 class TestFileFormat:
