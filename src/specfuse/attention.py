@@ -15,21 +15,45 @@ the unnormalised value sum), and builds each set's rows by merging the
 states of that set's own frames with log-sum-exp rescaling (Milakov &
 Gimelshein 2018). Nested windows therefore cost one pass of the widest,
 and each set's output equals the same set run alone, bit for bit.
+
+Query frames are independent, so `_attend` splits them across a small
+pool of threads: frame i goes to share i mod width, the calling thread
+runs share 0, and width - 1 pool threads, started on first use, run the
+rest. The width is the number of usable cores, capped by SPFU_THREADS
+when that is set above 0, else by OMP_NUM_THREADS. Each share has its own
+logits, row-max, row-sum and partial buffers and writes only its own
+frames' output rows. A frame's query rows are taken in chunks small
+enough that every matmul has M*N*K <= 2**18, the size OpenBLAS runs on
+the calling thread, so the threads never queue for OpenBLAS's own pool.
+Every row is computed by the same operations in the same order whichever
+thread runs it, so outputs are bit-identical at every width.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
-# Logits are computed in stacks of whole key-frame blocks of at most this
-# many bytes, so each stack stays in a core's L2 cache between the softmax
-# passes.
-_BLOCK_BYTES = 2 << 20
+# Each thread computes logits in stacks of key-frame blocks of at most
+# this many bytes, so a stack stays in its core's L2 cache between the
+# softmax passes.
+_BLOCK_BYTES = 512 << 10
+# OpenBLAS runs a gemm with M*N*K at most 2**18 on the calling thread and
+# hands larger ones to its own thread pool. Query rows are taken in chunks
+# that keep both matmuls of a block at or below that size (64 rows at 256
+# tokens per frame and d = 16): otherwise the attention threads would
+# contend for OpenBLAS's pool, and a split across cores would run slower
+# than one thread.
+_SERIAL_GEMM_MACS = 1 << 18
 
 
 def _validate_frames(frame_index, n_tokens: int) -> np.ndarray:
@@ -55,19 +79,20 @@ class TokenSequence:
 
     Frame ids are non-decreasing and every frame in [0, T) owns the same
     number of tokens (the H*W spatial positions of that frame). Features
-    must be finite.
+    must be finite. Both arrays are read-only, C-contiguous copies of the
+    inputs, so the caller's arrays are neither aliased nor frozen.
     """
 
     features: np.ndarray
     frame_index: np.ndarray
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
+        feats = np.array(self.features, dtype=np.float64, order="C")
         if feats.ndim != 2:
             raise InvalidParameterError("features must be (n_tokens, d_model)")
         if not np.isfinite(feats).all():
             raise NonFiniteValueError("token features must be finite")
-        frames = _validate_frames(self.frame_index, feats.shape[0])
+        frames = _validate_frames(np.array(self.frame_index, dtype=np.int64), feats.shape[0])
         feats.flags.writeable = False
         frames.flags.writeable = False
         object.__setattr__(self, "features", feats)
@@ -198,57 +223,143 @@ def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None):
     return lambda i: slice(*_admitted_range(i, radius, t))
 
 
+def _pool_width() -> int:
+    """Threads that share `_attend`'s query frames, the calling thread included.
+
+    The usable core count, capped by SPFU_THREADS when that is set above
+    0, else by OMP_NUM_THREADS.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    for var in ("SPFU_THREADS", "OMP_NUM_THREADS"):
+        try:
+            cap = int(os.environ.get(var, "0"))
+        except ValueError:
+            cap = 0
+        if cap > 0:
+            return max(1, min(cores, cap))
+    return max(1, cores)
+
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    """The shared pool, grown to at least `workers` threads; created on first use.
+
+    A replaced pool's idle threads exit once the last caller drops it.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < workers:
+            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="specfuse-attend"))
+        return _pool[1]
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool's bookkeeping but none of its threads.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, ...]:
+    """One share's scratch: logits block, row max, row sum, partial outputs
+    and the merge product, for query-row chunks within `_SERIAL_GEMM_MACS`."""
+    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d, dv))))
+    group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
+    return (np.empty((group, rows, tpf)), np.empty((t, rows)), np.empty((t, rows)),
+            np.empty((t, rows, dv)), np.empty((t, rows, dv)))
+
+
+def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
+    """`_attend`'s work for the query frames `frame_ids`, in `buffers` of its own.
+
+    Writes only those frames' rows of `outs` and calls only numpy, so it
+    can run on a pool thread next to other shares.
+    """
+    t, tpf, _ = q3.shape
+    block, row_max, row_sum, partial, product = buffers
+    group, rows = block.shape[:2]
+    for i in frame_ids:
+        in_union = np.zeros(t, dtype=bool)
+        for keys in admitted[i]:
+            in_union[keys] = True
+        union = np.flatnonzero(in_union)
+        for r0 in range(0, tpf, rows):
+            m = min(rows, tpf - r0)
+            for start in range(0, union.size, group):
+                part = union[start : start + group]
+                lo, hi = int(part[0]), int(part[-1]) + 1
+                keys = slice(lo, hi) if hi - lo == part.size else part
+                logits = np.matmul(q3[i, r0 : r0 + m], k3[keys].transpose(0, 2, 1),
+                                   out=block[: part.size, :m])
+                row_max[keys, :m] = logits.max(axis=2)
+                logits -= row_max[keys, :m, None]
+                np.exp(logits, out=logits)
+                row_sum[keys, :m] = logits.sum(axis=2)
+                partial[keys, :m] = logits @ v3[keys]
+            for out, keys in zip(outs, admitted[i]):
+                block_max = row_max[keys, :m]
+                scale = np.exp(block_max - block_max.max(axis=0))
+                weighted = np.multiply(scale[:, :, None], partial[keys, :m],
+                                       out=product[: len(scale), :m])
+                np.sum(weighted, axis=0, out=out[i, r0 : r0 + m])
+                out[i, r0 : r0 + m] /= (scale * row_sum[keys, :m]).sum(axis=0)[:, None]
+
+
 def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
     """One-pass multi-window attention core; one (n, d_v) output per frame set.
 
     For each query frame i, the logits of every key frame that some set
-    admits are computed once, as stacked (J, tpf, tpf) matmuls over groups
-    of frames sized to stay in cache. Each key frame j keeps its
-    online-softmax state: row max m_j, row sum l_j of exp(logit - m_j),
-    and the unnormalised output o_j = exp(logit - m_j) @ V_j. A set's rows
+    admits are computed once, as stacked (J, rows, tpf) matmuls over groups
+    of frames sized to stay in cache, one chunk of the frame's query rows
+    at a time. Each key frame j keeps its online-softmax state: row max
+    m_j, row sum l_j of exp(logit - m_j), and the unnormalised output
+    o_j = exp(logit - m_j) @ V_j. A set's rows
     merge the states of its own frames in ascending frame order, rescaled
     by exp(m_j - M) with M their largest m_j. A set's result therefore
     depends only on its own frames' blocks, so it is bit-identical to the
-    same set run alone. `counters[b]`, if not None, receives set b's
-    logical MACs.
+    same set run alone. Query frames are split across `_pool_width()`
+    threads (see the module docstring) and the output does not depend on
+    the width. `counters[b]`, if not None, receives set b's logical MACs.
     """
     t, tpf = _frame_slices(frames)
     d, dv = q.shape[1], v.shape[1]
     q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
     k3 = k.reshape(t, tpf, d)
     v3 = v.reshape(t, tpf, dv)
-    group = max(1, _BLOCK_BYTES // (8 * tpf * tpf))
-    block = np.empty((min(group, t), tpf, tpf), dtype=np.float64)
-    row_max = np.empty((t, tpf), dtype=np.float64)
-    row_sum = np.empty((t, tpf), dtype=np.float64)
-    partial = np.empty((t, tpf, dv), dtype=np.float64)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
+    admitted = [[frame_set(i) for frame_set in frame_sets] for i in range(t)]
+    width = min(_pool_width(), t)
+    shares = [range(first, t, width) for first in range(width)]
+    task = functools.partial(_attend_frames, q3, k3, v3, admitted, outs)
+    # Every share's buffers are allocated here: memory that a pool thread
+    # allocates stays cached in that thread's malloc arena after the call
+    # and adds to the process's peak RSS.
+    buffers = [_share_buffers(t, tpf, d, dv) for _ in shares]
+    # Each pool task runs in a copy of the caller's context: NumPy keeps
+    # np.errstate in a context variable, so errors and warnings follow the
+    # caller's settings on every thread.
+    futures = [_executor(width - 1).submit(contextvars.copy_context().run, task, share, own)
+               for share, own in zip(shares[1:], buffers[1:])]
+    try:
+        task(shares[0], buffers[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
     frame_ids = np.arange(t)
-    admitted_frames = np.zeros(len(frame_sets), dtype=np.int64)
-    for i in range(t):
-        admitted = [frame_set(i) for frame_set in frame_sets]
-        in_union = np.zeros(t, dtype=bool)
-        for b, keys in enumerate(admitted):
-            in_union[keys] = True
-            admitted_frames[b] += frame_ids[keys].size
-        union = np.flatnonzero(in_union)
-        for start in range(0, union.size, group):
-            part = union[start : start + group]
-            lo, hi = int(part[0]), int(part[-1]) + 1
-            keys = slice(lo, hi) if hi - lo == part.size else part
-            logits = np.matmul(q3[i], k3[keys].transpose(0, 2, 1), out=block[: part.size])
-            row_max[keys] = logits.max(axis=2)
-            logits -= row_max[keys][:, :, None]
-            np.exp(logits, out=logits)
-            row_sum[keys] = logits.sum(axis=2)
-            partial[keys] = logits @ v3[keys]
-        for out, keys in zip(outs, admitted):
-            scale = np.exp(row_max[keys] - row_max[keys].max(axis=0))
-            out[i] = (scale[:, :, None] * partial[keys]).sum(axis=0)
-            out[i] /= (scale * row_sum[keys]).sum(axis=0)[:, None]
-    for counter, count in zip(counters or (), admitted_frames):
+    for b, counter in enumerate(counters or ()):
         if counter is not None:
-            counter.add(tpf * int(count) * tpf * 2 * d)
+            count = sum(frame_ids[per_set[b]].size for per_set in admitted)
+            counter.add(tpf * count * tpf * 2 * d)
     return [out.reshape(t * tpf, dv) for out in outs]
 
 

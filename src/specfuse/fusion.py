@@ -220,13 +220,13 @@ def _branch_window(alpha: int, t_alpha: int, num_frames: int) -> AttentionWindow
 
 
 def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
-                    spatial: tuple[int, int],
+                    branches: list[BranchConfig],
                     counters: dict[int, MacCounter] | None = None) -> list[np.ndarray]:
-    """Run every branch of the plan in one attention pass on shared projections.
+    """Run every branch in one attention pass on shared projections.
 
-    Returns one float64 (C, T, H, W) array per branch, in plan order;
-    `counters` maps branch index to a MacCounter that receives that
-    branch's logical MACs.
+    `branches` is `plan.branch_configs((T, H, W))`. Returns one float64
+    (C, T, H, W) array per branch, in plan order; `counters` maps branch
+    index to a MacCounter that receives that branch's logical MACs.
     """
     t = tokens.num_frames
     plan.validate_for(t)
@@ -235,10 +235,11 @@ def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
         _frame_set(t, keyframes=uniform_keyframes(t, SPARSE_KEY_FRACTION))
         if branch.sparse
         else _frame_set(t, window=_branch_window(branch.alpha, plan.t_alpha, t))
-        for branch in plan.branch_configs((t, *spatial))
+        for branch in branches
     ]
     branch_counters = [(counters or {}).get(i) for i in range(len(frame_sets))]
     outs = _attend(q, k, v, tokens.frame_index, frame_sets, branch_counters)
+    spatial = branches[0].mask.shape[1:]
     return [_latent_grid(out, t, spatial) for out in outs]
 
 
@@ -269,9 +270,10 @@ def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
     ascending alphas); any partition of unity is accepted. `counters`
     maps branch index to a MacCounter for operation counting.
     """
-    branch_outputs = _branch_latents(tokens, qkv_weights, plan, spatial, counters)
+    branches = plan.branch_configs((tokens.num_frames, *spatial))
+    branch_outputs = _branch_latents(tokens, qkv_weights, plan, branches, counters)
     if masks is None:
-        masks = [branch.mask for branch in plan.branch_configs((tokens.num_frames, *spatial))]
+        masks = [branch.mask for branch in branches]
     elif len(masks) != len(plan.alphas):
         raise InvalidPlanError("need one mask per plan branch")
     fused = fused_spectrum(branch_outputs, masks)

@@ -190,7 +190,7 @@ def check_band_ownership():
     fused = multiband_attention(toks, weights, plan, (4, 4))
     fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
     from .fusion import _branch_latents
-    branches = _branch_latents(toks, weights, plan, (4, 4))
+    branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
     for mask, branch in zip(masks, branches):
         sel = mask.weights.astype(bool)
         err = np.abs((fused_spec - fft3(branch).data)[:, sel]).max()
@@ -219,8 +219,10 @@ def check_sparse_substitution():
     sparse_plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
     from .fusion import _branch_latents
     masks = band_masks((1, 2, 4), (32, 4, 4))
-    dense = fused_spectrum(_branch_latents(toks, weights, dense_plan, (4, 4)), masks)
-    sparse = fused_spectrum(_branch_latents(toks, weights, sparse_plan, (4, 4)), masks)
+    dense, sparse = (
+        fused_spectrum(_branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4))), masks)
+        for plan in (dense_plan, sparse_plan)
+    )
     outside_coarse = ~masks[-1].weights.astype(bool)
     assert np.array_equal(dense.data[:, outside_coarse], sparse.data[:, outside_coarse]), \
         "sparse global branch leaked outside the coarsest band"
@@ -231,7 +233,7 @@ def check_fusion_energy_bound():
     weights = block_weights(8, SeededRng(39))
     plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
     from .fusion import _branch_latents
-    branches = _branch_latents(toks, weights, plan, (4, 4))
+    branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
     masks = band_masks(plan.alphas, (32, 4, 4))
     fused = fused_spectrum(branches, masks)
     per_bin_max = np.max([np.abs(fft3(b).data) ** 2 for b in branches], axis=0)

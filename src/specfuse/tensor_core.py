@@ -79,12 +79,15 @@ class VideoLatent:
 
 @dataclass(frozen=True, eq=False)
 class SpectralTensor:
-    """Complex-valued (C, T, H, W) tensor, the 3D-FFT image of a latent."""
+    """Complex-valued (C, T, H, W) tensor, the 3D-FFT image of a latent.
+
+    Like VideoLatent, it holds a read-only, C-contiguous copy of its input.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.complex128)
+        arr = np.array(self.data, dtype=np.complex128, order="C")
         _check_shape4(arr.shape)
         if not np.isfinite(arr).all():
             raise NonFiniteValueError("spectrum values must be finite")

@@ -162,7 +162,7 @@ def test_criterion_5_band_ownership():
     fused = multiband_attention(toks, weights, plan, (4, 4))
     fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
     masks = band_masks(plan.alphas, (32, 4, 4))
-    branches = _branch_latents(toks, weights, plan, (4, 4))
+    branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
     worst = 0.0
     for mask, branch in zip(masks, branches):
         sel = mask.weights.astype(bool)
@@ -227,8 +227,10 @@ def test_criterion_9_sparse_efficiency():
     sparse_plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
     dense_ctr = {2: MacCounter()}
     sparse_ctr = {2: MacCounter()}
-    dense_out = _branch_latents(toks, weights, dense_plan, (4, 4), dense_ctr)
-    sparse_out = _branch_latents(toks, weights, sparse_plan, (4, 4), sparse_ctr)
+    dense_out = _branch_latents(toks, weights, dense_plan,
+                                dense_plan.branch_configs((32, 4, 4)), dense_ctr)
+    sparse_out = _branch_latents(toks, weights, sparse_plan,
+                                 sparse_plan.branch_configs((32, 4, 4)), sparse_ctr)
     ratio = sparse_ctr[2].macs / dense_ctr[2].macs
     masks = band_masks((1, 2, 4), (32, 4, 4))
     dense_spec = fused_spectrum(dense_out, masks)

@@ -1,8 +1,11 @@
 """Attention semantics against a brute-force O(n^2) oracle."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from specfuse import (
@@ -18,6 +21,7 @@ from specfuse import (
     sparse_attention,
     uniform_keyframes,
 )
+from specfuse import attention
 from specfuse.attention import _attend, _frame_set
 
 
@@ -59,6 +63,16 @@ class TestTokenSequence:
         feats[3, 1] = np.nan
         with pytest.raises(NonFiniteValueError):
             TokenSequence(feats, np.repeat(np.arange(3), 2))
+
+    def test_copies_the_callers_arrays(self):
+        feats = np.arange(8, dtype=np.float64).reshape(4, 2)
+        frames = np.array([0, 0, 1, 1], dtype=np.int64)
+        toks = TokenSequence(feats, frames)
+        assert feats.flags.writeable and frames.flags.writeable
+        feats[0, 0] = 99.0
+        frames[2:] = 0
+        assert np.array_equal(toks.features, np.arange(8).reshape(4, 2))
+        assert np.array_equal(toks.frame_index, [0, 0, 1, 1])
 
     def test_counts_and_frames(self):
         toks = random_tokens(5, 3, 4, 1)
@@ -257,6 +271,25 @@ def multi_window_cases(draw):
     return t, tpf, d, spans, keyframes, draw(st.integers(0, 2**16))
 
 
+@st.composite
+def split_cases(draw):
+    """Local, global and key-frame sets over up to 100 tokens per frame, with
+    a drawn query-row chunk and key-frame group size."""
+    t = draw(st.integers(1, 6))
+    tpf = draw(st.integers(1, 100))
+    d = 2 * draw(st.integers(1, 4))
+    spans = draw(st.lists(st.integers(1, 2 * t + 1), min_size=1, max_size=3))
+    keyframes = draw(st.none() | st.sets(st.integers(0, t - 1), min_size=1))
+    rows = draw(st.integers(1, tpf))
+    group = draw(st.integers(1, t))
+    return t, tpf, d, spans, keyframes, rows, group, draw(st.integers(0, 2**16))
+
+
+def pooled(width):
+    """`_attend` split across `width` threads, whatever the machine's cores."""
+    return mock.patch.object(attention, "_pool_width", return_value=width)
+
+
 def frame_oracle(q, k, v, frames, admitted: np.ndarray) -> np.ndarray:
     """Full-matrix attention with -inf logits wherever admitted[fi, fj] is False."""
     logits = (q @ k.T) / np.sqrt(q.shape[1])
@@ -304,3 +337,55 @@ class TestMultiWindowCore:
         sparse = sparse_attention(q, k, v, toks.frame_index, range(t))
         glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(t))
         assert np.array_equal(sparse.features, glob.features)
+
+    @given(split_cases())
+    # 100 rows per frame in chunks of 64 + 36 at d = 16, T below the widest pool.
+    @example((2, 100, 16, [1, 3], {1}, 64, 1, 7))
+    def test_split_across_threads_is_bit_identical(self, case):
+        t, tpf, d, spans, keyframes, rows, group, seed = case
+        toks = random_tokens(t, tpf, d, seed)
+        q, k, v = project_qkv(toks, random_weights(d, seed + 1))
+        frames = toks.frame_index
+        sets = [_frame_set(t, window=AttentionWindow.for_span(span, t)) for span in spans]
+        if keyframes is not None:
+            sets.append(_frame_set(t, keyframes=keyframes))
+        outs = {}
+        with mock.patch.object(attention, "_SERIAL_GEMM_MACS", rows * tpf * d), \
+                mock.patch.object(attention, "_BLOCK_BYTES", 8 * group * rows * tpf):
+            for width in (1, 2, 3):
+                with pooled(width):
+                    outs[width] = _attend(q, k, v, frames, sets)
+        for width in (2, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(outs[1], outs[width]))
+        for out, frame_set in zip(outs[1], sets):
+            admitted = np.zeros((t, t), dtype=bool)
+            for i in range(t):
+                admitted[i, np.arange(t)[frame_set(i)]] = True
+            assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-6
+
+    def test_pool_wider_than_the_cores_under_fast_thread_switching(self):
+        toks = random_tokens(16, 8, 4, 40)
+        q, k, v = project_qkv(toks, random_weights(4, 41))
+        sets = [_frame_set(16, window=AttentionWindow.local(s)) for s in (2, 5, 9)]
+        sets.append(_frame_set(16))
+        with pooled(1):
+            serial = _attend(q, k, v, toks.frame_index, sets)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pooled(8):
+                for _ in range(20):
+                    split = _attend(q, k, v, toks.frame_index, sets)
+                    assert all(np.array_equal(a, b) for a, b in zip(serial, split))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_threads_follow_the_callers_error_state(self):
+        # Only query frame 1, which the pool thread takes, overflows; under the
+        # caller's errstate it yields NaN, not a warning raised on that thread.
+        x = np.ones((4, 2))
+        x[2:] = 1e200
+        frames = np.repeat(np.arange(2), 2)
+        with pooled(2), np.errstate(all="ignore"):
+            (out,) = _attend(x, x, x, frames, [_frame_set(2)])
+        assert np.isfinite(out[:2]).all() and np.isnan(out[2:]).all()

@@ -246,3 +246,26 @@ class TestProcessLevel:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
+
+    def test_cli_import_loads_no_numpy(self):
+        # The thread caps must be set before numpy loads, so the entry
+        # point's imports may not load it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, specfuse.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_thread_cap_sets_the_attention_pool_width(self):
+        import os
+
+        env = dict(os.environ, SPFU_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from specfuse.attention import _pool_width; print(_pool_width())"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"

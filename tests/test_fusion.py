@@ -250,7 +250,8 @@ class TestFusedAttention:
         fused = multiband_attention(toks, weights, plan, (4, 4))
         fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
         masks = band_masks(plan.alphas, (32, 4, 4))
-        for mask, branch in zip(masks, _branch_latents(toks, weights, plan, (4, 4))):
+        branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
+        for mask, branch in zip(masks, branches):
             sel = mask.weights.astype(bool)
             assert np.abs((fused_spec - fft3(branch).data)[:, sel]).max() <= 1e-4
 
@@ -271,14 +272,12 @@ class TestFusedAttention:
         toks = random_tokens(32, 16, 8, 23)
         weights = block_weights(8, SeededRng(24))
         masks = band_masks((1, 2, 4), (32, 4, 4))
-        dense = fused_spectrum(
-            _branch_latents(toks, weights, FusionPlan(t_alpha=8, alphas=(1, 2, 4)), (4, 4)),
-            masks)
-        sparse = fused_spectrum(
-            _branch_latents(toks, weights,
-                            FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True),
-                            (4, 4)),
-            masks)
+        dense, sparse = (
+            fused_spectrum(_branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4))),
+                           masks)
+            for plan in (FusionPlan(t_alpha=8, alphas=(1, 2, 4)),
+                         FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True))
+        )
         outside = ~masks[-1].weights.astype(bool)
         inside = ~outside
         assert np.array_equal(dense.data[:, outside], sparse.data[:, outside])

@@ -106,6 +106,13 @@ class TestSpectralTensor:
         with pytest.raises(NonFiniteValueError):
             SpectralTensor(data)
 
+    def test_copies_the_callers_array(self):
+        data = np.arange(8, dtype=np.complex128).reshape(1, 2, 2, 2)
+        spec = SpectralTensor(data)
+        assert data.flags.writeable
+        data[0, 0, 0, 0] = 99.0
+        assert np.array_equal(spec.data, np.arange(8).reshape(1, 2, 2, 2))
+
 
 class TestFileFormat:
     def test_value_roundtrip(self, tmp_path):
