@@ -117,7 +117,10 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class AttentionWindow:
-    """A branch's temporal extent: span in frames plus a kind tag."""
+    """A branch's temporal extent: span in frames, "local" or "global".
+
+    Key-frame sets are not windows; `sparse_attention` takes them.
+    """
 
     span_frames: int
     kind: str = "local"
@@ -125,7 +128,7 @@ class AttentionWindow:
     def __post_init__(self):
         if self.span_frames < 1:
             raise InvalidParameterError(f"span_frames must be >= 1, got {self.span_frames}")
-        if self.kind not in ("local", "global", "sparse"):
+        if self.kind not in ("local", "global"):
             raise InvalidParameterError(f"unknown window kind {self.kind!r}")
 
     @classmethod
@@ -217,8 +220,6 @@ def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None):
         if window is not None and window.span_frames < t:
             raise InvalidParameterError("global window must span the whole sequence")
         return lambda i: slice(0, t)
-    if window.kind != "local":
-        raise InvalidParameterError(f"masked attention does not take {window.kind!r} windows")
     radius = window.span_frames // 2
     return lambda i: slice(*_admitted_range(i, radius, t))
 

@@ -108,7 +108,7 @@ class FrequencyMask:
     domain_mode: str = "temporal"
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.weights, dtype=np.float64)
+        arr = np.array(self.weights, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise InvalidParameterError(f"mask must be (T, H, W), got rank {arr.ndim}")
         if self.domain_mode not in DOMAIN_MODES:
@@ -200,17 +200,16 @@ def band_masks(
     the coarser band, so every bin is claimed exactly once and the masks
     sum to 1 everywhere.
     """
-    alphas = _check_alphas(alphas)
+    specs = band_specs(alphas)
     grid = frequency_grid(shape, domain_mode)
-    # Interior edges ascending: pi/(2*alpha) for all but the finest scale.
-    edges = np.array([np.pi / (2.0 * a) for a in alphas[1:]][::-1])
+    # Interior edges ascending: the lower edge of every band but the coarsest.
+    edges = np.array([s.lo for s in specs[:-1]][::-1])
     # Index 0 = coarsest band; ties (side="left") fall to the coarser side.
+    # Indexing by edge, not by each band's [lo, hi], keeps a Nyquist bin that
+    # rounds one ulp above pi (T = 26, 52, 94, ...) in the finest band.
     coarse_idx = np.searchsorted(edges, grid, side="left")
-    masks = []
-    for i in range(len(alphas)):
-        keep = coarse_idx == (len(alphas) - 1 - i)
-        masks.append(FrequencyMask(keep.astype(np.float64), domain_mode))
-    return masks
+    return [FrequencyMask((coarse_idx == len(specs) - 1 - i).astype(np.float64), domain_mode)
+            for i in range(len(specs))]
 
 
 def apply_mask(spectrum: SpectralTensor, mask: FrequencyMask) -> SpectralTensor:

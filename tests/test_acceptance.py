@@ -16,33 +16,34 @@ from specfuse import (
     MacCounter,
     SeededRng,
     TokenSequence,
-    VideoLatent,
     aggregate_attention,
     apply_mask,
     attention_map,
     band_masks,
-    band_specs,
     diagonality,
     fft3,
     fused_spectrum,
     gaussian_latent,
     gaussian_lowpass,
     ifft3,
-    latent_from_tokens,
     masked_attention,
-    multiband_attention,
-    parseval_energy,
     project_qkv,
     relative_snr,
     sparse_attention,
-    spectral_blend_attention,
     uniform_keyframes,
 )
 from specfuse.cli import main as cli_main
 from specfuse.fusion import _branch_latents
 from specfuse.harness import block_weights
-from specfuse.noise_init import SpecMixParams, mixed_spectra, specmix
-from specfuse.selftest import selftest_output
+from specfuse.selftest import (
+    check_band_ownership,
+    check_band_partition,
+    check_fft_roundtrip,
+    check_parseval,
+    check_short_input_idempotence,
+    check_specmix_determinism_and_limits,
+    check_specmix_variance,
+)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -51,6 +52,18 @@ def report(name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
+
+
+def report_checks(name: str, *checks, seconds: float = float("inf")) -> None:
+    """A criterion made of registry checks, run in turn under a wall-time bound."""
+    start = time.perf_counter()
+    try:
+        for check in checks:
+            check()
+    except AssertionError as exc:
+        report(name, False, str(exc))
+    elapsed = time.perf_counter() - start
+    report(name, elapsed < seconds, f"{', '.join(c.__name__ for c in checks)}, {elapsed:.2f}s")
 
 
 def random_tokens(t, tpf, d, seed) -> TokenSequence:
@@ -70,34 +83,12 @@ def dense_oracle(q, k, v, frames, admit_frame) -> np.ndarray:
 
 
 def test_criterion_1_spectral_identity():
-    shapes = [(1, 3, 5, 7), (2, 16, 8, 8), (3, 31, 13, 11), (4, 32, 16, 16)]
-    start = time.perf_counter()
-    worst_rt, worst_pv = 0.0, 0.0
-    for i, shape in enumerate(shapes):
-        lat = gaussian_latent(shape, SeededRng(100 + i))
-        spec = fft3(lat)
-        worst_rt = max(worst_rt, float(np.abs(ifft3(spec).data - lat.data).max()))
-        ex = parseval_energy(lat)
-        worst_pv = max(worst_pv, abs(ex - parseval_energy(spec)) / ex)
-    elapsed = time.perf_counter() - start
-    ok = worst_rt <= 1e-4 and worst_pv <= 1e-5 and elapsed < 5.0
-    report("criterion-1 spectral identity", ok,
-           f"roundtrip {worst_rt:.2e}, parseval {worst_pv:.2e}, {elapsed:.2f}s")
+    report_checks("criterion-1 spectral identity", check_fft_roundtrip, check_parseval,
+                  seconds=5.0)
 
 
 def test_criterion_2_band_partition():
-    ok = True
-    for alphas in ([1], [1, 2], [1, 2, 4], [1, 2, 4, 8]):
-        masks = band_masks(alphas, (32, 8, 8))
-        total = sum(m.weights for m in masks)
-        ok &= np.array_equal(total, np.ones((32, 8, 8)))
-        for spec in band_specs(alphas):
-            if spec.alpha != min(alphas):
-                ok &= spec.hi == np.pi / (2 * spec.alpha)
-    three = {s.alpha: s for s in band_specs([1, 2, 4])}
-    ok &= three[4].hi == np.pi / 8 and three[2].hi == np.pi / 4
-    ok &= three[2].lo == np.pi / 8 and three[1].lo == np.pi / 4
-    report("criterion-2 band partition and edges", ok)
+    report_checks("criterion-2 band partition and edges", check_band_partition)
 
 
 def test_criterion_3_attention_oracle_equivalence():
@@ -140,58 +131,16 @@ def test_criterion_3_attention_oracle_equivalence():
 
 
 def test_criterion_4_reduction_chain():
-    toks = random_tokens(8, 16, 8, 300)
-    weights = block_weights(8, SeededRng(301))
-    q, k, v = project_qkv(toks, weights)
-    plain = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(8))
-    blend = spectral_blend_attention(
-        toks, weights, FusionPlan(t_alpha=8, alphas=(1, 2), domain_mode="radial"), (4, 4))
-    banded = multiband_attention(toks, weights, FusionPlan(t_alpha=8, alphas=(1, 2)), (4, 4))
-    err_blend = float(np.abs(blend.features - plain.features).max())
-    err_band = float(np.abs(banded.features - plain.features).max())
-    err_pair = float(np.abs(banded.features - blend.features).max())
-    ok = err_blend <= 1e-4 and err_band <= 1e-4 and err_pair <= 1e-4
-    report("criterion-4 reduction chain at native length", ok,
-           f"blend {err_blend:.2e}, banded {err_band:.2e}, pair {err_pair:.2e}")
+    report_checks("criterion-4 reduction chain at native length", check_short_input_idempotence)
 
 
 def test_criterion_5_band_ownership():
-    toks = random_tokens(32, 16, 8, 400)
-    weights = block_weights(8, SeededRng(401))
-    plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
-    fused = multiband_attention(toks, weights, plan, (4, 4))
-    fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
-    masks = band_masks(plan.alphas, (32, 4, 4))
-    branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
-    worst = 0.0
-    for mask, branch in zip(masks, branches):
-        sel = mask.weights.astype(bool)
-        worst = max(worst, float(np.abs((fused_spec - fft3(branch).data)[:, sel]).max()))
-    report("criterion-5 band ownership", worst <= 1e-4, f"max err {worst:.2e}")
+    report_checks("criterion-5 band ownership", check_band_ownership)
 
 
 def test_criterion_6_specmix_limits_and_variance():
-    start = time.perf_counter()
-    params = SpecMixParams(frames=17, t_alpha=8, seed_base=1, seed_res=2, seed_perm=3)
-    mixed, base_f, res_f = mixed_spectra(params, (2, 4, 4))
-    exact = (
-        np.array_equal(mixed[:, 8], base_f[:, 8])
-        and np.array_equal(mixed[:, 0], res_f[:, 0])
-        and np.array_equal(mixed[:, -1], res_f[:, -1])
-    )
-    frames, draws = 17, 200
-    acc = np.zeros(frames)
-    for s in range(draws):
-        p = SpecMixParams(frames=frames, t_alpha=8, seed_base=3 * s,
-                          seed_res=3 * s + 1, seed_perm=3 * s + 2)
-        x0 = specmix(p, (2, 4, 4)).data.astype(np.float64)
-        acc += (x0**2).mean(axis=(0, 2, 3))
-    acc /= draws
-    var_err = float(np.abs(acc - 1.0).max())
-    elapsed = time.perf_counter() - start
-    ok = exact and var_err <= 0.10 and elapsed < 60.0
-    report("criterion-6 noise-mix limits and variance", ok,
-           f"exact {exact}, var err {var_err:.3f}, {elapsed:.1f}s")
+    report_checks("criterion-6 noise-mix limits and variance",
+                  check_specmix_determinism_and_limits, check_specmix_variance, seconds=60.0)
 
 
 def test_criterion_7_distortion_trend():
@@ -245,10 +194,6 @@ def test_criterion_9_sparse_efficiency():
 
 
 def test_criterion_10_determinism(tmp_path):
-    out_a, ok_a = selftest_output()
-    out_b, ok_b = selftest_output()
-    selftest_stable = ok_a and ok_b and out_a == out_b
-
     scene_cfg = tmp_path / "scene.cfg"
     scene_cfg.write_text(
         "shape = 2,16,4,4\nseed = 7\nnoise_level = 1.0\n"
@@ -285,9 +230,4 @@ def test_criterion_10_determinism(tmp_path):
         files = tuple(p.read_bytes() for p in (lat, fused, noise, csv, amap, blend))
         return files, tuple(texts)
 
-    first = pipeline("a")
-    second = pipeline("b")
-    cli_stable = first == second
-    ok = selftest_stable and cli_stable
-    report("criterion-10 determinism", ok,
-           f"selftest stable {selftest_stable}, cli stable {cli_stable}")
+    report("criterion-10 determinism", pipeline("a") == pipeline("b"), "cli outputs byte-stable")

