@@ -54,7 +54,11 @@ def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class SnrReport:
-    """Per-band relative energy ratios plus the availability summary."""
+    """Per-band relative energy ratios plus the availability summary.
+
+    Both arrays are read-only float64 copies of the inputs, so the
+    caller's arrays are neither aliased nor frozen.
+    """
 
     boundaries: np.ndarray  # band edges including 0 and pi, length n+1
     ratios: np.ndarray  # extended-over-reference normalized energy, length n
@@ -62,12 +66,14 @@ class SnrReport:
     domain_mode: str = "temporal"
 
     def __post_init__(self):
-        bounds = np.asarray(self.boundaries, dtype=np.float64)
-        ratios = np.asarray(self.ratios, dtype=np.float64)
+        bounds = np.array(self.boundaries, dtype=np.float64)
+        ratios = np.array(self.ratios, dtype=np.float64)
         if bounds.size != ratios.size + 1:
             raise InvalidParameterError("need one more boundary than ratios")
         if (ratios < 0).any():
             raise InvalidParameterError("ratios must be non-negative")
+        bounds.flags.writeable = False
+        ratios.flags.writeable = False
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "ratios", ratios)
 
@@ -142,13 +148,16 @@ def relative_snr(reference: VideoLatent, extended: VideoLatent, edges,
 
 @dataclass(frozen=True, eq=False)
 class AttnMap:
-    """Frame-level attention map: (T, T), rows summing to 1."""
+    """Frame-level attention map: (T, T), rows summing to 1.
+
+    The matrix is a read-only, C-contiguous float64 copy of the input.
+    """
 
     matrix: np.ndarray
     source: str = ""
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParameterError(f"map must be square, got {m.shape}")
         if (m < 0).any():

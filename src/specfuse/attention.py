@@ -8,25 +8,26 @@ weight exactly. Logits and reductions run in float64.
 
 One core, `_attend`, serves every variant. It takes several admitted-frame
 sets at once (local ranges, the whole sequence, key-frame sets) and makes
-one pass over the query frames. For each query frame it computes the
-logits of every key frame that some set admits once, keeps each key
-frame's online-softmax state (row max, row sum of exp(logit - max), and
-the unnormalised value sum), and builds each set's rows by merging the
-states of that set's own frames with log-sum-exp rescaling (Milakov &
-Gimelshein 2018). Nested windows therefore cost one pass of the widest,
-and each set's output equals the same set run alone, bit for bit.
+one pass over the query frames, computing the logits of every key frame
+that some set admits once. Each query row's logits are shifted by a static
+bound instead of by the row's running max (see `_attend`), so a key
+frame's weighted values and row sum simply add up across the frames of a
+set, with no log-sum-exp rescaling (the online softmax of Milakov &
+Gimelshein 2018, with its bookkeeping gone). Nested windows therefore cost
+one pass of the widest, and each set's output equals the same set run
+alone, bit for bit.
 
 Query frames are independent, so `_attend` splits them across a small
 pool of threads: frame i goes to share i mod width, the calling thread
 runs share 0, and width - 1 pool threads, started on first use, run the
 rest. The width is the number of usable cores, capped by SPFU_THREADS
 when that is set above 0, else by OMP_NUM_THREADS. Each share has its own
-logits, row-max, row-sum and partial buffers and writes only its own
-frames' output rows. A frame's query rows are taken in chunks small
-enough that every matmul has M*N*K <= 2**18, the size OpenBLAS runs on
-the calling thread, so the threads never queue for OpenBLAS's own pool.
-Every row is computed by the same operations in the same order whichever
-thread runs it, so outputs are bit-identical at every width.
+logits and partial buffers and writes only its own frames' output rows.
+A frame's query rows are taken in chunks small enough that every matmul
+has M*N*K <= 2**18, the size OpenBLAS runs on the calling thread, so the
+threads never queue for OpenBLAS's own pool. Every row is computed by the
+same operations in the same order whichever thread runs it, so outputs
+are bit-identical at every width.
 """
 
 from __future__ import annotations
@@ -44,16 +45,21 @@ import numpy as np
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
 # Each thread computes logits in stacks of key-frame blocks of at most
-# this many bytes, so a stack stays in its core's L2 cache between the
-# softmax passes.
+# this many bytes, so a stack stays in its core's L2 cache from the logits
+# matmul through `exp` to the value matmul.
 _BLOCK_BYTES = 512 << 10
 # OpenBLAS runs a gemm with M*N*K at most 2**18 on the calling thread and
 # hands larger ones to its own thread pool. Query rows are taken in chunks
-# that keep both matmuls of a block at or below that size (64 rows at 256
-# tokens per frame and d = 16): otherwise the attention threads would
-# contend for OpenBLAS's pool, and a split across cores would run slower
-# than one thread.
+# that keep both matmuls of a block at or below that size (60 rows at 256
+# tokens per frame and d = 16, plus the shift or row-sum column): otherwise
+# the attention threads would contend for OpenBLAS's pool, and a split
+# across cores would run slower than one thread.
 _SERIAL_GEMM_MACS = 1 << 18
+# A set's row is recomputed with its own true row max when its summed
+# weight under the static shift falls below this, or is not finite: the
+# largest weight then sits near the bottom of float64's exponent range,
+# or the shift lost the row to cancellation or overflow.
+_MIN_ROW_SUM = 1e-290
 
 
 def _validate_frames(frame_index, n_tokens: int) -> np.ndarray:
@@ -152,7 +158,8 @@ class MacCounter:
     """Accumulates key-value multiply-accumulate counts across attention calls.
 
     Counts queries x admitted_keys x 2*d per block: one d-MAC for the
-    logit, one for the value accumulation. Softmax arithmetic excluded.
+    logit, one for the value accumulation. Softmax arithmetic, including
+    the shift and row-sum columns the core appends, is excluded.
     The count is logical: a branch's counter gets its own queries x its
     own admitted keys x 2*d even when several branches share one pass,
     whose physical work is that of the union of the branches' frames.
@@ -270,49 +277,75 @@ if hasattr(os, "register_at_fork"):  # POSIX only
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, ...]:
-    """One share's scratch: logits block, row max, row sum, partial outputs
-    and the merge product, for query-row chunks within `_SERIAL_GEMM_MACS`."""
-    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d, dv))))
+def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, np.ndarray]:
+    """One share's scratch: a logits block and every key frame's augmented
+    partial sums, for query-row chunks within `_SERIAL_GEMM_MACS`."""
+    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d + 1, dv + 1))))
     group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
-    return (np.empty((group, rows, tpf)), np.empty((t, rows)), np.empty((t, rows)),
-            np.empty((t, rows, dv)), np.empty((t, rows, dv)))
+    return np.empty((group, rows, tpf)), np.empty((t, rows, dv + 1))
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row softmax of a (rows, keys) block in place, shifted by each row's max."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def _exact_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Attention of query rows q over the (J, tpf, .) key and value blocks
+    k, v, shifted by each row's true max: the static shift's fallback."""
+    logits = q @ k.reshape(-1, k.shape[-1]).T
+    return _softmax_rows(logits) @ v.reshape(-1, v.shape[-1])
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean row norms, scaled by each row's max |entry| so that no
+    finite row overflows."""
+    scale = np.abs(x).max(axis=1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    return scale[:, 0] * np.sqrt(np.square(x / scale).sum(axis=1))
 
 
 def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
     """`_attend`'s work for the query frames `frame_ids`, in `buffers` of its own.
 
-    Writes only those frames' rows of `outs` and calls only numpy, so it
-    can run on a pool thread next to other shares.
+    q3, k3 and v3 carry the extra column (-c_r, ones, ones). Writes only
+    those frames' rows of `outs` and calls only numpy, so it can run on a
+    pool thread next to other shares. Floating-point errors are ignored
+    on the shifted path, whose failures the fallback catches, and follow
+    the caller's np.errstate in the fallback.
     """
     t, tpf, _ = q3.shape
-    block, row_max, row_sum, partial, product = buffers
+    block, partial = buffers
     group, rows = block.shape[:2]
-    for i in frame_ids:
-        in_union = np.zeros(t, dtype=bool)
-        for keys in admitted[i]:
-            in_union[keys] = True
-        union = np.flatnonzero(in_union)
-        for r0 in range(0, tpf, rows):
-            m = min(rows, tpf - r0)
-            for start in range(0, union.size, group):
-                part = union[start : start + group]
-                lo, hi = int(part[0]), int(part[-1]) + 1
-                keys = slice(lo, hi) if hi - lo == part.size else part
-                logits = np.matmul(q3[i, r0 : r0 + m], k3[keys].transpose(0, 2, 1),
-                                   out=block[: part.size, :m])
-                row_max[keys, :m] = logits.max(axis=2)
-                logits -= row_max[keys, :m, None]
-                np.exp(logits, out=logits)
-                row_sum[keys, :m] = logits.sum(axis=2)
-                partial[keys, :m] = logits @ v3[keys]
-            for out, keys in zip(outs, admitted[i]):
-                block_max = row_max[keys, :m]
-                scale = np.exp(block_max - block_max.max(axis=0))
-                weighted = np.multiply(scale[:, :, None], partial[keys, :m],
-                                       out=product[: len(scale), :m])
-                np.sum(weighted, axis=0, out=out[i, r0 : r0 + m])
-                out[i, r0 : r0 + m] /= (scale * row_sum[keys, :m]).sum(axis=0)[:, None]
+    caller = np.geterr()
+    with np.errstate(all="ignore"):
+        for i in frame_ids:
+            in_union = np.zeros(t, dtype=bool)
+            for keys in admitted[i]:
+                in_union[keys] = True
+            union = np.flatnonzero(in_union)
+            for r0 in range(0, tpf, rows):
+                m = min(rows, tpf - r0)
+                for start in range(0, union.size, group):
+                    part = union[start : start + group]
+                    lo, hi = int(part[0]), int(part[-1]) + 1
+                    keys = slice(lo, hi) if hi - lo == part.size else part
+                    weights = np.matmul(q3[i, r0 : r0 + m], k3[keys].transpose(0, 2, 1),
+                                        out=block[: part.size, :m])
+                    np.exp(weights, out=weights)
+                    partial[keys, :m] = weights @ v3[keys]
+                for out, keys in zip(outs, admitted[i]):
+                    total = partial[keys, :m].sum(axis=0)
+                    rows_out = out[i, r0 : r0 + m]
+                    np.divide(total[:, :-1], total[:, -1:], out=rows_out)
+                    lost = ~((total[:, -1] >= _MIN_ROW_SUM) & np.isfinite(total).all(axis=1))
+                    if lost.any():
+                        with np.errstate(**caller):
+                            rows_out[lost] = _exact_rows(q3[i, r0 + np.flatnonzero(lost), :-1],
+                                                         k3[keys, :, :-1], v3[keys, :, :-1])
 
 
 def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
@@ -321,21 +354,30 @@ def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
     For each query frame i, the logits of every key frame that some set
     admits are computed once, as stacked (J, rows, tpf) matmuls over groups
     of frames sized to stay in cache, one chunk of the frame's query rows
-    at a time. Each key frame j keeps its online-softmax state: row max
-    m_j, row sum l_j of exp(logit - m_j), and the unnormalised output
-    o_j = exp(logit - m_j) @ V_j. A set's rows
-    merge the states of its own frames in ascending frame order, rescaled
-    by exp(m_j - M) with M their largest m_j. A set's result therefore
-    depends only on its own frames' blocks, so it is bit-identical to the
-    same set run alone. Query frames are split across `_pool_width()`
-    threads (see the module docstring) and the output does not depend on
-    the width. `counters[b]`, if not None, receives set b's logical MACs.
+    at a time. Query row r is shifted by c_r = |q_r| * max_j |k_j|, with
+    the max over every key token of the call, which bounds every logit of
+    the row. The shift is folded into the logits matmul (a -c_r column of
+    the scaled Q meets a ones column of K) and the row sum into the value
+    matmul (a ones column of V), so key frame j yields
+    p_j = exp(logit - c_r) @ [V_j | 1] after one `exp` pass. A set's rows
+    are sum_j p_j[:, :dv] / sum_j p_j[:, dv] over its own frames, added in
+    ascending frame order; a row whose sum is below `_MIN_ROW_SUM` or not
+    finite is recomputed with the set's own row max. Neither the shift nor
+    the fallback depends on the other sets, so a set's output is
+    bit-identical to the same set run alone. Query frames are split
+    across `_pool_width()` threads (see the module docstring) and the
+    output does not depend on the width. `counters[b]`, if not None,
+    receives set b's logical MACs.
     """
     t, tpf = _frame_slices(frames)
     d, dv = q.shape[1], v.shape[1]
-    q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
-    k3 = k.reshape(t, tpf, d)
-    v3 = v.reshape(t, tpf, dv)
+    q = q * (1.0 / math.sqrt(d))
+    # A shift that overflows only sends its rows to the fallback.
+    with np.errstate(all="ignore"):
+        shift = _row_norms(q) * _row_norms(k).max()
+    q3 = np.column_stack((q, -shift)).reshape(t, tpf, d + 1)
+    k3 = np.column_stack((k, np.ones(len(k)))).reshape(t, tpf, d + 1)
+    v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
     admitted = [[frame_set(i) for frame_set in frame_sets] for i in range(t)]
     width = min(_pool_width(), t)
@@ -419,8 +461,5 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     for i in range(t):
         keys = admitted(i)
         logits = q3[i] @ k3[keys].reshape(-1, d).T
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        weights[i * tpf : (i + 1) * tpf, token_ids[keys].reshape(-1)] = logits
+        weights[i * tpf : (i + 1) * tpf, token_ids[keys].reshape(-1)] = _softmax_rows(logits)
     return weights

@@ -6,9 +6,11 @@ import pytest
 from specfuse import selftest
 from specfuse import (
     AttentionWindow,
+    AttnMap,
     DegenerateInputError,
     InvalidParameterError,
     SeededRng,
+    SnrReport,
     TokenSequence,
     VideoLatent,
     aggregate_attention,
@@ -102,6 +104,16 @@ class TestRelativeSnr:
         assert all(len(line.split(",")) == 4 for line in csv_lines)
         assert report.to_text().strip().split("\n")[-1].startswith("available 16/16")
 
+    def test_copies_the_callers_arrays(self):
+        bounds = np.array([0.0, 1.0, np.pi])
+        ratios = np.array([1.0, 0.5])
+        report = SnrReport(bounds, ratios)
+        assert bounds.flags.writeable and ratios.flags.writeable
+        bounds[1] = 2.0
+        ratios[:] = 0.0
+        assert report.boundaries.tolist() == [0.0, 1.0, np.pi]
+        assert report.ratios.tolist() == [1.0, 0.5]
+
 
 class TestAggregateAttention:
     test_rows_sum_to_one = staticmethod(selftest.check_aggregate_row_stochastic)
@@ -130,6 +142,13 @@ class TestAggregateAttention:
             for j in range(t):
                 if abs(i - j) >= radius:
                     assert agg.matrix[i, j] == 0.0
+
+    def test_map_copies_the_callers_array(self):
+        m = np.eye(4)
+        amap = AttnMap(m)
+        assert m.flags.writeable
+        m[0] = 0.25
+        assert np.array_equal(amap.matrix, np.eye(4))
 
     def test_empty_collection_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -279,6 +279,14 @@ def frame_oracle(q, k, v, frames, admitted: np.ndarray) -> np.ndarray:
     return (w / w.sum(axis=1, keepdims=True)) @ v
 
 
+def admitted_frames(frame_set, t: int) -> np.ndarray:
+    """A `_frame_set` as the (T, T) boolean matrix `frame_oracle` takes."""
+    admitted = np.zeros((t, t), dtype=bool)
+    for i in range(t):
+        admitted[i, np.arange(t)[frame_set(i)]] = True
+    return admitted
+
+
 class TestMultiWindowCore:
     @given(multi_window_cases())
     def test_one_call_matches_oracle_and_single_windows(self, case):
@@ -339,10 +347,41 @@ class TestMultiWindowCore:
         for width in (2, 3):
             assert all(np.array_equal(a, b) for a, b in zip(outs[1], outs[width]))
         for out, frame_set in zip(outs[1], sets):
-            admitted = np.zeros((t, t), dtype=bool)
-            for i in range(t):
-                admitted[i, np.arange(t)[frame_set(i)]] = True
+            admitted = admitted_frames(frame_set, t)
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-6
+
+    @given(multi_window_cases(), st.floats(-2.0, 3.0))
+    def test_scaled_features_match_the_oracle(self, case, exponent):
+        # Features up to 1e3 put logits near 1e6, where the static shift can
+        # sit far enough above a row's true max that the row is recomputed.
+        t, tpf, d, spans, keyframes, seed = case
+        toks = random_tokens(t, tpf, d, seed)
+        q, k, v = (x * 10.0**exponent
+                   for x in project_qkv(toks, random_weights(d, seed + 1)))
+        frames = toks.frame_index
+        sets = [_frame_set(t, window=AttentionWindow.for_span(span, t)) for span in spans]
+        if keyframes is not None:
+            sets.append(_frame_set(t, keyframes=keyframes))
+        outs = _attend(q, k, v, frames, sets)
+        for out, frame_set in zip(outs, sets):
+            admitted = admitted_frames(frame_set, t)
+            assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-10
+            assert np.array_equal(out, _attend(q, k, v, frames, [frame_set])[0])
+
+    def test_rows_whose_shifted_weights_underflow_are_recomputed(self):
+        # One key at 1000 * e1 sets max |k| to 1000, so every row's shift is
+        # about 21 000 above its true max of 30 / sqrt(2): exp underflows to
+        # 0 for every key, and without the fallback every row would be NaN.
+        q = np.tile([30.0, 0.0], (4, 1))
+        k = np.tile([1.0, 0.0], (4, 1))
+        k[3] = [0.0, 1000.0]
+        v = SeededRng(42).normals(8).reshape(4, 2)
+        frames = np.repeat(np.arange(2), 2)
+        sets = [_frame_set(2), _frame_set(2, window=AttentionWindow.local(2)),
+                _frame_set(2, keyframes=[1])]
+        for out, frame_set in zip(_attend(q, k, v, frames, sets), sets):
+            admitted = admitted_frames(frame_set, 2)
+            assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
 
     def test_pool_wider_than_the_cores_under_fast_thread_switching(self):
         toks = random_tokens(16, 8, 4, 40)
