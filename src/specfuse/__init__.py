@@ -16,14 +16,14 @@ _EXPORTS = {
                "InvalidPlanError", "InvalidShapeError", "NonFiniteValueError",
                "ShapeMismatchError", "SpecfuseError", "TensorFileError",
                "TruncatedPayloadError", "UnsupportedFormatError"),
-    "fusion": ("BranchConfig", "FusionPlan", "fused_spectrum", "latent_from_tokens",
-               "multiband_attention", "multiband_fuse", "spectral_blend",
-               "spectral_blend_attention", "tokens_from_latent"),
+    "fusion": ("FusionPlan", "fused_spectrum", "latent_from_tokens", "multiband_attention",
+               "multiband_fuse", "spectral_blend", "spectral_blend_attention",
+               "tokens_from_latent"),
     "harness": ("SyntheticScene", "Tone", "block_weights", "make_scene", "run_stack",
                 "scene_tokens"),
     "noise_init": ("SpecMixParams", "base_noise", "center_distance", "mixing_angle", "specmix"),
-    "spectral": ("BandSpec", "FrequencyMask", "apply_mask", "band_masks", "band_specs", "fft3",
-                 "frequency_grid", "gaussian_lowpass", "ifft3", "parseval_energy"),
+    "spectral": ("FrequencyMask", "apply_mask", "band_masks", "fft3", "frequency_grid",
+                 "gaussian_lowpass", "ifft3", "parseval_energy"),
     "tensor_core": ("SeededRng", "SpectralTensor", "VideoLatent", "gaussian_latent",
                     "read_tensor", "write_tensor"),
 }

@@ -19,15 +19,16 @@ alone, bit for bit.
 
 Query frames are independent, so `_attend` splits them across a small
 pool of threads: frame i goes to share i mod width, the calling thread
-runs share 0, and width - 1 pool threads, started on first use, run the
-rest. The width is the number of usable cores, capped by SPFU_THREADS
-when that is set above 0, else by OMP_NUM_THREADS. Each share has its own
-logits and partial buffers and writes only its own frames' output rows.
-A frame's query rows are taken in chunks small enough that every matmul
-has M*N*K <= 2**18, the size OpenBLAS runs on the calling thread, so the
-threads never queue for OpenBLAS's own pool. Every row is computed by the
-same operations in the same order whichever thread runs it, so outputs
-are bit-identical at every width.
+runs share 0, and width - 1 pool threads, started for the call and
+joined before it returns, run the rest. The width is the number of
+usable cores, capped by SPFU_THREADS when that is set above 0, else by
+OMP_NUM_THREADS. Each share has its own logits and partial buffers and
+writes only its own frames' output rows. A frame's query rows are taken
+in chunks small enough that every matmul has M*N*K <= 2**18, the size
+OpenBLAS runs on the calling thread, so the threads never queue for
+OpenBLAS's own pool. Every row is computed by the same operations in the
+same order whichever thread runs it, so outputs are bit-identical at
+every width.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import contextvars
 import functools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,32 +251,6 @@ def _pool_width() -> int:
     return max(1, cores)
 
 
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
-    """The shared pool, grown to at least `workers` threads; created on first use.
-
-    A replaced pool's idle threads exit once the last caller drops it.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < workers:
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="specfuse-attend"))
-        return _pool[1]
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool's bookkeeping but none of its threads.
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, np.ndarray]:
     """One share's scratch: a logits block and every key frame's augmented
     partial sums, for query-row chunks within `_SERIAL_GEMM_MACS`."""
@@ -390,12 +364,11 @@ def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
     # Each pool task runs in a copy of the caller's context: NumPy keeps
     # np.errstate in a context variable, so errors and warnings follow the
     # caller's settings on every thread.
-    futures = [_executor(width - 1).submit(contextvars.copy_context().run, task, share, own)
-               for share, own in zip(shares[1:], buffers[1:])]
-    try:
+    # Leaving the block joins the pool's threads, also when a share raises.
+    with ThreadPoolExecutor(max(1, width - 1), thread_name_prefix="specfuse-attend") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task, share, own)
+                   for share, own in zip(shares[1:], buffers[1:])]
         task(shares[0], buffers[0])
-    finally:
-        wait(futures)
     for future in futures:
         future.result()
     frame_ids = np.arange(t)

@@ -37,3 +37,11 @@ def parse_bool(value: str, key: str) -> bool:
     if value == "false":
         return False
     raise InvalidParameterError(f"{key} must be 'true' or 'false', got {value!r}")
+
+
+def parse_number(value: str, key: str, kind: type = int):
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidParameterError(f"{key} must be {noun}, got {value!r}") from None

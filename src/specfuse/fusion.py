@@ -1,13 +1,16 @@
 """Branch attention plus frequency-domain fusion.
 
-One fusion path: every branch of a plan comes from one pass of the
-multi-window attention core on shared Q, K, V, and `fused_spectrum` sums
-the branches' mask-weighted spectra in float64 (the masks must form a
-partition of unity); the inverse checks the imaginary residue. The masks
-pick the scheme: one hard band per scale (`multiband_attention`) or the
-Gaussian low-pass pair [1 - P, P] (`spectral_blend_attention`, low band
-from the global branch). Branch outputs stay float64 up to the returned
-tokens; float32 `VideoLatent`s appear only at the latent API.
+The `FusionPlan` alone describes the branches: branch i runs at scale
+plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
+path: every branch comes from one pass of the multi-window attention core
+on shared Q, K, V, and `fused_spectrum` sums the branches' mask-weighted
+spectra in float64 (the masks must form a partition of unity); the
+inverse checks the imaginary residue. The masks, built once where they
+are used, pick the scheme: one hard band per scale (`band_masks`, in
+`multiband_attention`) or the Gaussian low-pass pair [1 - P, P]
+(`spectral_blend_attention`, low band from the global branch). Branch
+outputs stay float64 up to the returned tokens; float32 `VideoLatent`s
+appear only at the latent API.
 
 Token <-> latent mapping: d_model is the channel axis; tokens are ordered
 frame-major, then row-major over (H, W). Branch windows saturate to fully
@@ -32,7 +35,8 @@ from .attention import (
     uniform_keyframes,
 )
 from .errors import InvalidParameterError, InvalidPlanError, ShapeMismatchError
-from .spectral import FrequencyMask, _fftn, _ifftn_real, band_masks, gaussian_lowpass, ifft3
+from .spectral import (DOMAIN_MODES, FrequencyMask, _fftn, _ifftn_real, band_masks,
+                       gaussian_lowpass, ifft3)
 from .tensor_core import SpectralTensor, VideoLatent
 
 PARTITION_TOLERANCE = 1e-6
@@ -45,13 +49,17 @@ def _token_rows(grid: np.ndarray) -> np.ndarray:
     return grid.transpose(1, 2, 3, 0).reshape(-1, grid.shape[0])
 
 
+def _check_spatial(spatial: tuple[int, int], tpf: int) -> tuple[int, int]:
+    h, w = int(spatial[0]), int(spatial[1])
+    if h < 1 or h * w != tpf:
+        raise ShapeMismatchError(f"spatial {h}x{w} does not factor {tpf} tokens per frame")
+    return h, w
+
+
 def _latent_grid(features: np.ndarray, t: int, spatial: tuple[int, int]) -> np.ndarray:
     """Inverse of _token_rows, as a view; needs the (H, W) factorization."""
-    h, w = int(spatial[0]), int(spatial[1])
     n, c = features.shape
-    if t * h * w != n:
-        raise ShapeMismatchError(f"spatial {h}x{w} does not factor {n // t} tokens per frame")
-    return features.reshape(t, h, w, c).transpose(3, 0, 1, 2)
+    return features.reshape(t, *_check_spatial(spatial, n // t), c).transpose(3, 0, 1, 2)
 
 
 def tokens_from_latent(latent: VideoLatent) -> TokenSequence:
@@ -67,28 +75,17 @@ def latent_from_tokens(tokens: TokenSequence, spatial: tuple[int, int]) -> Video
 
 
 @dataclass(frozen=True)
-class BranchConfig:
-    """One materialized attention branch: scale, sparsity flag, owned band."""
-
-    alpha: int
-    sparse: bool
-    mask: FrequencyMask
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise InvalidParameterError(f"alpha must be >= 1, got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class FusionPlan:
     """Branch layout: native length, ascending scales, options.
 
-    `domain_mode` selects how masks measure frequency ("temporal" or
-    "radial"). `sparse_global` switches the largest branch to key-frame
-    attention over half the frames. `d0` is the Gaussian low-pass stop
-    frequency, read only by `spectral_blend_attention`, which
-    `harness.run_stack` picks for two-scale plans; the `fuse` CLI runs
-    those through hard bands, so the two entry points disagree on them.
+    Branch i attends within alphas[i] * t_alpha frames and owns band i of
+    `band_masks(alphas, ...)`: the finest scale the highest frequencies, the
+    coarsest the lowest. `domain_mode` selects how masks measure frequency
+    ("temporal" or "radial"). `sparse_global` switches the largest branch to
+    key-frame attention over half the frames. `d0` is the Gaussian low-pass
+    stop frequency, read only by `spectral_blend_attention`, which
+    `harness.run_stack` picks for two-scale plans; the `fuse` CLI runs those
+    through hard bands, so the two entry points disagree on them.
     """
 
     t_alpha: int
@@ -107,6 +104,8 @@ class FusionPlan:
             raise InvalidPlanError(f"alphas must be strictly ascending, got {alphas}")
         if not 0.0 < self.d0 <= 1.0:
             raise InvalidParameterError(f"d0 must lie in (0, 1], got {self.d0}")
+        if self.domain_mode not in DOMAIN_MODES:
+            raise InvalidParameterError(f"unknown domain_mode {self.domain_mode!r}")
         object.__setattr__(self, "alphas", alphas)
 
     def validate_for(self, num_frames: int) -> None:
@@ -115,16 +114,6 @@ class FusionPlan:
                 f"largest window {self.alphas[-1]}*{self.t_alpha} does not cover "
                 f"{num_frames} frames"
             )
-
-    def branch_configs(self, shape: tuple[int, int, int]) -> list[BranchConfig]:
-        """Per-branch scale, sparse flag and hard band mask for a concrete (T, H, W);
-        every fusion entry point reads the branch layout from here."""
-        masks = band_masks(self.alphas, shape, self.domain_mode)
-        last = len(self.alphas) - 1
-        return [
-            BranchConfig(alpha=a, sparse=self.sparse_global and i == last, mask=m)
-            for i, (a, m) in enumerate(zip(self.alphas, masks))
-        ]
 
     def to_text(self) -> str:
         return config.format_kv(
@@ -147,15 +136,16 @@ class FusionPlan:
         if "t_alpha" not in pairs or "alphas" not in pairs:
             raise InvalidParameterError("plan needs at least t_alpha and alphas")
         kwargs = {
-            "t_alpha": int(pairs["t_alpha"]),
-            "alphas": tuple(int(a) for a in pairs["alphas"].split(",") if a.strip()),
+            "t_alpha": config.parse_number(pairs["t_alpha"], "t_alpha"),
+            "alphas": tuple(config.parse_number(a, "alphas")
+                            for a in pairs["alphas"].split(",") if a.strip()),
         }
         if "sparse_global" in pairs:
             kwargs["sparse_global"] = config.parse_bool(pairs["sparse_global"], "sparse_global")
         if "domain_mode" in pairs:
             kwargs["domain_mode"] = pairs["domain_mode"]
         if "d0" in pairs:
-            kwargs["d0"] = float(pairs["d0"])
+            kwargs["d0"] = config.parse_number(pairs["d0"], "d0", float)
         return cls(**kwargs)
 
 
@@ -215,31 +205,26 @@ def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
     return multiband_fuse([z_local, z_global], [lpf.complement(), lpf])
 
 
-def _branch_window(alpha: int, t_alpha: int, num_frames: int) -> AttentionWindow:
-    return AttentionWindow.for_span(alpha * t_alpha, num_frames)
-
-
 def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
-                    branches: list[BranchConfig],
-                    counters: dict[int, MacCounter] | None = None) -> list[np.ndarray]:
-    """Run every branch in one attention pass on shared projections.
+                    spatial: tuple[int, int],
+                    counters: list[MacCounter | None] | None = None) -> list[np.ndarray]:
+    """Run every branch of `plan` in one attention pass on shared projections.
 
-    `branches` is `plan.branch_configs((T, H, W))`. Returns one float64
-    (C, T, H, W) array per branch, in plan order; `counters` maps branch
-    index to a MacCounter that receives that branch's logical MACs.
+    Returns one float64 (C, T, H, W) array per branch, in plan order;
+    `counters`, aligned with the alphas, get each branch's logical MACs.
     """
     t = tokens.num_frames
     plan.validate_for(t)
+    _check_spatial(spatial, tokens.tokens_per_frame)
     q, k, v = project_qkv(tokens, qkv_weights)
+    last = len(plan.alphas) - 1
     frame_sets = [
         _frame_set(t, keyframes=uniform_keyframes(t, SPARSE_KEY_FRACTION))
-        if branch.sparse
-        else _frame_set(t, window=_branch_window(branch.alpha, plan.t_alpha, t))
-        for branch in branches
+        if plan.sparse_global and i == last
+        else _frame_set(t, window=AttentionWindow.for_span(alpha * plan.t_alpha, t))
+        for i, alpha in enumerate(plan.alphas)
     ]
-    branch_counters = [(counters or {}).get(i) for i in range(len(frame_sets))]
-    outs = _attend(q, k, v, tokens.frame_index, frame_sets, branch_counters)
-    spatial = branches[0].mask.shape[1:]
+    outs = _attend(q, k, v, tokens.frame_index, frame_sets, counters)
     return [_latent_grid(out, t, spatial) for out in outs]
 
 
@@ -262,18 +247,16 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
 
 def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                         spatial: tuple[int, int],
-                        masks: list[FrequencyMask] | None = None,
-                        counters: dict[int, MacCounter] | None = None) -> TokenSequence:
+                        masks: list[FrequencyMask] | None = None) -> TokenSequence:
     """Per-scale windowed attention fused band-by-band.
 
-    `masks` overrides the plan's hard band masks (aligned with the
-    ascending alphas); any partition of unity is accepted. `counters`
-    maps branch index to a MacCounter for operation counting.
+    `masks` (aligned with the ascending alphas) replaces the plan's hard
+    band masks, which are built only when it is None; any partition of
+    unity is accepted.
     """
-    branches = plan.branch_configs((tokens.num_frames, *spatial))
-    branch_outputs = _branch_latents(tokens, qkv_weights, plan, branches, counters)
+    branch_outputs = _branch_latents(tokens, qkv_weights, plan, spatial)
     if masks is None:
-        masks = [branch.mask for branch in branches]
+        masks = band_masks(plan.alphas, (tokens.num_frames, *spatial), plan.domain_mode)
     elif len(masks) != len(plan.alphas):
         raise InvalidPlanError("need one mask per plan branch")
     fused = fused_spectrum(branch_outputs, masks)

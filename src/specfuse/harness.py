@@ -73,7 +73,7 @@ class SyntheticScene:
             raise InvalidParameterError(f"unknown scene keys: {sorted(unknown)}")
         if "shape" not in pairs:
             raise InvalidParameterError("scene needs a shape")
-        shape = tuple(int(n) for n in pairs["shape"].split(","))
+        shape = tuple(config.parse_number(n, "shape") for n in pairs["shape"].split(","))
         if len(shape) != 4:
             raise InvalidParameterError("shape must have four axes C,T,H,W")
         tones = []
@@ -84,12 +84,13 @@ class SyntheticScene:
             parts = item.split(":")
             if len(parts) != 3:
                 raise InvalidParameterError(f"tone must be axis:omega:amplitude, got {item!r}")
-            tones.append(Tone(parts[0].strip(), float(parts[1]), float(parts[2])))
+            tones.append(Tone(parts[0].strip(), config.parse_number(parts[1], "tones", float),
+                              config.parse_number(parts[2], "tones", float)))
         return cls(
             shape=shape,
             tones=tuple(tones),
-            noise_level=float(pairs.get("noise_level", "0")),
-            seed=int(pairs.get("seed", "0")),
+            noise_level=config.parse_number(pairs.get("noise_level", "0"), "noise_level", float),
+            seed=config.parse_number(pairs.get("seed", "0"), "seed"),
         )
 
 

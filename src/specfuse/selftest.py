@@ -41,7 +41,6 @@ from .spectral import (
     DOMAIN_MODES,
     apply_mask,
     band_masks,
-    band_specs,
     fft3,
     frequency_grid,
     gaussian_lowpass,
@@ -110,22 +109,25 @@ def check_parseval():
 
 def check_band_partition():
     for alphas in ([1], [1, 2], [1, 2, 4], [1, 2, 4, 8]):
-        for shape in ((32, 8, 8), (16, 4, 4), (8, 4, 4)):
+        # Band i owns (pi/(2*alphas[i+1]), pi/(2*alphas[i])] of the temporal
+        # frequency, so an edge bin goes to the coarser band; the finest runs
+        # to pi (one ulp past it at T = 26) and the coarsest from 0. At T = 32
+        # and 1024 a bin sits on every edge; at 1024 an edge moved by more
+        # than pi/512 moves a bin.
+        edges = [np.pi / (2 * a) for a in alphas[1:]]
+        for shape in ((32, 8, 8), (16, 4, 4), (8, 4, 4), (26, 2, 2), (1024, 1, 1)):
             for mode in DOMAIN_MODES:
                 masks = band_masks(alphas, shape, mode)
                 assert all(set(np.unique(m.weights)) <= {0.0, 1.0} for m in masks), \
                     f"mask is not an indicator for {alphas}"
                 total = sum(m.weights for m in masks)
                 assert np.array_equal(total, np.ones(shape)), f"partition broken for {alphas}"
-        # The finest band runs to pi; every other one is [pi/(2*coarser alpha), pi/(2*alpha)].
-        edges = [np.pi / (2 * a) for a in alphas[1:]]
-        specs = band_specs(alphas)
-        assert [s.hi for s in specs] == [np.pi] + edges, f"upper band edges off for {alphas}"
-        assert [s.lo for s in specs] == edges + [0.0], f"lower band edges off for {alphas}"
-    # T=32: bin 2 sits exactly on pi/8 and belongs to the coarser (alpha=4) band.
-    _, middle, coarse = band_masks([1, 2, 4], (32, 4, 4))
-    assert coarse.weights[2, 0, 0] == 1.0 and middle.weights[2, 0, 0] == 0.0, \
-        "edge bin not owned by the coarser band"
+            grid = frequency_grid(shape, "temporal")
+            masks = band_masks(alphas, shape, "temporal")
+            for i, (mask, lo, hi) in enumerate(zip(masks, edges + [-np.inf], [np.inf] + edges)):
+                owned = (grid > lo) & (grid <= hi)
+                assert np.array_equal(mask.weights, owned), \
+                    f"band {i} of {alphas} does not own exactly its edges at T={shape[0]}"
 
 
 def check_mask_symmetry_residue():
@@ -223,7 +225,7 @@ def check_band_ownership():
         toks, weights = _fusion_inputs(32, seed)
         fused = multiband_attention(toks, weights, plan, (4, 4))
         fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
-        branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
+        branches = _branch_latents(toks, weights, plan, (4, 4))
         for mask, branch in zip(masks, branches):
             sel = mask.weights.astype(bool)
             err = np.abs((fused_spec - fft3(branch).data)[:, sel]).max()
@@ -252,8 +254,7 @@ def check_sparse_substitution():
     for seed in (36, 23):
         toks, weights = _fusion_inputs(32, seed)
         dense, sparse = (
-            fused_spectrum(_branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4))),
-                           masks)
+            fused_spectrum(_branch_latents(toks, weights, plan, (4, 4)), masks)
             for plan in (FusionPlan(t_alpha=8, alphas=(1, 2, 4)),
                          FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True))
         )
@@ -266,7 +267,7 @@ def check_sparse_substitution():
 def check_fusion_energy_bound():
     toks, weights = _fusion_inputs(32, 38)
     plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
-    branches = _branch_latents(toks, weights, plan, plan.branch_configs((32, 4, 4)))
+    branches = _branch_latents(toks, weights, plan, (4, 4))
     masks = band_masks(plan.alphas, (32, 4, 4))
     fused = fused_spectrum(branches, masks)
     per_bin_max = np.max([np.abs(fft3(b).data) ** 2 for b in branches], axis=0)

@@ -129,21 +129,6 @@ class FrequencyMask:
         return FrequencyMask(1.0 - self.weights, self.domain_mode)
 
 
-@dataclass(frozen=True)
-class BandSpec:
-    """One frequency band: scale multiplier alpha and edges [lo, hi] in [0, pi]."""
-
-    alpha: int
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise InvalidParameterError(f"alpha must be >= 1, got {self.alpha}")
-        if not 0.0 <= self.lo < self.hi <= np.pi:
-            raise InvalidParameterError(f"band edges out of order: [{self.lo}, {self.hi}]")
-
-
 def gaussian_lowpass(
     shape: tuple[int, int, int], d0: float, domain_mode: str = "radial"
 ) -> FrequencyMask:
@@ -171,45 +156,30 @@ def _check_alphas(alphas) -> tuple[int, ...]:
     return alphas
 
 
-def band_specs(alphas) -> list[BandSpec]:
-    """Band edges per scale, aligned with the (ascending) alphas list.
-
-    Each scale alpha owns frequencies up to pi/(2*alpha): the coarsest
-    scale keeps [0, pi/(2*alpha_max)], each finer scale keeps the range
-    between its own edge and the next coarser one, and the finest scale
-    runs up to pi.
-    """
-    alphas = _check_alphas(alphas)
-    specs = []
-    for i, alpha in enumerate(alphas):
-        # The finest scale extends to pi instead of pi/2 so the bands tile
-        # the whole spectrum; a lone scale therefore keeps everything.
-        hi = np.pi if i == 0 else np.pi / (2.0 * alpha)
-        lo = 0.0 if i == len(alphas) - 1 else np.pi / (2.0 * alphas[i + 1])
-        specs.append(BandSpec(alpha=alpha, lo=lo, hi=hi))
-    return specs
-
-
 def band_masks(
     alphas, shape: tuple[int, int, int], domain_mode: str = "temporal"
 ) -> list[FrequencyMask]:
     """Indicator masks per scale, a partition of unity over the grid.
 
     Returned masks align with the (ascending) alphas list: masks[i] keeps
-    the band owned by alphas[i]. A bin exactly on a band edge belongs to
-    the coarser band, so every bin is claimed exactly once and the masks
-    sum to 1 everywhere.
+    the band owned by alphas[i]. Each scale alpha owns frequencies up to
+    pi/(2*alpha): the coarsest scale keeps [0, pi/(2*alpha_max)], each
+    finer scale keeps (pi/(2*alphas[i+1]), pi/(2*alphas[i])], and the
+    finest scale runs up to pi instead of pi/2, so the bands tile the
+    whole spectrum and a lone scale keeps everything. A bin exactly on a
+    band edge belongs to the coarser band, so every bin is claimed exactly
+    once and the masks sum to 1 everywhere.
     """
-    specs = band_specs(alphas)
+    alphas = _check_alphas(alphas)
     grid = frequency_grid(shape, domain_mode)
-    # Interior edges ascending: the lower edge of every band but the coarsest.
-    edges = np.array([s.lo for s in specs[:-1]][::-1])
+    # Interior edges ascending: pi/(2*alpha) for every scale but the finest.
+    edges = np.pi / (2.0 * np.array(alphas[:0:-1], dtype=np.float64))
     # Index 0 = coarsest band; ties (side="left") fall to the coarser side.
     # Indexing by edge, not by each band's [lo, hi], keeps a Nyquist bin that
     # rounds one ulp above pi (T = 26, 52, 94, ...) in the finest band.
     coarse_idx = np.searchsorted(edges, grid, side="left")
-    return [FrequencyMask((coarse_idx == len(specs) - 1 - i).astype(np.float64), domain_mode)
-            for i in range(len(specs))]
+    return [FrequencyMask((coarse_idx == len(alphas) - 1 - i).astype(np.float64), domain_mode)
+            for i in range(len(alphas))]
 
 
 def apply_mask(spectrum: SpectralTensor, mask: FrequencyMask) -> SpectralTensor:

@@ -174,13 +174,10 @@ def test_criterion_9_sparse_efficiency():
     weights = block_weights(8, SeededRng(901))
     dense_plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
     sparse_plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
-    dense_ctr = {2: MacCounter()}
-    sparse_ctr = {2: MacCounter()}
-    dense_out = _branch_latents(toks, weights, dense_plan,
-                                dense_plan.branch_configs((32, 4, 4)), dense_ctr)
-    sparse_out = _branch_latents(toks, weights, sparse_plan,
-                                 sparse_plan.branch_configs((32, 4, 4)), sparse_ctr)
-    ratio = sparse_ctr[2].macs / dense_ctr[2].macs
+    dense_ctr, sparse_ctr = MacCounter(), MacCounter()
+    dense_out = _branch_latents(toks, weights, dense_plan, (4, 4), [None, None, dense_ctr])
+    sparse_out = _branch_latents(toks, weights, sparse_plan, (4, 4), [None, None, sparse_ctr])
+    ratio = sparse_ctr.macs / dense_ctr.macs
     masks = band_masks((1, 2, 4), (32, 4, 4))
     dense_spec = fused_spectrum(dense_out, masks)
     sparse_spec = fused_spectrum(sparse_out, masks)

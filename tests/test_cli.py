@@ -121,6 +121,15 @@ class TestFuseCommand:
         assert err.startswith("error:")
         assert "\n" not in err.strip()
 
+    def test_malformed_plan_number_names_its_key(self, tmp_path, scene_file, capsys):
+        lat, plan = tmp_path / "x.spfu", tmp_path / "bad.cfg"
+        run_cli("scene", "--config", str(scene_file), "--out", str(lat))
+        plan.write_text("t_alpha = x\nalphas = 1,2\n")
+        code = main(["fuse", "--input", str(lat), "--plan", str(plan),
+                     "--out", str(tmp_path / "o.spfu")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: t_alpha must be an integer, got 'x'\n"
+
 
 class TestSpecmixCommand:
     def test_reproducible_bytes(self, tmp_path):

@@ -1,11 +1,13 @@
 """Blend and multi-band fusion, including the token <-> latent mapping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specfuse import selftest
+from specfuse import fusion, selftest
 from specfuse import (
     AttentionWindow,
     FrequencyMask,
@@ -28,10 +30,11 @@ from specfuse import (
     project_qkv,
     sparse_attention,
     spectral_blend,
+    spectral_blend_attention,
     tokens_from_latent,
     uniform_keyframes,
 )
-from specfuse.harness import block_weights
+from specfuse.harness import block_weights, run_stack
 
 
 def random_tokens(t, tpf, d, seed) -> TokenSequence:
@@ -200,11 +203,20 @@ class TestFusionPlan:
         with pytest.raises(InvalidPlanError):
             plan.validate_for(17)
 
-    def test_branch_configs_mark_sparse_on_largest(self):
-        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
-        configs = plan.branch_configs((32, 4, 4))
-        assert [c.sparse for c in configs] == [False, False, True]
-        assert [c.alpha for c in configs] == [1, 2, 4]
+    def test_unknown_domain_mode_rejected(self):
+        with pytest.raises(InvalidParameterError, match="domain_mode"):
+            FusionPlan(t_alpha=8, alphas=(1, 2), domain_mode="bogus")
+        with pytest.raises(InvalidParameterError, match="domain_mode"):
+            FusionPlan.from_text("t_alpha = 8\nalphas = 1,2\ndomain_mode = nope\n")
+
+    @pytest.mark.parametrize("text, key", [
+        ("t_alpha = x\nalphas = 1,2\n", "t_alpha"),
+        ("t_alpha = 8\nalphas = 1,a\n", "alphas"),
+        ("t_alpha = 8\nalphas = 1,2\nd0 = zz\n", "d0"),
+    ], ids=["t_alpha", "alphas", "d0"])
+    def test_malformed_number_names_its_key(self, text, key):
+        with pytest.raises(InvalidParameterError, match=key):
+            FusionPlan.from_text(text)
 
 
 class TestFusedAttention:
@@ -212,6 +224,39 @@ class TestFusedAttention:
     test_two_branch_paths_agree_with_shared_masks = staticmethod(selftest.check_blend_reduction)
     test_band_ownership = staticmethod(selftest.check_band_ownership)
     test_sparse_substitution_stays_in_coarse_band = staticmethod(selftest.check_sparse_substitution)
+
+    def test_branch_latents_equal_single_branch_attention(self):
+        toks = random_tokens(32, 16, 8, 15)
+        weights = block_weights(8, SeededRng(16))
+        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
+        q, k, v = project_qkv(toks, weights)
+        alone = [masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(a * 8, 32))
+                 for a in plan.alphas[:-1]]
+        alone.append(sparse_attention(q, k, v, toks.frame_index, uniform_keyframes(32, 0.5)))
+        branches = fusion._branch_latents(toks, weights, plan, (4, 4))
+        assert len(branches) == len(alone)
+        for branch, out in zip(branches, alone):
+            assert np.array_equal(branch.transpose(1, 2, 3, 0).reshape(-1, 8), out.features)
+
+    def test_gaussian_pair_builds_no_band_masks(self):
+        toks = random_tokens(16, 16, 8, 17)
+        weights = block_weights(8, SeededRng(18))
+        plan = FusionPlan(t_alpha=8, alphas=(1, 2), d0=0.3)
+        expected = spectral_blend_attention(toks, weights, plan, (4, 4))
+        stacked = run_stack(toks, plan, depth=1, seed=19, spatial=(4, 4))
+        with mock.patch.object(fusion, "band_masks", side_effect=AssertionError("band_masks")):
+            assert np.array_equal(spectral_blend_attention(toks, weights, plan, (4, 4)).features,
+                                  expected.features)
+            assert np.array_equal(run_stack(toks, plan, depth=1, seed=19, spatial=(4, 4)).features,
+                                  stacked.features)
+
+    @pytest.mark.parametrize("spatial", [(3, 5), (-4, -4)])
+    def test_bad_spatial_rejected_before_attention(self, spatial):
+        toks = random_tokens(16, 16, 8, 20)
+        plan = FusionPlan(t_alpha=8, alphas=(1, 2))
+        with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")):
+            with pytest.raises(ShapeMismatchError):
+                multiband_attention(toks, block_weights(8, SeededRng(21)), plan, spatial)
 
     def test_single_branch_is_plain_attention(self):
         toks = random_tokens(8, 16, 8, 13)

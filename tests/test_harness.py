@@ -73,6 +73,16 @@ class TestMakeScene:
         with pytest.raises(InvalidParameterError):
             SyntheticScene.from_text("shape = 1,2,2,2\nwhat = 3\n")
 
+    @pytest.mark.parametrize("text, key", [
+        ("shape = 1,2,x,4\n", "shape"),
+        ("shape = 1,2,2,2\nseed = q\n", "seed"),
+        ("shape = 1,2,2,2\nnoise_level = lots\n", "noise_level"),
+        ("shape = 1,2,2,2\ntones = t:abc:1\n", "tones"),
+    ], ids=["shape", "seed", "noise_level", "tones"])
+    def test_malformed_number_names_its_key(self, text, key):
+        with pytest.raises(InvalidParameterError, match=key):
+            SyntheticScene.from_text(text)
+
 
 class TestRunStack:
     test_three_scale_stack_reproducible = staticmethod(selftest.check_stack_determinism)
