@@ -33,6 +33,8 @@ def _check_edges(edges) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1:
         raise InvalidParameterError("edges must be a flat list")
+    if not np.isfinite(edges).all():
+        raise InvalidParameterError("edges must be finite")
     if edges.size and ((np.diff(edges) <= 0).any() or edges[0] < 0 or edges[-1] > np.pi):
         raise InvalidParameterError("edges must be strictly ascending within [0, pi]")
     return edges
@@ -63,7 +65,6 @@ class SnrReport:
     boundaries: np.ndarray  # band edges including 0 and pi, length n+1
     ratios: np.ndarray  # extended-over-reference normalized energy, length n
     threshold: float = DEFAULT_THRESHOLD
-    domain_mode: str = "temporal"
 
     def __post_init__(self):
         bounds = np.array(self.boundaries, dtype=np.float64)
@@ -143,7 +144,7 @@ def relative_snr(reference: VideoLatent, extended: VideoLatent, edges,
             # perfect match, anything else is unbounded excess.
             ratios[i] = 1.0 if ext_frac[i] == 0.0 else np.inf
     boundaries = np.concatenate(([0.0], edges, [np.pi]))
-    return SnrReport(boundaries, ratios, threshold=threshold, domain_mode=domain_mode)
+    return SnrReport(boundaries, ratios, threshold=threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +155,6 @@ class AttnMap:
     """
 
     matrix: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.float64, order="C")
@@ -172,7 +172,7 @@ class AttnMap:
         return self.matrix.shape[0]
 
 
-def aggregate_attention(maps, num_frames: int, source: str = "") -> AttnMap:
+def aggregate_attention(maps, num_frames: int) -> AttnMap:
     """Pool token-level weight matrices to one frame-level map.
 
     Each input is an (n, n) row-stochastic matrix over the same frame
@@ -183,6 +183,8 @@ def aggregate_attention(maps, num_frames: int, source: str = "") -> AttnMap:
     if not maps:
         raise InvalidParameterError("need at least one attention matrix")
     t = int(num_frames)
+    if t < 1:
+        raise InvalidParameterError(f"num_frames must be >= 1, got {num_frames}")
     pooled = np.zeros((t, t), dtype=np.float64)
     for m in maps:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t:
@@ -193,7 +195,7 @@ def aggregate_attention(maps, num_frames: int, source: str = "") -> AttnMap:
         pooled += m.reshape(t, tpf, t, tpf).mean(axis=(1, 3))
     pooled /= len(maps)
     pooled /= pooled.sum(axis=1, keepdims=True)
-    return AttnMap(pooled, source=source)
+    return AttnMap(pooled)
 
 
 def diagonality(attn: AttnMap) -> float:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import thread_cap
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
 # Each thread computes logits in stacks of key-frame blocks of at most
@@ -235,20 +236,20 @@ def _pool_width() -> int:
     """Threads that share `_attend`'s query frames, the calling thread included.
 
     The usable core count, capped by SPFU_THREADS when that is set above
-    0, else by OMP_NUM_THREADS.
+    0, else by OMP_NUM_THREADS. A SPFU_THREADS that is not an integer
+    >= 0 raises InvalidParameterError, as it does in the CLI.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         cores = os.cpu_count() or 1
-    for var in ("SPFU_THREADS", "OMP_NUM_THREADS"):
+    cap = thread_cap()
+    if cap == 0:
         try:
-            cap = int(os.environ.get(var, "0"))
-        except ValueError:
+            cap = int(os.environ.get("OMP_NUM_THREADS", "0"))
+        except ValueError:  # OpenMP's own syntax, such as "4,2", is not a cap here
             cap = 0
-        if cap > 0:
-            return max(1, min(cores, cap))
-    return max(1, cores)
+    return max(1, min(cores, cap) if cap > 0 else cores)
 
 
 def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, np.ndarray]:

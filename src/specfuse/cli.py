@@ -16,17 +16,12 @@ import argparse
 import os
 import sys
 
+from .config import thread_cap
+from .errors import InvalidParameterError
+
 
 def _apply_thread_cap() -> None:
-    raw = os.environ.get("SPFU_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"SPFU_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"SPFU_THREADS must be >= 0, got {n}")
+    n = thread_cap()
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(n))
@@ -185,8 +180,7 @@ def _cmd_attnmap(args) -> int:
     q, k, _ = project_qkv(tokens, _projection_weights(tokens.d_model, args.weights_seed))
     window = AttentionWindow.for_span(args.span, t) if args.span else None
     weights = attention_map(q, k, tokens.frame_index, window=window)
-    label = f"span={args.span}" if args.span else "global"
-    attn = aggregate_attention([weights], t, source=label)
+    attn = aggregate_attention([weights], t)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for row in attn.matrix:
             fh.write(",".join(f"{x:.10g}" for x in row) + "\n")
@@ -214,7 +208,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         _apply_thread_cap()
-    except ValueError as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     args = _build_parser().parse_args(argv)

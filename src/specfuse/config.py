@@ -1,10 +1,16 @@
-"""Plain-text key = value config dialect shared by plans and scene specs.
+"""Plain-text key = value config dialect shared by plans and scene specs,
+and the SPFU_THREADS environment variable.
 
 One `key = value` pair per line; blank lines and lines starting with '#'
 are ignored. Keys are case-sensitive. No sections, no nesting.
+
+This module loads no numpy, so the CLI can read SPFU_THREADS before the
+thread pools start.
 """
 
 from __future__ import annotations
+
+import os
 
 from .errors import InvalidParameterError
 
@@ -45,3 +51,11 @@ def parse_number(value: str, key: str, kind: type = int):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise InvalidParameterError(f"{key} must be {noun}, got {value!r}") from None
+
+
+def thread_cap() -> int:
+    """SPFU_THREADS as an integer >= 0; 0 when unset, meaning no cap."""
+    n = parse_number(os.environ.get("SPFU_THREADS", "0"), "SPFU_THREADS")
+    if n < 0:
+        raise InvalidParameterError(f"SPFU_THREADS must be >= 0, got {n}")
+    return n

@@ -240,6 +240,7 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
     """
     if len(plan.alphas) != 2 or plan.alphas[0] != 1:
         raise InvalidPlanError(f"blend plan needs alphas (1, global), got {plan.alphas}")
+    _check_spatial(spatial, tokens.tokens_per_frame)
     lpf = gaussian_lowpass((tokens.num_frames, *spatial), plan.d0, plan.domain_mode)
     return multiband_attention(tokens, qkv_weights, plan, spatial,
                                masks=[lpf.complement(), lpf])

@@ -7,19 +7,21 @@ Builds the starting noise tensor from two ingredients:
   pins the low-frequency content across windows;
 * a fresh Gaussian residual, sampled independently per frame.
 
-The two are mixed per frame in the spectral domain with cos/sin weights
-driven by the frame's normalized distance to the sequence center: center
-frames keep the base, edge frames keep the residual, and cos^2 + sin^2
-= 1 keeps the per-frame variance at 1 in expectation.
+The two are mixed with cos/sin weights driven by the normalized distance
+of a temporal index to the sequence center: the center keeps the base,
+the edges keep the residual, and cos^2 + sin^2 = 1 keeps the variance at
+1 in expectation. Mixing domains ("mix_domain"):
 
-Mixing domains ("mix_domain"):
+* "spatial" (default): a direct per-frame mix,
+  cos_w[t] * base[t] + sin_w[t] * residual[t]. Weights at the extreme
+  frames are clamped to exact 0/1.
+* "full3d": the index is the temporal-frequency bin; both inputs are
+  transformed along T, mixed bin by bin, and transformed back, keeping
+  the real part of the inverse.
 
-* "spatial" (default): the FFT runs over (H, W) only, so "the slice at
-  frame t" is the literal frame. Weights at the extreme frames are
-  clamped to exact 0/1.
-* "full3d": the FFT also covers the temporal axis and the mixing index
-  walks temporal-frequency bins instead of frames; the inverse transform
-  is no longer exactly real and the imaginary part is discarded.
+No (H, W) transform is needed: each weight is one scalar per temporal
+index, which commutes with any linear map over (H, W), so a spatial FFT
+and its inverse around the mix would cancel.
 """
 
 from __future__ import annotations
@@ -92,47 +94,33 @@ def mixing_angle(d: float) -> float:
 
 
 def _mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
-    d = np.array([center_distance(t, frames) for t in range(frames)])
-    theta = d * (np.pi / 2.0)
+    """(cos, sin) weight per temporal index, shaped to broadcast over (C, T, H, W)."""
+    theta = np.array([mixing_angle(center_distance(t, frames)) for t in range(frames)])
     cos_w = np.cos(theta)
     sin_w = np.sin(theta)
-    # cos(pi/2) rounds to ~6e-17; clamp so the extreme frames mix exactly.
-    edge = d >= 1.0
+    # cos(pi/2) rounds to ~6e-17; clamp so the extreme indices mix exactly.
+    edge = theta == np.pi / 2
     cos_w[edge] = 0.0
     sin_w[edge] = 1.0
-    return cos_w, sin_w
-
-
-def mixed_spectra(params: SpecMixParams, chw: tuple[int, int, int],
-                  mix_domain: str = "spatial") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (mixed, base, residual) spectra before the inverse transform.
-
-    Exposed so the exact center/endpoint slice identities can be checked
-    bin-for-bin without a transform roundtrip.
-    """
-    if mix_domain not in MIX_DOMAINS:
-        raise InvalidParameterError(f"unknown mix_domain {mix_domain!r}")
-    c, h, w = (int(n) for n in chw)
-    t = params.frames
-    base = base_noise(params, chw).data.astype(np.float64)
-    res = gaussian_latent((c, t, h, w), SeededRng(params.seed_res)).data.astype(np.float64)
-    axes = (2, 3) if mix_domain == "spatial" else (1, 2, 3)
-    base_f = np.fft.fftn(base, axes=axes, norm="ortho")
-    res_f = np.fft.fftn(res, axes=axes, norm="ortho")
-    cos_w, sin_w = _mix_weights(t)
-    shape = (1, t, 1, 1)
-    mixed = cos_w.reshape(shape) * base_f + sin_w.reshape(shape) * res_f
-    return mixed, base_f, res_f
+    return cos_w.reshape(1, -1, 1, 1), sin_w.reshape(1, -1, 1, 1)
 
 
 def specmix(params: SpecMixParams, chw: tuple[int, int, int],
             mix_domain: str = "spatial") -> VideoLatent:
-    """Center-weighted spectral mix of base and residual noise.
+    """Center-weighted mix of base and residual noise, (C, frames, H, W).
 
-    Deterministic given the three seeds. See the module docstring for the
-    two mixing domains.
+    "spatial" mixes frame by frame in float64; "full3d" mixes the
+    temporal FFT bins and keeps the real part of the inverse. See the
+    module docstring. Deterministic given the three seeds.
     """
-    mixed, _, _ = mixed_spectra(params, chw, mix_domain)
-    axes = (2, 3) if mix_domain == "spatial" else (1, 2, 3)
-    out = np.fft.ifftn(mixed, axes=axes, norm="ortho").real
-    return VideoLatent(out)
+    if mix_domain not in MIX_DOMAINS:
+        raise InvalidParameterError(f"unknown mix_domain {mix_domain!r}")
+    c, h, w = (int(n) for n in chw)
+    base = base_noise(params, chw).data.astype(np.float64)
+    res = gaussian_latent((c, params.frames, h, w), SeededRng(params.seed_res)).data
+    res = res.astype(np.float64)
+    cos_w, sin_w = _mix_weights(params.frames)
+    if mix_domain == "spatial":
+        return VideoLatent(cos_w * base + sin_w * res)
+    mixed = cos_w * np.fft.fft(base, axis=1) + sin_w * np.fft.fft(res, axis=1)
+    return VideoLatent(np.fft.ifft(mixed, axis=1).real)

@@ -36,7 +36,7 @@ from .fusion import (
     spectral_blend_attention,
 )
 from .harness import SyntheticScene, Tone, block_weights, make_scene, run_stack, scene_tokens
-from .noise_init import SpecMixParams, base_noise, center_distance, mixed_spectra, specmix
+from .noise_init import SpecMixParams, base_noise, center_distance, specmix
 from .spectral import (
     DOMAIN_MODES,
     apply_mask,
@@ -279,15 +279,15 @@ def check_specmix_determinism_and_limits():
     for frames, seed in ((17, 1), (16, 1), (17, 4)):
         params = SpecMixParams(frames=frames, t_alpha=8, seed_base=seed,
                                seed_res=seed + 1, seed_perm=seed + 2)
-        a, b = (specmix(params, (2, 4, 4)).data.tobytes() for _ in range(2))
-        assert a == b, "same seeds gave different noise"
-        if frames % 2 == 0:
-            continue
-        mixed, base_f, res_f = mixed_spectra(params, (2, 4, 4))
-        center = (frames - 1) // 2
-        assert np.array_equal(mixed[:, center], base_f[:, center]), "center slice is not the base"
-        assert np.array_equal(mixed[:, 0], res_f[:, 0]), "first slice is not the residual"
-        assert np.array_equal(mixed[:, -1], res_f[:, -1]), "last slice is not the residual"
+        a, b = (specmix(params, (2, 4, 4)).data for _ in range(2))
+        assert a.tobytes() == b.tobytes(), "same seeds gave different noise"
+        res = gaussian_latent((2, frames, 4, 4), SeededRng(seed + 1)).data
+        assert np.array_equal(a[:, 0], res[:, 0]), "first frame is not the residual"
+        assert np.array_equal(a[:, -1], res[:, -1]), "last frame is not the residual"
+        if frames % 2:
+            center = (frames - 1) // 2
+            base = base_noise(params, (2, 4, 4)).data
+            assert np.array_equal(a[:, center], base[:, center]), "center frame is not the base"
     for frames in (4, 9, 16, 17):
         d = [center_distance(t, frames) for t in range(frames)]
         assert d == d[::-1], "center distance is not symmetric"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeMismatchError
+from .errors import InvalidParameterError, InvalidShapeError, ShapeMismatchError
 from .tensor_core import SpectralTensor, VideoLatent
 
 DOMAIN_MODES = ("temporal", "radial")
@@ -83,6 +83,8 @@ def frequency_grid(shape: tuple[int, int, int], domain_mode: str) -> np.ndarray:
     if domain_mode not in DOMAIN_MODES:
         raise InvalidParameterError(f"unknown domain_mode {domain_mode!r}")
     t, h, w = shape
+    if min(t, h, w) < 1:
+        raise InvalidShapeError(f"grid axes must be >= 1, got {tuple(shape)}")
     wt = axis_frequencies(t)
     if domain_mode == "temporal":
         return np.broadcast_to(wt[:, None, None], (t, h, w)).copy()
@@ -105,14 +107,13 @@ class FrequencyMask:
     """
 
     weights: np.ndarray
-    domain_mode: str = "temporal"
 
     def __post_init__(self):
         arr = np.array(self.weights, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise InvalidParameterError(f"mask must be (T, H, W), got rank {arr.ndim}")
-        if self.domain_mode not in DOMAIN_MODES:
-            raise InvalidParameterError(f"unknown domain_mode {self.domain_mode!r}")
+        if arr.size == 0:
+            raise InvalidShapeError(f"mask grid must be non-empty, got {arr.shape}")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise InvalidParameterError("mask weights must lie in [0, 1]")
         flipped = np.roll(arr[::-1, ::-1, ::-1], (1, 1, 1), axis=(0, 1, 2))
@@ -126,7 +127,7 @@ class FrequencyMask:
         return self.weights.shape
 
     def complement(self) -> "FrequencyMask":
-        return FrequencyMask(1.0 - self.weights, self.domain_mode)
+        return FrequencyMask(1.0 - self.weights)
 
 
 def gaussian_lowpass(
@@ -142,7 +143,7 @@ def gaussian_lowpass(
         raise InvalidParameterError(f"d0 must lie in (0, 1], got {d0}")
     d = frequency_grid(shape, domain_mode) / np.pi
     weights = np.exp(-(d**2) / (2.0 * d0**2))
-    return FrequencyMask(weights, domain_mode)
+    return FrequencyMask(weights)
 
 
 def _check_alphas(alphas) -> tuple[int, ...]:
@@ -178,7 +179,7 @@ def band_masks(
     # Indexing by edge, not by each band's [lo, hi], keeps a Nyquist bin that
     # rounds one ulp above pi (T = 26, 52, 94, ...) in the finest band.
     coarse_idx = np.searchsorted(edges, grid, side="left")
-    return [FrequencyMask((coarse_idx == len(alphas) - 1 - i).astype(np.float64), domain_mode)
+    return [FrequencyMask((coarse_idx == len(alphas) - 1 - i).astype(np.float64))
             for i in range(len(alphas))]
 
 

@@ -162,8 +162,8 @@ def test_criterion_8_attention_structure():
     q, k, _ = project_qkv(toks, block_weights(d, SeededRng(801)))
     windowed = attention_map(q, k, toks.frame_index, window=AttentionWindow.local(8))
     global_ = attention_map(q, k, toks.frame_index)
-    score_w = diagonality(aggregate_attention([windowed], t, source="span=8"))
-    score_g = diagonality(aggregate_attention([global_], t, source="global"))
+    score_w = diagonality(aggregate_attention([windowed], t))
+    score_g = diagonality(aggregate_attention([global_], t))
     ok = score_w >= 2.0 * score_g
     report("criterion-8 windowed attention diagonality", ok,
            f"windowed {score_w:.3f} vs global {score_g:.3f}")

@@ -96,6 +96,12 @@ class TestRelativeSnr:
         with pytest.raises(DegenerateInputError):
             relative_snr(zeros, lat, [0.5])
 
+    @pytest.mark.parametrize("edges", [[np.nan], [0.5, np.nan]])
+    def test_non_finite_edges_rejected(self, edges):
+        lat = gaussian_latent((1, 8, 4, 4), SeededRng(8))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            relative_snr(lat, lat, edges)
+
     def test_csv_and_text_shapes(self):
         lat = gaussian_latent((1, 16, 4, 4), SeededRng(10))
         report = relative_snr(lat, lat, uniform_band_edges(16))
@@ -157,6 +163,11 @@ class TestAggregateAttention:
     def test_non_stochastic_rejected(self):
         with pytest.raises(InvalidParameterError):
             aggregate_attention([np.ones((4, 4))], 4)
+
+    @pytest.mark.parametrize("num_frames", [0, -2])
+    def test_frame_count_below_one_rejected(self, num_frames):
+        with pytest.raises(InvalidParameterError):
+            aggregate_attention([np.eye(4)], num_frames)
 
 
 class TestDiagonality:

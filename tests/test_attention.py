@@ -288,6 +288,12 @@ def admitted_frames(frame_set, t: int) -> np.ndarray:
 
 
 class TestMultiWindowCore:
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_pool_width_rejects_a_malformed_thread_cap(self, monkeypatch, value):
+        monkeypatch.setenv("SPFU_THREADS", value)
+        with pytest.raises(InvalidParameterError, match="SPFU_THREADS"):
+            attention._pool_width()
+
     @given(multi_window_cases())
     def test_one_call_matches_oracle_and_single_windows(self, case):
         t, tpf, d, spans, keyframes, seed = case

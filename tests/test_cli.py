@@ -234,13 +234,15 @@ class TestProcessLevel:
     def test_bad_thread_env_rejected(self, tmp_path):
         import os
 
-        env = dict(os.environ, SPFU_THREADS="abc")
-        proc = subprocess.run(
-            [sys.executable, "-m", "specfuse.cli", "selftest"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+        for value, line in (("abc", "error: SPFU_THREADS must be an integer, got 'abc'\n"),
+                            ("-3", "error: SPFU_THREADS must be >= 0, got -3\n")):
+            env = dict(os.environ, SPFU_THREADS=value)
+            proc = subprocess.run(
+                [sys.executable, "-m", "specfuse.cli", "selftest"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr == line
 
     def test_thread_cap_accepted(self, tmp_path):
         import os

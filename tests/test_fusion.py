@@ -250,13 +250,14 @@ class TestFusedAttention:
             assert np.array_equal(run_stack(toks, plan, depth=1, seed=19, spatial=(4, 4)).features,
                                   stacked.features)
 
-    @pytest.mark.parametrize("spatial", [(3, 5), (-4, -4)])
+    @pytest.mark.parametrize("spatial", [(3, 5), (-4, -4), (0, 16)])
     def test_bad_spatial_rejected_before_attention(self, spatial):
         toks = random_tokens(16, 16, 8, 20)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
         with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")):
-            with pytest.raises(ShapeMismatchError):
-                multiband_attention(toks, block_weights(8, SeededRng(21)), plan, spatial)
+            for fuse in (multiband_attention, spectral_blend_attention):
+                with pytest.raises(ShapeMismatchError):
+                    fuse(toks, block_weights(8, SeededRng(21)), plan, spatial)
 
     def test_single_branch_is_plain_attention(self):
         toks = random_tokens(8, 16, 8, 13)

@@ -1,4 +1,4 @@
-"""Shuffled base noise, mixing weights, and the spectral mixer."""
+"""Shuffled base noise, mixing weights, and the noise mixer."""
 
 import hashlib
 
@@ -20,6 +20,22 @@ from specfuse import (
 
 def frame_digest(data: np.ndarray, t: int) -> str:
     return hashlib.sha256(data[:, t].tobytes()).hexdigest()
+
+
+def mix_inputs(params: SpecMixParams, chw) -> tuple[np.ndarray, np.ndarray]:
+    """The base and residual noise specmix mixes, in float64."""
+    c, h, w = chw
+    res = gaussian_latent((c, params.frames, h, w), SeededRng(params.seed_res))
+    return base_noise(params, chw).data.astype(np.float64), res.data.astype(np.float64)
+
+
+def mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin of d * pi/2 per temporal index, the extreme indices exactly 0/1."""
+    theta = np.array([center_distance(t, frames) for t in range(frames)]) * np.pi / 2
+    cos_w, sin_w = np.cos(theta), np.sin(theta)
+    cos_w[-1] = cos_w[0] = 0.0
+    sin_w[-1] = sin_w[0] = 1.0
+    return cos_w[None, :, None, None], sin_w[None, :, None, None]
 
 
 class TestBaseNoise:
@@ -83,19 +99,33 @@ class TestSpecmix:
     test_per_slice_variance = staticmethod(selftest.check_specmix_variance)
 
     def test_spatial_mode_matches_pixel_domain_mix(self):
-        # The (H, W) transform commutes with per-frame scalar weights, so
-        # the output must equal the pixel-domain mix up to rounding.
-        params = SpecMixParams(frames=12, t_alpha=4, seed_base=7, seed_res=8, seed_perm=9)
-        chw = (2, 4, 4)
-        out = specmix(params, chw).data.astype(np.float64)
-        base = base_noise(params, chw).data.astype(np.float64)
-        res = gaussian_latent((2, 12, 4, 4), SeededRng(8)).data.astype(np.float64)
-        theta = np.array([center_distance(t, 12) for t in range(12)]) * np.pi / 2
-        cos_w, sin_w = np.cos(theta), np.sin(theta)
-        cos_w[-1] = cos_w[0] = 0.0
-        sin_w[-1] = sin_w[0] = 1.0
-        direct = cos_w[None, :, None, None] * base + sin_w[None, :, None, None] * res
-        assert np.abs(out - direct).max() < 1e-6
+        # Spatial mode is the per-frame mix itself, computed in float64
+        # and stored once in float32.
+        for frames, t_alpha in ((12, 4), (17, 8), (256, 16)):
+            params = SpecMixParams(frames=frames, t_alpha=t_alpha, seed_base=7, seed_res=8,
+                                   seed_perm=9)
+            out = specmix(params, (2, 4, 4)).data
+            base, res = mix_inputs(params, (2, 4, 4))
+            cos_w, sin_w = mix_weights(frames)
+            direct = cos_w * base + sin_w * res
+            assert np.array_equal(out, direct.astype(np.float32))
+
+    @pytest.mark.parametrize("mode, axes", [("spatial", (2, 3)), ("full3d", (1, 2, 3))])
+    def test_matches_the_spectral_formulation(self, mode, axes):
+        # Oracle: the weights applied to the orthonormal FFT over `axes` of
+        # both inputs, then inverted over the same axes. The (H, W) part of
+        # the transform commutes with per-index weights, so specmix skips it.
+        for frames, t_alpha, chw in ((12, 4, (2, 4, 4)), (17, 8, (2, 3, 5)),
+                                     (64, 16, (3, 8, 8))):
+            params = SpecMixParams(frames=frames, t_alpha=t_alpha, seed_base=frames,
+                                   seed_res=frames + 1, seed_perm=frames + 2)
+            base, res = mix_inputs(params, chw)
+            cos_w, sin_w = mix_weights(frames)
+            mixed = (cos_w * np.fft.fftn(base, axes=axes, norm="ortho")
+                     + sin_w * np.fft.fftn(res, axes=axes, norm="ortho"))
+            oracle = np.fft.ifftn(mixed, axes=axes, norm="ortho").real
+            out = specmix(params, chw, mode).data
+            assert np.abs(out - oracle).max() < 1e-6
 
     def test_full3d_mode_runs_and_differs(self):
         params = SpecMixParams(frames=16, t_alpha=8, seed_base=10, seed_res=11, seed_perm=12)

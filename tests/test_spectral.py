@@ -9,6 +9,7 @@ from specfuse import selftest
 from specfuse import (
     FrequencyMask,
     InvalidParameterError,
+    InvalidShapeError,
     SeededRng,
     ShapeMismatchError,
     SpectralTensor,
@@ -177,6 +178,16 @@ class TestFrequencyMaskType:
         assert weights.flags.writeable
         weights[0, 0, 0] = 0.0
         assert np.array_equal(mask.weights, np.ones((2, 2, 2)))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(InvalidShapeError):
+            FrequencyMask(np.zeros((0, 4, 4)))
+        for shape in ((0, 4, 4), (-4, 4, 4), (4, 0, 4)):
+            for mode in ("temporal", "radial"):
+                with pytest.raises(InvalidShapeError):
+                    gaussian_lowpass(shape, 0.25, mode)
+                with pytest.raises(InvalidShapeError):
+                    band_masks((1, 2), shape, mode)
 
     def test_rejects_asymmetric(self):
         weights = np.zeros((4, 4, 4))
