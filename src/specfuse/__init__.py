@@ -11,7 +11,8 @@ _EXPORTS = {
     "analysis": ("AttnMap", "SnrReport", "aggregate_attention", "band_energy", "diagonality",
                  "relative_snr", "uniform_band_edges"),
     "attention": ("AttentionWindow", "MacCounter", "TokenSequence", "attention_map",
-                  "masked_attention", "project_qkv", "sparse_attention", "uniform_keyframes"),
+                  "frame_attention", "masked_attention", "project_qkv", "sparse_attention",
+                  "uniform_keyframes"),
     "errors": ("BadMagicError", "DegenerateInputError", "InvalidParameterError",
                "InvalidPlanError", "InvalidShapeError", "NonFiniteValueError",
                "ShapeMismatchError", "SpecfuseError", "TensorFileError",

@@ -29,6 +29,12 @@ OpenBLAS runs on the calling thread, so the threads never queue for
 OpenBLAS's own pool. Every row is computed by the same operations in the
 same order whichever thread runs it, so outputs are bit-identical at
 every width.
+
+Frame-level attention maps run through the same core: `frame_attention`
+passes a one-hot frame indicator as the values, so each output row is the
+weight mass its query puts on every key frame, and the (T, T) map costs
+O(n * T) memory. `attention_map` keeps the dense (n, n) weights as a
+diagnostic and test oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import AttnMap
 from .config import thread_cap
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
@@ -421,8 +428,9 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     """Dense (n, n) row-stochastic attention weights, zeros at masked keys.
 
     Exactly one of `window` / `keyframes` selects the mask; both None
-    means global attention. Intended for structure diagnostics; memory is
-    quadratic in the token count.
+    means global attention. A diagnostic and the test oracle of
+    `frame_attention`: memory is quadratic in the token count (2 GiB at
+    16384 tokens), so frame-level maps come from `frame_attention`.
     """
     q, k, _, frames = _check_qkv(q, k, q, frame_index)
     t, tpf = _frame_slices(frames)
@@ -437,3 +445,22 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
         logits = q3[i] @ k3[keys].reshape(-1, d).T
         weights[i * tpf : (i + 1) * tpf, token_ids[keys].reshape(-1)] = _softmax_rows(logits)
     return weights
+
+
+def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,
+                    keyframes=None) -> AttnMap:
+    """Frame-level (T, T) attention map, in memory linear in the token count.
+
+    Entry (i, j) is the mean over frame i's query rows of the weight mass
+    each row puts on key frame j, rows renormalized to sum 1: the map
+    `aggregate_attention([attention_map(...)], T)` pools from the dense
+    weights, to rounding. `_attend` computes it with a one-hot frame
+    indicator as the values, so no (n, n) matrix is formed. Exactly one of
+    `window` / `keyframes` selects the mask; both None means global.
+    """
+    q, k, _, frames = _check_qkv(q, k, q, frame_index)
+    t, tpf = _frame_slices(frames)
+    onehot = (frames[:, None] == np.arange(t)).astype(np.float64)
+    (mass,) = _attend(q, k, onehot, frames, [_frame_set(t, window=window, keyframes=keyframes)])
+    pooled = mass.reshape(t, tpf, t).mean(axis=1)
+    return AttnMap(pooled / pooled.sum(axis=1, keepdims=True))

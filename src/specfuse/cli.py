@@ -169,8 +169,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_attnmap(args) -> int:
-    from .analysis import aggregate_attention, diagonality
-    from .attention import AttentionWindow, attention_map, project_qkv
+    from .analysis import diagonality
+    from .attention import AttentionWindow, frame_attention, project_qkv
     from .fusion import tokens_from_latent
     from .tensor_core import read_tensor
 
@@ -178,9 +178,8 @@ def _cmd_attnmap(args) -> int:
     tokens = tokens_from_latent(latent)
     t = tokens.num_frames
     q, k, _ = project_qkv(tokens, _projection_weights(tokens.d_model, args.weights_seed))
-    window = AttentionWindow.for_span(args.span, t) if args.span else None
-    weights = attention_map(q, k, tokens.frame_index, window=window)
-    attn = aggregate_attention([weights], t)
+    window = AttentionWindow.for_span(args.span, t) if args.span is not None else None
+    attn = frame_attention(q, k, tokens.frame_index, window=window)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for row in attn.matrix:
             fh.write(",".join(f"{x:.10g}" for x in row) + "\n")

@@ -48,6 +48,10 @@ class SpecMixParams:
     seed_perm: int = 2
 
     def __post_init__(self):
+        for name in ("frames", "t_alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.t_alpha < 1:
             raise InvalidParameterError(f"t_alpha must be >= 1, got {self.t_alpha}")
         if self.frames < self.t_alpha:

@@ -23,6 +23,7 @@ from .attention import (
     AttentionWindow,
     TokenSequence,
     attention_map,
+    frame_attention,
     masked_attention,
     project_qkv,
     sparse_attention,
@@ -347,6 +348,19 @@ def check_aggregate_row_stochastic():
         assert diagonality(aggregate_attention([np.eye(t)], t)) == 1.0, "identity map must score 1"
 
 
+def check_frame_attention_oracle():
+    # The linear-memory map against pooling the dense (n, n) weights.
+    for t, tpf, d, seed in ((1, 3, 4, 47), (8, 4, 8, 43), (12, 5, 6, 48)):
+        toks, q, k, _ = _rand_qkv(t, tpf, d, seed)
+        masks = [{}, {"window": AttentionWindow.for_span(4, t)},
+                 {"window": AttentionWindow.local(1)}, {"keyframes": range(0, t, 3)}]
+        for mask in masks:
+            got = frame_attention(q, k, toks.frame_index, **mask).matrix
+            want = aggregate_attention([attention_map(q, k, toks.frame_index, **mask)], t).matrix
+            err = np.abs(got - want).max()
+            assert err <= 1e-12, f"frame map differs from the pooled dense map by {err}"
+
+
 def check_scene_placement():
     for k, side in ((4, 4), (5, 2)):
         omega = 2 * np.pi * k / 32
@@ -391,6 +405,7 @@ CHECKS = [
     ("band-energy-total", check_band_energy_total),
     ("snr-scale-invariance", check_snr_scale_invariance),
     ("aggregate-row-stochastic", check_aggregate_row_stochastic),
+    ("frame-attention-oracle", check_frame_attention_oracle),
     ("scene-placement", check_scene_placement),
     ("stack-determinism", check_stack_determinism),
 ]

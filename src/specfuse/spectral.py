@@ -82,6 +82,8 @@ def frequency_grid(shape: tuple[int, int, int], domain_mode: str) -> np.ndarray:
     """
     if domain_mode not in DOMAIN_MODES:
         raise InvalidParameterError(f"unknown domain_mode {domain_mode!r}")
+    if len(shape) != 3:
+        raise InvalidShapeError(f"grid shape must be (T, H, W), got {tuple(shape)}")
     t, h, w = shape
     if min(t, h, w) < 1:
         raise InvalidShapeError(f"grid axes must be >= 1, got {tuple(shape)}")

@@ -16,7 +16,9 @@ from specfuse import (
     NonFiniteValueError,
     SeededRng,
     TokenSequence,
+    aggregate_attention,
     attention_map,
+    frame_attention,
     masked_attention,
     project_qkv,
     sparse_attention,
@@ -415,3 +417,48 @@ class TestMultiWindowCore:
         with pooled(2), np.errstate(all="ignore"):
             (out,) = _attend(x, x, x, frames, [_frame_set(2)])
         assert np.isfinite(out[:2]).all() and np.isnan(out[2:]).all()
+
+
+def frame_windows(t, spans, keyframes):
+    """The mask arguments of `attention_map` / `frame_attention` for a case:
+    global, each span's window, and the key-frame set if there is one."""
+    masks = [{}] + [{"window": AttentionWindow.for_span(span, t)} for span in spans]
+    if keyframes is not None:
+        masks.append({"keyframes": keyframes})
+    return masks
+
+
+class TestFrameAttention:
+    @given(multi_window_cases())
+    @example((1, 1, 2, [1], {0}, 0))
+    def test_matches_the_dense_map_property(self, case):
+        t, tpf, d, spans, keyframes, seed = case
+        toks = random_tokens(t, tpf, d, seed)
+        q, k, _ = project_qkv(toks, random_weights(d, seed + 1))
+        frames = toks.frame_index
+        for mask in frame_windows(t, spans, keyframes):
+            pooled_map = frame_attention(q, k, frames, **mask).matrix
+            dense = aggregate_attention([attention_map(q, k, frames, **mask)], t).matrix
+            assert pooled_map.shape == (t, t)
+            assert np.abs(pooled_map - dense).max() <= 1e-12
+
+    @given(split_cases())
+    def test_split_across_threads_is_bit_identical(self, case):
+        t, tpf, d, spans, keyframes, rows, group, seed = case
+        toks = random_tokens(t, tpf, d, seed)
+        q, k, _ = project_qkv(toks, random_weights(d, seed + 1))
+        for mask in frame_windows(t, spans, keyframes):
+            maps = []
+            with mock.patch.object(attention, "_SERIAL_GEMM_MACS", rows * tpf * d), \
+                    mock.patch.object(attention, "_BLOCK_BYTES", 8 * group * rows * tpf):
+                for width in (1, 2):
+                    with pooled(width):
+                        maps.append(frame_attention(q, k, toks.frame_index, **mask).matrix)
+            assert np.array_equal(maps[0], maps[1])
+
+    def test_window_and_keyframes_together_rejected(self):
+        toks = random_tokens(4, 2, 4, 50)
+        q, k, _ = project_qkv(toks, random_weights(4, 51))
+        with pytest.raises(InvalidParameterError, match="either window or keyframes"):
+            frame_attention(q, k, toks.frame_index, window=AttentionWindow.local(2),
+                            keyframes=[0])

@@ -3,7 +3,9 @@
 import io
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from specfuse import (
     spectral_blend_attention,
     tokens_from_latent,
 )
+from specfuse import attention
 from specfuse.cli import main
 from specfuse.harness import block_weights
 
@@ -200,6 +203,35 @@ class TestAttnmapCommand:
         code, text = run_cli("attnmap", "--input", str(lat), "--out", str(out))
         assert code == 0
         assert float(text.split()[1]) > 0.0
+
+    @pytest.mark.parametrize("span", ["0", "-2"])
+    def test_span_below_one_rejected(self, tmp_path, scene_file, capsys, span):
+        lat, out = tmp_path / "x.spfu", tmp_path / "map.csv"
+        run_cli("scene", "--config", str(scene_file), "--out", str(lat))
+        code = main(["attnmap", "--input", str(lat), "--span", span, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: span_frames must be >= 1, got {span}\n"
+        assert not out.exists()
+
+    def test_memory_is_linear_in_tokens(self, tmp_path):
+        # 4096 tokens (C=8, T=64, 8x8): the dense (n, n) map alone is 128 MiB.
+        # Each attention thread adds about 3 MiB of buffers here, so the
+        # width is pinned to keep the bound independent of the core count.
+        lat, out = tmp_path / "x.spfu", tmp_path / "map.csv"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("shape = 8,64,8,8\nseed = 3\nnoise_level = 1.0\n")
+        run_cli("scene", "--config", str(cfg), "--out", str(lat))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(attention, "_pool_width", return_value=2):
+                code, _ = run_cli("attnmap", "--input", str(lat), "--weights-seed", "2",
+                                  "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 64
+        assert peak < 16 << 20, f"attnmap peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestSelftestCommand:

@@ -189,6 +189,14 @@ class TestFrequencyMaskType:
                 with pytest.raises(InvalidShapeError):
                     band_masks((1, 2), shape, mode)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 4, 4, 4)])
+    def test_grid_of_wrong_rank_rejected(self, shape):
+        for mode in ("temporal", "radial"):
+            with pytest.raises(InvalidShapeError, match="must be \\(T, H, W\\)"):
+                gaussian_lowpass(shape, 0.25, mode)
+            with pytest.raises(InvalidShapeError, match="must be \\(T, H, W\\)"):
+                band_masks((1, 2), shape, mode)
+
     def test_rejects_asymmetric(self):
         weights = np.zeros((4, 4, 4))
         weights[1, 0, 0] = 1.0  # bin -1 (= index 3) left at 0
