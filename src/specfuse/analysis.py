@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
-from .spectral import fft3, frequency_grid
+from .spectral import _rfftn, frequency_grid
 from .tensor_core import VideoLatent
 
 DEFAULT_THRESHOLD = 0.9
@@ -44,12 +44,17 @@ def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndar
     """Spectral energy per band; bands tile [0, pi] between the edges.
 
     A bin exactly on an edge counts toward the lower band, matching the
-    band-mask convention, so the energies always sum to the total.
+    band-mask convention, so the energies always sum to the total. The
+    latent is real, so only the half spectrum over W is transformed: bins
+    1 .. (W-1)//2 stand for their conjugate mirrors too and count twice,
+    and the frequency grid is symmetric, so a mirror falls in the same band.
     """
     edges = _check_edges(edges)
-    spec = fft3(x).data
-    energy = (np.abs(spec) ** 2).sum(axis=0)
-    grid = frequency_grid(x.shape[1:], domain_mode)
+    spec = _rfftn(x)
+    energy = (np.square(spec.real) + np.square(spec.imag)).sum(axis=0)
+    width = x.shape[3]
+    energy[..., 1 : (width + 1) // 2] *= 2.0
+    grid = frequency_grid(x.shape[1:], domain_mode)[..., : width // 2 + 1]
     band_idx = np.searchsorted(edges, grid, side="left")
     return np.bincount(band_idx.ravel(), weights=energy.ravel(), minlength=edges.size + 1)
 
@@ -189,10 +194,13 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     for m in maps:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t:
             raise InvalidParameterError(f"matrix shape {m.shape} does not tile {t} frames")
-        if np.abs(m.sum(axis=1) - 1.0).max() > 1e-6:
+        n = m.shape[0]
+        tpf = n // t
+        # Each key frame's weight per query row: the one read of the map.
+        per_frame = m.reshape(n, t, tpf).sum(axis=2)
+        if np.abs(per_frame.sum(axis=1) - 1.0).max() > 1e-6:
             raise InvalidParameterError("input matrices must be row-stochastic")
-        tpf = m.shape[0] // t
-        pooled += m.reshape(t, tpf, t, tpf).mean(axis=(1, 3))
+        pooled += per_frame.reshape(t, tpf, t).mean(axis=1) / tpf
     pooled /= len(maps)
     pooled /= pooled.sum(axis=1, keepdims=True)
     return AttnMap(pooled)

@@ -336,16 +336,19 @@ def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
     For each query frame i, the logits of every key frame that some set
     admits are computed once, as stacked (J, rows, tpf) matmuls over groups
     of frames sized to stay in cache, one chunk of the frame's query rows
-    at a time. Query row r is shifted by c_r = |q_r| * max_j |k_j|, with
-    the max over every key token of the call, which bounds every logit of
-    the row. The shift is folded into the logits matmul (a -c_r column of
-    the scaled Q meets a ones column of K) and the row sum into the value
-    matmul (a ones column of V), so key frame j yields
+    at a time. The keys are first centred on the mean key of the call: an
+    offset shared by every key adds q_r . o to a whole row, which the
+    softmax cancels, but it would inflate the shift below far past the
+    row's true max. Query row r is shifted by c_r = |q_r| * max_j |k_j|,
+    with the max over every (centred) key token of the call, which bounds
+    every logit of the row. The shift is folded into the logits matmul (a
+    -c_r column of the scaled Q meets a ones column of K) and the row sum
+    into the value matmul (a ones column of V), so key frame j yields
     p_j = exp(logit - c_r) @ [V_j | 1] after one `exp` pass. A set's rows
     are sum_j p_j[:, :dv] / sum_j p_j[:, dv] over its own frames, added in
     ascending frame order; a row whose sum is below `_MIN_ROW_SUM` or not
-    finite is recomputed with the set's own row max. Neither the shift nor
-    the fallback depends on the other sets, so a set's output is
+    finite is recomputed with the set's own row max. Neither the centring,
+    the shift nor the fallback depends on the other sets, so a set's output is
     bit-identical to the same set run alone. Query frames are split
     across `_pool_width()` threads (see the module docstring) and the
     output does not depend on the width. `counters[b]`, if not None,
@@ -354,11 +357,16 @@ def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
     t, tpf = _frame_slices(frames)
     d, dv = q.shape[1], v.shape[1]
     q = q * (1.0 / math.sqrt(d))
+    # Centred in place in the augmented array, so no second copy of the
+    # keys stays alive for the whole pass.
+    k3 = np.column_stack((k, np.ones(len(k))))
+    keys = k3[:, :d]
+    keys -= keys.mean(axis=0)
     # A shift that overflows only sends its rows to the fallback.
     with np.errstate(all="ignore"):
-        shift = _row_norms(q) * _row_norms(k).max()
+        shift = _row_norms(q) * _row_norms(keys).max()
     q3 = np.column_stack((q, -shift)).reshape(t, tpf, d + 1)
-    k3 = np.column_stack((k, np.ones(len(k)))).reshape(t, tpf, d + 1)
+    k3 = k3.reshape(t, tpf, d + 1)
     v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
     admitted = [[frame_set(i) for frame_set in frame_sets] for i in range(t)]
@@ -438,13 +446,13 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     d = q.shape[1]
     q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
     k3 = k.reshape(t, tpf, d)
-    token_ids = np.arange(t * tpf).reshape(t, tpf)
-    weights = np.zeros((t * tpf, t * tpf), dtype=np.float64)
+    # Query frame i's rows, as (tpf, T, tpf) blocks per key frame.
+    weights = np.zeros((t, tpf, t, tpf), dtype=np.float64)
     for i in range(t):
         keys = admitted(i)
         logits = q3[i] @ k3[keys].reshape(-1, d).T
-        weights[i * tpf : (i + 1) * tpf, token_ids[keys].reshape(-1)] = _softmax_rows(logits)
-    return weights
+        weights[i][:, keys] = _softmax_rows(logits).reshape(tpf, -1, tpf)
+    return weights.reshape(t * tpf, t * tpf)
 
 
 def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,

@@ -13,6 +13,7 @@ the numeric modules load; the package imports them lazily for this.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -27,7 +28,9 @@ def _apply_thread_cap() -> None:
             os.environ.setdefault(var, str(n))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="specfuse",
         description="Windowed attention, spectral fusion and noise tools for video latents.",

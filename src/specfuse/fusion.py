@@ -4,11 +4,13 @@ The `FusionPlan` alone describes the branches: branch i runs at scale
 plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
 path: every branch comes from one pass of the multi-window attention core
 on shared Q, K, V, and `fused_spectrum` sums the branches' mask-weighted
-spectra in float64 (the masks must form a partition of unity); the
-inverse checks the imaginary residue. The masks, built once where they
-are used, pick the scheme: one hard band per scale (`band_masks`, in
-`multiband_attention`) or the Gaussian low-pass pair [1 - P, P]
-(`spectral_blend_attention`, low band from the global branch). Branch
+spectra in float64 (the masks must form a partition of unity). Branches
+are real, so the sum is kept in the real-input half layout
+(C, T, H, W//2+1), and the inverse (`spectral._irfftn_real`) checks the
+imaginary residue on the self-conjugate W planes. The masks, built once
+where they are used, pick the scheme: one hard band per scale
+(`band_masks`, in `multiband_attention`) or the Gaussian low-pass pair
+[1 - P, P] (`spectral_blend_attention`, low band from the global branch). Branch
 outputs stay float64 up to the returned tokens; float32 `VideoLatent`s
 appear only at the latent API.
 
@@ -35,8 +37,8 @@ from .attention import (
     uniform_keyframes,
 )
 from .errors import InvalidParameterError, InvalidPlanError, ShapeMismatchError
-from .spectral import (DOMAIN_MODES, FrequencyMask, _fftn, _ifftn_real, band_masks,
-                       gaussian_lowpass, ifft3)
+from .spectral import (DOMAIN_MODES, FrequencyMask, _irfftn_real, _rfftn, band_masks,
+                       gaussian_lowpass)
 from .tensor_core import SpectralTensor, VideoLatent
 
 PARTITION_TOLERANCE = 1e-6
@@ -169,10 +171,13 @@ def _check_partition(masks) -> None:
 
 
 def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
-    """Sum of masked branch spectra, in branch order.
+    """Sum of masked branch spectra, in branch order, as a half spectrum.
 
     Branch outputs are VideoLatents or real (C, T, H, W) arrays; each is
-    transformed in float64. At bins where a branch's mask is zero its
+    transformed in float64 by `_rfftn`. The result holds the
+    (C, T, H, W//2+1) half of the fused spectrum (numpy's rfftn layout):
+    bin (t, h, w) of the full spectrum for w <= W//2, the rest being the
+    conjugate mirror. At bins where a branch's mask is zero its
     contribution is exactly zero, so branches cannot leak outside their
     band.
     """
@@ -184,15 +189,27 @@ def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
     if masks[0].shape != shape[1:]:
         raise ShapeMismatchError(f"mask shape {masks[0].shape} does not match latent {shape[1:]}")
     _check_partition(masks)
-    total = np.zeros(shape, dtype=np.complex128)
+    half = shape[3] // 2 + 1
+    total = None
     for branch, mask in zip(branch_outputs, masks):
-        total += _fftn(branch) * mask.weights[None, :, :, :]
+        spectrum = _rfftn(branch)
+        spectrum *= mask.weights[..., :half]
+        if total is None:
+            total = spectrum
+        else:
+            total += spectrum
     return SpectralTensor(total)
+
+
+def _fuse(branch_outputs, masks) -> np.ndarray:
+    """Inverse of `fused_spectrum`, residue-checked, as a float64 (C, T, H, W) array."""
+    fused = fused_spectrum(branch_outputs, masks)
+    return _irfftn_real(fused.data, branch_outputs[0].shape[3], IMAG_RESIDUE_LIMIT)
 
 
 def multiband_fuse(branch_outputs, masks) -> VideoLatent:
     """Inverse transform of the mask-weighted spectrum sum."""
-    return ifft3(fused_spectrum(branch_outputs, masks), max_imag=IMAG_RESIDUE_LIMIT)
+    return VideoLatent(_fuse(branch_outputs, masks))
 
 
 def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
@@ -260,6 +277,4 @@ def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
         masks = band_masks(plan.alphas, (tokens.num_frames, *spatial), plan.domain_mode)
     elif len(masks) != len(plan.alphas):
         raise InvalidPlanError("need one mask per plan branch")
-    fused = fused_spectrum(branch_outputs, masks)
-    return TokenSequence(_token_rows(_ifftn_real(fused.data, IMAG_RESIDUE_LIMIT)),
-                         tokens.frame_index)
+    return TokenSequence(_token_rows(_fuse(branch_outputs, masks)), tokens.frame_index)

@@ -15,13 +15,17 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 
+from . import attention
 from .analysis import aggregate_attention, band_energy, diagonality, relative_snr, uniform_band_edges
 from .attention import (
     AttentionWindow,
     TokenSequence,
+    _attend,
+    _frame_set,
     attention_map,
     frame_attention,
     masked_attention,
@@ -31,6 +35,7 @@ from .attention import (
 from .fusion import (
     FusionPlan,
     _branch_latents,
+    _fuse,
     fused_spectrum,
     latent_from_tokens,
     multiband_attention,
@@ -196,6 +201,33 @@ def check_locality_argmax():
                 assert m[i * tpf].argmax() == center * tpf, f"argmax moved at span {span}"
 
 
+def check_shared_key_offset():
+    # One vector added to every key adds q_r . o to a whole logits row, which
+    # the softmax cancels. `_attend` centres the keys, so even an offset 1e3
+    # times the mean key norm keeps the static shift near each row's true
+    # max: no row falls back to `_exact_rows`.
+    rows = []
+    exact_rows = attention._exact_rows
+
+    def counted(q, k, v):
+        rows.append(len(q))
+        return exact_rows(q, k, v)
+
+    for t, tpf, d, seed, scale in ((8, 4, 8, 60, 1e3), (5, 7, 4, 61, 250.0)):
+        rng = SeededRng(seed)
+        q, k, v = (rng.normals(t * tpf * d).reshape(t * tpf, d) for _ in range(3))
+        direction = rng.normals(d)
+        offset = scale * np.linalg.norm(k, axis=1).mean() * direction / np.linalg.norm(direction)
+        frames = np.repeat(np.arange(t), tpf)
+        masks = [{}, {"window": AttentionWindow.local(3)}, {"keyframes": range(0, t, 2)}]
+        with mock.patch.object(attention, "_exact_rows", side_effect=counted):
+            outs = _attend(q, k + offset, v, frames, [_frame_set(t, **m) for m in masks])
+        for out, mask in zip(outs, masks):
+            err = np.abs(out - attention_map(q, k, frames, **mask) @ v).max()
+            assert err <= 1e-12, f"offset keys moved the output by {err}"
+    assert not rows, f"{sum(rows)} rows fell back to the exact softmax"
+
+
 def check_frame_permutation_equivariance():
     for seed, order in ((28, [2, 0, 1]), (25, [1, 2, 0])):
         toks, q, k, v = _rand_qkv(4, 3, 6, seed)
@@ -249,9 +281,28 @@ def check_short_input_idempotence():
         assert spread <= 1e-4, f"plans altered a short input by up to {spread}"
 
 
+def check_half_spectrum_fusion():
+    # The fusion path keeps only the W // 2 + 1 half of each real branch's
+    # spectrum; at odd and even widths it must match the full complex sum.
+    for w in (1, 2, 3, 4, 7, 8):
+        grid = (6, 3, w)
+        rng = SeededRng(50 + w)
+        branches = [rng.normals(2 * 6 * 3 * w).reshape(2, *grid) for _ in range(3)]
+        for mode in DOMAIN_MODES:
+            lpf = gaussian_lowpass(grid, 0.3, mode)
+            for masks in (band_masks((1, 2, 4), grid, mode), [lpf.complement(), lpf]):
+                total = sum(fft3(b).data * m.weights for b, m in zip(branches, masks))
+                want = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
+                err = np.abs(_fuse(branches[: len(masks)], masks) - want).max()
+                rel = err / np.abs(want).max()
+                assert rel <= 1e-12, f"half-spectrum fusion off by {rel} relative at W={w}"
+
+
 def check_sparse_substitution():
     masks = band_masks((1, 2, 4), (32, 4, 4))
-    outside = ~masks[-1].weights.astype(bool)
+    # fused_spectrum holds the half spectrum over W (4 // 2 + 1 bins); every
+    # dropped bin is the conjugate of a kept one.
+    outside = ~masks[-1].weights[..., : 4 // 2 + 1].astype(bool)
     for seed in (36, 23):
         toks, weights = _fusion_inputs(32, seed)
         dense, sparse = (
@@ -271,7 +322,7 @@ def check_fusion_energy_bound():
     branches = _branch_latents(toks, weights, plan, (4, 4))
     masks = band_masks(plan.alphas, (32, 4, 4))
     fused = fused_spectrum(branches, masks)
-    per_bin_max = np.max([np.abs(fft3(b).data) ** 2 for b in branches], axis=0)
+    per_bin_max = np.max([np.abs(fft3(b).data[..., : 4 // 2 + 1]) ** 2 for b in branches], axis=0)
     excess = (np.abs(fused.data) ** 2 - per_bin_max).max()
     assert excess <= 1e-9, f"fused energy exceeds branch bound by {excess}"
 
@@ -393,10 +444,12 @@ CHECKS = [
     ("wide-window-global", check_wide_window_is_global),
     ("sparse-all-frames", check_sparse_all_frames_exact),
     ("locality-argmax", check_locality_argmax),
+    ("shared-key-offset", check_shared_key_offset),
     ("frame-permutation", check_frame_permutation_equivariance),
     ("blend-reduction", check_blend_reduction),
     ("band-ownership", check_band_ownership),
     ("short-input-idempotence", check_short_input_idempotence),
+    ("half-spectrum-fusion", check_half_spectrum_fusion),
     ("sparse-substitution", check_sparse_substitution),
     ("fusion-energy-bound", check_fusion_energy_bound),
     ("specmix-determinism-limits", check_specmix_determinism_and_limits),

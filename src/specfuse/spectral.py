@@ -1,7 +1,14 @@
 """3D Fourier transforms over (T, H, W) and frequency mask construction.
 
 Transforms are orthonormal (1/sqrt(N) per axis in each direction), so
-energy is preserved bin-for-bin and Parseval holds directly.
+energy is preserved bin-for-bin and Parseval holds directly. `fft3` and
+`ifft3` are the public transforms over full complex spectra. The fusion
+path and band energies, whose inputs are real latents, use the private
+real-input pair `_rfftn` / `_irfftn_real` instead: it keeps the
+(C, T, H, W//2+1) half of the spectrum (numpy's rfftn layout), since the
+other half is its conjugate mirror. The inverse checks the imaginary
+residue on the self-conjugate W planes (bin 0, and bin W/2 when W is
+even), the only part of a half spectrum that can make the output complex.
 
 Frequency convention: bin k of an axis of length N maps to the normalized
 angular frequency w = 2*pi*min(k, N-k)/N, covering [0, pi]. Masks are
@@ -25,33 +32,24 @@ from .tensor_core import SpectralTensor, VideoLatent
 DOMAIN_MODES = ("temporal", "radial")
 
 
-def _fftn(x) -> np.ndarray:
-    """Orthonormal 3D FFT over (T, H, W) of a VideoLatent or a real (C, T, H, W) array."""
-    data = x.data if isinstance(x, VideoLatent) else x
-    return np.fft.fftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3), norm="ortho")
-
-
-def _ifftn_real(spectrum: np.ndarray, max_imag: float | None = None) -> np.ndarray:
-    """Real part of the orthonormal inverse 3D FFT, in float64; see ifft3."""
-    full = np.fft.ifftn(spectrum, axes=(1, 2, 3), norm="ortho")
-    if max_imag is not None:
-        residue = float(np.abs(full.imag).max())
-        limit = max_imag * max(1.0, float(np.abs(full.real).max()))
-        if residue > limit:
-            raise InvalidParameterError(
-                f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
-                "spectrum is not conjugate-symmetric"
-            )
-    return full.real
-
-
 def fft3(x) -> SpectralTensor:
     """Orthonormal 3D FFT over the (T, H, W) axes, per channel.
 
     `x` is a VideoLatent or a real (C, T, H, W) array; either is
     transformed in float64.
     """
-    return SpectralTensor(_fftn(x))
+    data = x.data if isinstance(x, VideoLatent) else x
+    return SpectralTensor(np.fft.fftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3),
+                                      norm="ortho"))
+
+
+def _check_residue(residue: float, out: np.ndarray, max_imag: float) -> None:
+    limit = max_imag * max(1.0, float(np.abs(out).max()))
+    if residue > limit:
+        raise InvalidParameterError(
+            f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
+            "spectrum is not conjugate-symmetric"
+        )
 
 
 def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLatent:
@@ -63,7 +61,46 @@ def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLaten
     from a real latent through symmetric masks keeps the residue at
     rounding level relative to the signal, whatever its amplitude.
     """
-    return VideoLatent(_ifftn_real(spectrum.data, max_imag))
+    full = np.fft.ifftn(spectrum.data, axes=(1, 2, 3), norm="ortho")
+    if max_imag is not None:
+        _check_residue(float(np.abs(full.imag).max()), full.real, max_imag)
+    return VideoLatent(full.real)
+
+
+def _rfftn(x) -> np.ndarray:
+    """Orthonormal real-input 3D FFT over (T, H, W), in float64.
+
+    `x` is a VideoLatent or a real (C, T, H, W) array. Returns the
+    (C, T, H, W//2+1) half of its spectrum: bins W//2+1 .. W-1 of the last
+    axis are the conjugates of bins (W-1)//2 .. 1 at the negated (T, H)
+    frequencies, so the half holds the whole spectrum.
+    """
+    data = x.data if isinstance(x, VideoLatent) else x
+    return np.fft.rfftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3), norm="ortho")
+
+
+def _irfftn_real(half: np.ndarray, width: int, max_imag: float | None = None) -> np.ndarray:
+    """Orthonormal inverse of a `_rfftn` half spectrum, as a float64 (C, T, H, width) array.
+
+    `width` is passed because W = 2m and W = 2m+1 share the half length
+    m+1. The inverse over (T, H) runs first; the inverse over W then
+    treats every bin as the conjugate of its mirror, which drops one
+    thing: the imaginary part of the self-conjugate W planes (bin 0, and
+    bin W/2 when W is even). Every other bin pairs with its mirror into a
+    real signal, so those planes alone make up the imaginary residue the
+    full complex inverse would have: at most (|Im P_0| + |Im P_W/2|) /
+    sqrt(W) per output sample, P being a plane after the (T, H) inverse.
+    With `max_imag` that residue is checked against the same limit as in
+    `ifft3`.
+    """
+    partial = np.fft.ifftn(half, axes=(1, 2), norm="ortho")
+    out = np.fft.irfft(partial, n=width, axis=3, norm="ortho")
+    if max_imag is not None:
+        imag = np.abs(partial[..., 0].imag)
+        if width % 2 == 0:
+            imag += np.abs(partial[..., width // 2].imag)
+        _check_residue(float(imag.max()) / np.sqrt(width), out, max_imag)
+    return out
 
 
 def axis_frequencies(n: int) -> np.ndarray:

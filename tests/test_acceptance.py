@@ -181,7 +181,9 @@ def test_criterion_9_sparse_efficiency():
     masks = band_masks((1, 2, 4), (32, 4, 4))
     dense_spec = fused_spectrum(dense_out, masks)
     sparse_spec = fused_spectrum(sparse_out, masks)
-    outside = ~masks[-1].weights.astype(bool)
+    # fused_spectrum keeps the half spectrum over W: every dropped bin is
+    # the conjugate of a kept one.
+    outside = ~masks[-1].weights[..., : 4 // 2 + 1].astype(bool)
     inside = ~outside
     same_outside = np.array_equal(dense_spec.data[:, outside], sparse_spec.data[:, outside])
     differs_inside = float(np.abs(dense_spec.data[:, inside] - sparse_spec.data[:, inside]).max()) > 0.0

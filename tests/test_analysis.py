@@ -64,6 +64,22 @@ class TestBandEnergy:
         expected = counts / counts.sum() * energies.sum()
         assert np.abs(energies / expected - 1.0).max() < 0.1
 
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 8])
+    @pytest.mark.parametrize("mode", ["temporal", "radial"])
+    def test_matches_the_full_spectrum_oracle(self, w, mode):
+        # band_energy transforms only the half spectrum over W and counts
+        # the mirrored bins twice; the oracle bins every bin of fft3.
+        from specfuse import frequency_grid
+
+        lat = gaussian_latent((3, 10, 5, w), SeededRng(20 + w))
+        edges = uniform_band_edges(6)
+        grid = frequency_grid((10, 5, w), mode)
+        energy = (np.abs(fft3(lat).data) ** 2).sum(axis=0)
+        want = np.bincount(np.searchsorted(edges, grid, side="left").ravel(),
+                           weights=energy.ravel(), minlength=edges.size + 1)
+        got = band_energy(lat, edges, mode)
+        assert np.abs(got - want).max() <= 1e-12 * want.sum()
+
     def test_non_ascending_edges(self):
         lat = gaussian_latent((1, 4, 4, 4), SeededRng(3))
         with pytest.raises(InvalidParameterError):

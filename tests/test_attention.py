@@ -391,6 +391,34 @@ class TestMultiWindowCore:
             admitted = admitted_frames(frame_set, 2)
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
 
+    @given(multi_window_cases(), st.floats(0.0, 1e3))
+    def test_shared_key_offset_needs_no_fallback(self, case, scale):
+        # One vector o added to every key adds q_r . o to a whole row, which
+        # the softmax cancels. Uncentred, the static shift |q_r| max |k_j + o|
+        # grows with |o| and rows underflow into `_exact_rows`.
+        t, tpf, d, spans, keyframes, seed = case
+        rng = SeededRng(seed)
+        q, k, v = (rng.normals(t * tpf * d).reshape(t * tpf, d) for _ in range(3))
+        direction = rng.normals(d)
+        offset = scale * np.linalg.norm(k, axis=1).mean() * direction / np.linalg.norm(direction)
+        frames = np.repeat(np.arange(t), tpf)
+        sets = [_frame_set(t, window=AttentionWindow.for_span(span, t)) for span in spans]
+        if keyframes is not None:
+            sets.append(_frame_set(t, keyframes=keyframes))
+        rows = []
+        exact_rows = attention._exact_rows
+
+        def counted(q_rows, k_blocks, v_blocks):
+            rows.append(len(q_rows))
+            return exact_rows(q_rows, k_blocks, v_blocks)
+
+        with mock.patch.object(attention, "_exact_rows", side_effect=counted):
+            outs = _attend(q, k + offset, v, frames, sets)
+        for out, frame_set in zip(outs, sets):
+            admitted = admitted_frames(frame_set, t)
+            assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
+        assert rows == []
+
     def test_pool_wider_than_the_cores_under_fast_thread_switching(self):
         toks = random_tokens(16, 8, 4, 40)
         q, k, v = project_qkv(toks, random_weights(4, 41))
@@ -426,6 +454,19 @@ def frame_windows(t, spans, keyframes):
     if keyframes is not None:
         masks.append({"keyframes": keyframes})
     return masks
+
+
+class TestAttentionMap:
+    def test_keyframe_columns(self):
+        # Columns of frames outside the key-frame set are exactly 0.
+        t, tpf, keyframes = 6, 3, [1, 4]
+        toks = random_tokens(t, tpf, 4, 52)
+        q, k, _ = project_qkv(toks, random_weights(4, 53))
+        weights = attention_map(q, k, toks.frame_index, keyframes=keyframes)
+        outside = ~np.isin(toks.frame_index, keyframes)
+        assert np.array_equal(weights[:, outside], np.zeros((t * tpf, outside.sum())))
+        assert (weights[:, ~outside] > 0.0).all()
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestFrameAttention:

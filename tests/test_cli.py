@@ -4,7 +4,7 @@ import io
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
@@ -20,7 +20,7 @@ from specfuse import (
     tokens_from_latent,
 )
 from specfuse import attention
-from specfuse.cli import main
+from specfuse.cli import _build_parser, main
 from specfuse.harness import block_weights
 
 SCENE_CFG = """\
@@ -241,6 +241,26 @@ class TestSelftestCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.strip().split("\n")[-1].endswith("0 failed")
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_usage_error_then_fuse_matches_a_lone_fuse(self, tmp_path, scene_file, plan_file):
+        lat = tmp_path / "x.spfu"
+        run_cli("scene", "--config", str(scene_file), "--out", str(lat))
+        fuse = ["fuse", "--input", str(lat), "--plan", str(plan_file), "--weights-seed", "3"]
+        lone = tmp_path / "lone.spfu"
+        proc = subprocess.run([sys.executable, "-m", "specfuse.cli", *fuse, "--out", str(lone)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(["fuse", "--input", str(lat), "--weights-seed", "x"])
+        assert exc.value.code == 2
+        after = tmp_path / "after.spfu"
+        assert run_cli(*fuse, "--out", str(after))[0] == 0
+        assert after.read_bytes() == lone.read_bytes()
 
 
 class TestProcessLevel:

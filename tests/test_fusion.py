@@ -183,6 +183,28 @@ class TestFusionProperties:
         assert np.abs(out.data - z.data).max() <= 1e-6
 
 
+    @given(c=st.integers(1, 3), t=st.integers(1, 12), h=st.integers(1, 5),
+           w=st.sampled_from([1, 2, 3, 4, 7, 8]),
+           alphas=st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True).map(sorted),
+           gaussian=st.booleans(), d0=st.floats(0.05, 1.0),
+           mode=st.sampled_from(["temporal", "radial"]), seed=st.integers(0, 2**32))
+    def test_half_spectrum_matches_the_full_complex_oracle(self, c, t, h, w, alphas, gaussian,
+                                                           d0, mode, seed):
+        # The fusion keeps the W // 2 + 1 half of each real branch's spectrum.
+        if gaussian:
+            lpf = gaussian_lowpass((t, h, w), d0, mode)
+            masks = [lpf.complement(), lpf]
+        else:
+            masks = band_masks(alphas, (t, h, w), mode)
+        rng = SeededRng(seed)
+        branches = [rng.normals(c * t * h * w).reshape(c, t, h, w) for _ in masks]
+        total = sum(fft3(b).data * m.weights for b, m in zip(branches, masks))
+        oracle = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
+        fused = fusion._fuse(branches, masks)
+        assert np.abs(fused - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.array_equal(multiband_fuse(branches, masks).data, fused.astype(np.float32))
+
+
 class TestFusionPlan:
     def test_text_roundtrip(self):
         plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True,

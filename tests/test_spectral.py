@@ -22,6 +22,7 @@ from specfuse import (
     ifft3,
     parseval_energy,
 )
+from specfuse.spectral import _irfftn_real, _rfftn
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -97,6 +98,42 @@ class TestFft3:
         lone[0, 1, 0, 0] += 1e12  # a bin with no conjugate partner
         with pytest.raises(InvalidParameterError):
             ifft3(SpectralTensor(lone), max_imag=1e-9)
+
+
+class TestRealInputTransforms:
+    """`_rfftn` / `_irfftn_real`: the half spectrum the fusion path and
+    band energies use, and its residue check."""
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 8])
+    def test_half_of_the_full_spectrum_and_back(self, w):
+        lat = gaussian_latent((2, 5, 3, w), SeededRng(w))
+        half = _rfftn(lat)
+        assert half.shape == (2, 5, 3, w // 2 + 1)
+        assert np.abs(half - fft3(lat).data[..., : w // 2 + 1]).max() <= 1e-12
+        back = _irfftn_real(half, w, max_imag=1e-9)
+        assert back.dtype == np.float64
+        assert np.abs(back - lat.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("w, plane", [(1, 0), (4, 0), (7, 0), (2, 1), (8, 4)],
+                             ids=["W1-bin0", "W4-bin0", "W7-bin0", "W2-nyquist", "W8-nyquist"])
+    def test_lone_bin_in_a_self_conjugate_plane_rejected(self, w, plane):
+        half = np.zeros((1, 4, 2, w // 2 + 1), dtype=np.complex128)
+        half[0, 1, 0, plane] = 1.0  # no conjugate partner at (T, H) bin (3, 0)
+        with pytest.raises(InvalidParameterError, match="imaginary residue"):
+            _irfftn_real(half, w, max_imag=1e-9)
+        _irfftn_real(half, w)  # unchecked, the residue is dropped
+
+    @pytest.mark.parametrize("plane", [0, 4])
+    def test_residue_check_is_relative_to_the_signal(self, plane):
+        big = 1e12 * gaussian_latent((2, 16, 8, 8), SeededRng(12)).data
+        lat = VideoLatent(big.astype(np.float32))
+        half = _rfftn(lat)
+        back = _irfftn_real(half, 8, max_imag=1e-9)
+        assert np.abs(back - lat.data).max() <= 1e-4 * np.abs(lat.data).max()
+        lone = half.copy()
+        lone[0, 1, 0, plane] += 1e12  # a bin with no conjugate partner
+        with pytest.raises(InvalidParameterError, match="imaginary residue"):
+            _irfftn_real(lone, 8, max_imag=1e-9)
 
 
 class TestGaussianLowpass:
