@@ -182,7 +182,6 @@ class TestFusionProperties:
         out = multiband_fuse([z] * len(alphas), band_masks(alphas, (t, h, w), mode))
         assert np.abs(out.data - z.data).max() <= 1e-6
 
-
     @given(c=st.integers(1, 3), t=st.integers(1, 12), h=st.integers(1, 5),
            w=st.sampled_from([1, 2, 3, 4, 7, 8]),
            alphas=st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True).map(sorted),
