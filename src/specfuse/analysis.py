@@ -4,8 +4,12 @@ Relative SNR here means the ratio of normalized per-band spectral energy
 (band energy over total energy) between an extended sequence and a short
 reference. A band whose ratio reaches the availability threshold still
 carries its share of the spectrum; bands far below it have been
-attenuated or redistributed. Frame-level attention maps quantify how
-concentrated attention stays around the diagonal.
+attenuated or redistributed. Band energies transform one channel at a
+time, in float64, along only the axes their frequency grid varies on (T
+in "temporal" mode, (T, H, W) in "radial" mode), keeping the half
+spectrum of the last of them. Frame-level attention maps quantify how
+concentrated attention stays around the diagonal; `aggregate_attention`
+pools a dense map in one read.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
-from .spectral import _rfftn, frequency_grid
+from .spectral import frequency_grid
 from .tensor_core import VideoLatent
 
 DEFAULT_THRESHOLD = 0.9
@@ -44,17 +48,28 @@ def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndar
     """Spectral energy per band; bands tile [0, pi] between the edges.
 
     A bin exactly on an edge counts toward the lower band, matching the
-    band-mask convention, so the energies always sum to the total. The
-    latent is real, so only the half spectrum over W is transformed: bins
-    1 .. (W-1)//2 stand for their conjugate mirrors too and count twice,
-    and the frequency grid is symmetric, so a mirror falls in the same band.
+    band-mask convention, so the energies always sum to the total. Each
+    channel is transformed in float64 over only the axes along which the
+    frequency grid varies: T alone in "temporal" mode, (T, H, W) in
+    "radial" mode. By Parseval, summing the energy over the other axes
+    leaves each bin's energy unchanged. The latent is real, so the last
+    transformed axis keeps its half spectrum: bins 1 .. (n-1)//2 stand for
+    their conjugate mirrors too and count twice, and the frequency grid is
+    symmetric, so a mirror falls in the same band.
     """
     edges = _check_edges(edges)
-    spec = _rfftn(x)
-    energy = (np.square(spec.real) + np.square(spec.imag)).sum(axis=0)
-    width = x.shape[3]
-    energy[..., 1 : (width + 1) // 2] *= 2.0
-    grid = frequency_grid(x.shape[1:], domain_mode)[..., : width // 2 + 1]
+    grid = frequency_grid(x.shape[1:], domain_mode)
+    # A grid constant everywhere has T = 1; transforming that length-1 axis
+    # keeps the energy and gives the one loop an axis to run on.
+    axes = tuple(a for a in range(3) if (grid != grid.take([0], axis=a)).any()) or (0,)
+    summed = tuple(a for a in range(3) if a not in axes)
+    n = grid.shape[axes[-1]]
+    grid = grid[tuple(slice(None) if a in axes else 0 for a in range(3))][..., : n // 2 + 1]
+    energy = np.zeros(grid.shape, dtype=np.float64)
+    for channel in x.data:
+        spec = np.fft.rfftn(channel.astype(np.float64), axes=axes, norm="ortho")
+        energy += (np.square(spec.real) + np.square(spec.imag)).sum(axis=summed)
+    energy[..., 1 : (n + 1) // 2] *= 2.0
     band_idx = np.searchsorted(edges, grid, side="left")
     return np.bincount(band_idx.ravel(), weights=energy.ravel(), minlength=edges.size + 1)
 
@@ -196,8 +211,9 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
             raise InvalidParameterError(f"matrix shape {m.shape} does not tile {t} frames")
         n = m.shape[0]
         tpf = n // t
-        # Each key frame's weight per query row: the one read of the map.
-        per_frame = m.reshape(n, t, tpf).sum(axis=2)
+        # Each key frame's weight per query row: the one read of the map,
+        # as one BLAS matrix-vector pass.
+        per_frame = (m.reshape(n * t, tpf) @ np.ones(tpf)).reshape(n, t)
         if np.abs(per_frame.sum(axis=1) - 1.0).max() > 1e-6:
             raise InvalidParameterError("input matrices must be row-stochastic")
         pooled += per_frame.reshape(t, tpf, t).mean(axis=1) / tpf

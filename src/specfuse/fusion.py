@@ -3,7 +3,7 @@
 The `FusionPlan` alone describes the branches: branch i runs at scale
 plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
 path: every branch comes from one pass of the multi-window attention core
-on shared Q, K, V, and `fused_spectrum` sums the branches' mask-weighted
+on shared Q, K, V, and `_fused_half` sums the branches' mask-weighted
 spectra in float64 (the masks must form a partition of unity). Branches
 are real, so the sum is kept in the real-input half layout
 (C, T, H, W//2+1), and the inverse (`spectral._irfftn_real`) checks the
@@ -36,7 +36,8 @@ from .attention import (
     project_qkv,
     uniform_keyframes,
 )
-from .errors import InvalidParameterError, InvalidPlanError, ShapeMismatchError
+from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
+                     ShapeMismatchError)
 from .spectral import (DOMAIN_MODES, FrequencyMask, _irfftn_real, _rfftn, band_masks,
                        gaussian_lowpass)
 from .tensor_core import SpectralTensor, VideoLatent
@@ -170,8 +171,8 @@ def _check_partition(masks) -> None:
         raise InvalidPlanError(f"masks do not form a partition of unity (max error {err:.3e})")
 
 
-def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
-    """Sum of masked branch spectra, in branch order, as a half spectrum.
+def _fused_half(branch_outputs, masks) -> np.ndarray:
+    """Sum of masked branch spectra, in branch order, as a float64 half spectrum.
 
     Branch outputs are VideoLatents or real (C, T, H, W) arrays; each is
     transformed in float64 by `_rfftn`. The result holds the
@@ -179,7 +180,7 @@ def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
     bin (t, h, w) of the full spectrum for w <= W//2, the rest being the
     conjugate mirror. At bins where a branch's mask is zero its
     contribution is exactly zero, so branches cannot leak outside their
-    band.
+    band. Raises NonFiniteValueError if the sum is not finite.
     """
     if len(branch_outputs) != len(masks):
         raise InvalidParameterError("need one mask per branch output")
@@ -198,13 +199,20 @@ def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
             total = spectrum
         else:
             total += spectrum
-    return SpectralTensor(total)
+    if not np.isfinite(total).all():
+        raise NonFiniteValueError("spectrum values must be finite")
+    return total
+
+
+def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
+    """`_fused_half` as a read-only `SpectralTensor` (C, T, H, W//2+1)."""
+    return SpectralTensor(_fused_half(branch_outputs, masks))
 
 
 def _fuse(branch_outputs, masks) -> np.ndarray:
-    """Inverse of `fused_spectrum`, residue-checked, as a float64 (C, T, H, W) array."""
-    fused = fused_spectrum(branch_outputs, masks)
-    return _irfftn_real(fused.data, branch_outputs[0].shape[3], IMAG_RESIDUE_LIMIT)
+    """Inverse of `_fused_half`, residue-checked, as a float64 (C, T, H, W) array."""
+    return _irfftn_real(_fused_half(branch_outputs, masks), branch_outputs[0].shape[3],
+                        IMAG_RESIDUE_LIMIT)
 
 
 def multiband_fuse(branch_outputs, masks) -> VideoLatent:

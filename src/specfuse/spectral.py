@@ -3,8 +3,8 @@
 Transforms are orthonormal (1/sqrt(N) per axis in each direction), so
 energy is preserved bin-for-bin and Parseval holds directly. `fft3` and
 `ifft3` are the public transforms over full complex spectra. The fusion
-path and band energies, whose inputs are real latents, use the private
-real-input pair `_rfftn` / `_irfftn_real` instead: it keeps the
+path, whose inputs are real latents, uses the private real-input pair
+`_rfftn` / `_irfftn_real` instead: it keeps the
 (C, T, H, W//2+1) half of the spectrum (numpy's rfftn layout), since the
 other half is its conjugate mirror. The inverse checks the imaginary
 residue on the self-conjugate W planes (bin 0, and bin W/2 when W is

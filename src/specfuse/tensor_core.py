@@ -165,10 +165,10 @@ def write_tensor(path, latent: VideoLatent) -> None:
     """Write a latent to `path` in the .spfu format."""
     c, t, h, w = latent.shape
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, 4, c, t, h, w)
-    payload = latent.data.astype("<f4", copy=False).tobytes(order="C")
+    payload = latent.data.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.data)
 
 
 def read_tensor(path) -> VideoLatent:
@@ -192,14 +192,12 @@ def read_tensor(path) -> VideoLatent:
         raise UnsupportedFormatError(f"unsupported rank {rank}")
     dims = _check_shape4((c, t, h, w))
     expected = 4 * int(np.prod(dims))
-    payload = blob[_HEADER.size:]
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"payload holds {len(payload)} bytes, header declares {expected}"
-        )
-    if len(payload) > expected:
-        raise UnsupportedFormatError(f"{len(payload) - expected} trailing bytes after payload")
-    values = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    size = len(blob) - _HEADER.size
+    if size < expected:
+        raise TruncatedPayloadError(f"payload holds {size} bytes, header declares {expected}")
+    if size > expected:
+        raise UnsupportedFormatError(f"{size - expected} trailing bytes after payload")
+    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(dims)
     if not np.isfinite(values).all():
         raise NonFiniteValueError("payload contains NaN or Inf")
     return VideoLatent(values)

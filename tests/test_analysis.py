@@ -1,5 +1,7 @@
 """Band energies, relative SNR reports, and attention-map diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,21 +66,42 @@ class TestBandEnergy:
         expected = counts / counts.sum() * energies.sum()
         assert np.abs(energies / expected - 1.0).max() < 0.1
 
-    @pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 8])
+    # Every frame count crosses every width; the 10-frame cases keep their
+    # original ids.
+    ORACLE_SHAPES = [(t, w) for t in (10, 1, 2, 3, 4, 7, 8) for w in (1, 2, 3, 4, 7, 8)]
+
+    @pytest.mark.parametrize("t, w", ORACLE_SHAPES,
+                             ids=[f"{w}" if t == 10 else f"t{t}-{w}" for t, w in ORACLE_SHAPES])
     @pytest.mark.parametrize("mode", ["temporal", "radial"])
-    def test_matches_the_full_spectrum_oracle(self, w, mode):
-        # band_energy transforms only the half spectrum over W and counts
-        # the mirrored bins twice; the oracle bins every bin of fft3.
+    def test_matches_the_full_spectrum_oracle(self, t, w, mode):
+        # band_energy transforms only the axes its grid varies on, keeping
+        # the half spectrum of the last (T in temporal mode, W in radial
+        # mode) and counting its mirrored bins twice; the oracle bins every
+        # bin of fft3.
         from specfuse import frequency_grid
 
-        lat = gaussian_latent((3, 10, 5, w), SeededRng(20 + w))
+        lat = gaussian_latent((3, t, 5, w), SeededRng(20 + w))
         edges = uniform_band_edges(6)
-        grid = frequency_grid((10, 5, w), mode)
+        grid = frequency_grid((t, 5, w), mode)
         energy = (np.abs(fft3(lat).data) ** 2).sum(axis=0)
         want = np.bincount(np.searchsorted(edges, grid, side="left").ravel(),
                            weights=energy.ravel(), minlength=edges.size + 1)
         got = band_energy(lat, edges, mode)
         assert np.abs(got - want).max() <= 1e-12 * want.sum()
+
+    @pytest.mark.parametrize("mode", ["temporal", "radial"])
+    def test_peak_memory_below_the_latent(self, mode):
+        # One channel at a time: the traced peak stays below the float32
+        # latent itself (a whole-latent float64 transform is 6.5x it).
+        lat = gaussian_latent((16, 256, 16, 16), SeededRng(40))
+        edges = uniform_band_edges(32)
+        tracemalloc.start()
+        try:
+            band_energy(lat, edges, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lat.data.nbytes
 
     def test_non_ascending_edges(self):
         lat = gaussian_latent((1, 4, 4, 4), SeededRng(3))
@@ -164,6 +187,26 @@ class TestAggregateAttention:
             for j in range(t):
                 if abs(i - j) >= radius:
                     assert agg.matrix[i, j] == 0.0
+
+    @pytest.mark.parametrize("t, tpf", [(1, 5), (4, 3), (7, 2), (9, 4)])
+    def test_matches_the_pooling_oracle(self, t, tpf):
+        # Random row-stochastic maps whose zeroed frame blocks all fall on
+        # the same frame pairs.
+        rng = np.random.default_rng(100 * t + tpf)
+        n = t * tpf
+        keep = rng.random((t, t)) < 0.5
+        np.fill_diagonal(keep, True)
+        maps = []
+        for _ in range(3):
+            m = rng.random((n, n)) * np.kron(keep, np.ones((tpf, tpf)))
+            maps.append(m / m.sum(axis=1, keepdims=True))
+        want = np.zeros((t, t))
+        for m in maps:
+            want += m.reshape(n, t, tpf).sum(axis=2).reshape(t, tpf, t).mean(axis=1) / tpf
+        want /= want.sum(axis=1, keepdims=True)
+        got = aggregate_attention(maps, t).matrix
+        assert np.abs(got - want).max() <= 1e-14
+        assert (got[~keep] == 0.0).all()
 
     def test_map_copies_the_callers_array(self):
         m = np.eye(4)

@@ -101,8 +101,8 @@ class TestFft3:
 
 
 class TestRealInputTransforms:
-    """`_rfftn` / `_irfftn_real`: the half spectrum the fusion path and
-    band energies use, and its residue check."""
+    """`_rfftn` / `_irfftn_real`: the half spectrum the fusion path uses,
+    and its residue check."""
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 8])
     def test_half_of_the_full_spectrum_and_back(self, w):
