@@ -5,11 +5,12 @@ Relative SNR here means the ratio of normalized per-band spectral energy
 reference. A band whose ratio reaches the availability threshold still
 carries its share of the spectrum; bands far below it have been
 attenuated or redistributed. Band energies transform one channel at a
-time, in float64, along only the axes their frequency grid varies on (T
-in "temporal" mode, (T, H, W) in "radial" mode), keeping the half
-spectrum of the last of them. Frame-level attention maps quantify how
-concentrated attention stays around the diagonal; `aggregate_attention`
-pools a dense map in one read.
+time, in float64, in the half layout `spectral._half_layout` gives their
+frequency grid: only along the axes it varies on (T in "temporal" mode,
+(T, H, W) in "radial" mode), keeping the half spectrum of the last of
+them. Frame-level attention maps quantify how concentrated attention
+stays around the diagonal; `aggregate_attention` pools a dense map in one
+read.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
-from .spectral import frequency_grid
+from .spectral import _half_layout, _rfftn, frequency_grid
 from .tensor_core import VideoLatent
 
 DEFAULT_THRESHOLD = 0.9
@@ -49,27 +50,26 @@ def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndar
 
     A bin exactly on an edge counts toward the lower band, matching the
     band-mask convention, so the energies always sum to the total. Each
-    channel is transformed in float64 over only the axes along which the
-    frequency grid varies: T alone in "temporal" mode, (T, H, W) in
-    "radial" mode. By Parseval, summing the energy over the other axes
-    leaves each bin's energy unchanged. The latent is real, so the last
-    transformed axis keeps its half spectrum: bins 1 .. (n-1)//2 stand for
-    their conjugate mirrors too and count twice, and the frequency grid is
-    symmetric, so a mirror falls in the same band.
+    channel is transformed by `_rfftn` in the grid's half layout
+    (`spectral._half_layout`): only along the axes the frequency grid
+    varies on, T alone in "temporal" mode, (T, H, W) in "radial" mode. By
+    Parseval, summing the energy over the other axes leaves each bin's
+    energy unchanged. The latent is real, so the last transformed axis
+    keeps its half spectrum: bins 1 .. (n-1)//2 stand for their conjugate
+    mirrors too and count twice, and the frequency grid is symmetric, so
+    a mirror falls in the same band.
     """
     edges = _check_edges(edges)
     grid = frequency_grid(x.shape[1:], domain_mode)
-    # A grid constant everywhere has T = 1; transforming that length-1 axis
-    # keeps the energy and gives the one loop an axis to run on.
-    axes = tuple(a for a in range(3) if (grid != grid.take([0], axis=a)).any()) or (0,)
+    axes, index = _half_layout(grid)
     summed = tuple(a for a in range(3) if a not in axes)
     n = grid.shape[axes[-1]]
-    grid = grid[tuple(slice(None) if a in axes else 0 for a in range(3))][..., : n // 2 + 1]
+    grid = grid[index]
     energy = np.zeros(grid.shape, dtype=np.float64)
     for channel in x.data:
-        spec = np.fft.rfftn(channel.astype(np.float64), axes=axes, norm="ortho")
-        energy += (np.square(spec.real) + np.square(spec.imag)).sum(axis=summed)
-    energy[..., 1 : (n + 1) // 2] *= 2.0
+        spec = _rfftn(channel, axes)
+        energy += (np.square(spec.real) + np.square(spec.imag)).sum(axis=summed, keepdims=True)
+    np.moveaxis(energy, axes[-1], -1)[..., 1 : (n + 1) // 2] *= 2.0
     band_idx = np.searchsorted(edges, grid, side="left")
     return np.bincount(band_idx.ravel(), weights=energy.ravel(), minlength=edges.size + 1)
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import AttnMap
-from .config import thread_cap
+from .config import check_integer, thread_cap
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
 # Each thread computes logits in stacks of key-frame blocks of at most
@@ -140,7 +140,7 @@ class AttentionWindow:
     kind: str = "local"
 
     def __post_init__(self):
-        if self.span_frames < 1:
+        if check_integer(self.span_frames, "span_frames") < 1:
             raise InvalidParameterError(f"span_frames must be >= 1, got {self.span_frames}")
         if self.kind not in ("local", "global"):
             raise InvalidParameterError(f"unknown window kind {self.kind!r}")

@@ -10,6 +10,7 @@ thread pools start.
 
 from __future__ import annotations
 
+import numbers
 import os
 
 from .errors import InvalidParameterError
@@ -51,6 +52,13 @@ def parse_number(value: str, key: str, kind: type = int):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise InvalidParameterError(f"{key} must be {noun}, got {value!r}") from None
+
+
+def check_integer(value, name: str, error: type = InvalidParameterError):
+    """`value` if it is an int or a numpy integer, else `error` naming `name`."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def thread_cap() -> int:

@@ -5,10 +5,12 @@ plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
 path: every branch comes from one pass of the multi-window attention core
 on shared Q, K, V, and `_fused_half` sums the branches' mask-weighted
 spectra in float64 (the masks must form a partition of unity). Branches
-are real, so the sum is kept in the real-input half layout
-(C, T, H, W//2+1), and the inverse (`spectral._irfftn_real`) checks the
-imaginary residue on the self-conjugate W planes. The masks, built once
-where they are used, pick the scheme: one hard band per scale
+are real, so the sum is kept in the masks' real-input half layout
+(`spectral._half_layout`): transformed only along the axes the masks vary
+on, T alone for temporal masks and (T, H, W) for radial ones, with the
+last of them halved. The inverse (`spectral._irfftn_real`) checks the
+imaginary residue on that axis's self-conjugate planes. The masks, built
+once where they are used, pick the scheme: one hard band per scale
 (`band_masks`, in `multiband_attention`) or the Gaussian low-pass pair
 [1 - P, P] (`spectral_blend_attention`, low band from the global branch). Branch
 outputs stay float64 up to the returned tokens; float32 `VideoLatent`s
@@ -38,8 +40,8 @@ from .attention import (
 )
 from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
                      ShapeMismatchError)
-from .spectral import (DOMAIN_MODES, FrequencyMask, _irfftn_real, _rfftn, band_masks,
-                       gaussian_lowpass)
+from .spectral import (DOMAIN_MODES, FrequencyMask, _half_layout, _irfftn_real, _rfftn,
+                       band_masks, gaussian_lowpass)
 from .tensor_core import SpectralTensor, VideoLatent
 
 PARTITION_TOLERANCE = 1e-6
@@ -98,9 +100,10 @@ class FusionPlan:
     d0: float = 0.25
 
     def __post_init__(self):
-        if self.t_alpha < 1:
+        if config.check_integer(self.t_alpha, "t_alpha") < 1:
             raise InvalidParameterError(f"t_alpha must be >= 1, got {self.t_alpha}")
-        alphas = tuple(int(a) for a in self.alphas)
+        alphas = tuple(int(config.check_integer(a, "alphas", InvalidPlanError))
+                       for a in self.alphas)
         if not alphas or alphas[0] < 1:
             raise InvalidPlanError(f"alphas must be >= 1, got {alphas}")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
@@ -171,16 +174,17 @@ def _check_partition(masks) -> None:
         raise InvalidPlanError(f"masks do not form a partition of unity (max error {err:.3e})")
 
 
-def _fused_half(branch_outputs, masks) -> np.ndarray:
+def _fused_half(branch_outputs, masks) -> tuple[np.ndarray, tuple[int, ...]]:
     """Sum of masked branch spectra, in branch order, as a float64 half spectrum.
 
     Branch outputs are VideoLatents or real (C, T, H, W) arrays; each is
-    transformed in float64 by `_rfftn`. The result holds the
-    (C, T, H, W//2+1) half of the fused spectrum (numpy's rfftn layout):
-    bin (t, h, w) of the full spectrum for w <= W//2, the rest being the
-    conjugate mirror. At bins where a branch's mask is zero its
-    contribution is exactly zero, so branches cannot leak outside their
-    band. Raises NonFiniteValueError if the sum is not finite.
+    transformed in float64 by `_rfftn` over the axes any mask varies on.
+    Returns the sum in the masks' half layout (`spectral._half_layout`)
+    and those axes. The masks are constant along the other axes, so
+    leaving those untransformed changes nothing the inverse returns. At
+    bins where a branch's mask is zero its contribution is exactly zero,
+    so branches cannot leak outside their band. Raises NonFiniteValueError
+    if the sum is not finite.
     """
     if len(branch_outputs) != len(masks):
         raise InvalidParameterError("need one mask per branch output")
@@ -190,29 +194,29 @@ def _fused_half(branch_outputs, masks) -> np.ndarray:
     if masks[0].shape != shape[1:]:
         raise ShapeMismatchError(f"mask shape {masks[0].shape} does not match latent {shape[1:]}")
     _check_partition(masks)
-    half = shape[3] // 2 + 1
+    axes, index = _half_layout(*(mask.weights for mask in masks))
     total = None
     for branch, mask in zip(branch_outputs, masks):
-        spectrum = _rfftn(branch)
-        spectrum *= mask.weights[..., :half]
+        spectrum = _rfftn(branch, axes)
+        spectrum *= mask.weights[index]
         if total is None:
             total = spectrum
         else:
             total += spectrum
     if not np.isfinite(total).all():
         raise NonFiniteValueError("spectrum values must be finite")
-    return total
+    return total, axes
 
 
 def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
-    """`_fused_half` as a read-only `SpectralTensor` (C, T, H, W//2+1)."""
-    return SpectralTensor(_fused_half(branch_outputs, masks))
+    """`_fused_half`'s sum as a read-only `SpectralTensor`, in the masks' half layout."""
+    return SpectralTensor(_fused_half(branch_outputs, masks)[0])
 
 
 def _fuse(branch_outputs, masks) -> np.ndarray:
     """Inverse of `_fused_half`, residue-checked, as a float64 (C, T, H, W) array."""
-    return _irfftn_real(_fused_half(branch_outputs, masks), branch_outputs[0].shape[3],
-                        IMAG_RESIDUE_LIMIT)
+    half, axes = _fused_half(branch_outputs, masks)
+    return _irfftn_real(half, axes, masks[0].shape[axes[-1]], IMAG_RESIDUE_LIMIT)
 
 
 def multiband_fuse(branch_outputs, masks) -> VideoLatent:

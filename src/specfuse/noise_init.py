@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_integer
 from .errors import InvalidParameterError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
@@ -49,9 +50,7 @@ class SpecMixParams:
 
     def __post_init__(self):
         for name in ("frames", "t_alpha"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+            check_integer(getattr(self, name), name)
         if self.t_alpha < 1:
             raise InvalidParameterError(f"t_alpha must be >= 1, got {self.t_alpha}")
         if self.frames < self.t_alpha:

@@ -45,7 +45,11 @@ from .harness import SyntheticScene, Tone, block_weights, make_scene, run_stack,
 from .noise_init import SpecMixParams, base_noise, center_distance, specmix
 from .spectral import (
     DOMAIN_MODES,
+    FrequencyMask,
+    _half_layout,
+    _rfftn,
     apply_mask,
+    axis_frequencies,
     band_masks,
     fft3,
     frequency_grid,
@@ -282,27 +286,37 @@ def check_short_input_idempotence():
 
 
 def check_half_spectrum_fusion():
-    # The fusion path keeps only the W // 2 + 1 half of each real branch's
-    # spectrum; at odd and even widths it must match the full complex sum.
-    for w in (1, 2, 3, 4, 7, 8):
-        grid = (6, 3, w)
-        rng = SeededRng(50 + w)
-        branches = [rng.normals(2 * 6 * 3 * w).reshape(2, *grid) for _ in range(3)]
-        for mode in DOMAIN_MODES:
-            lpf = gaussian_lowpass(grid, 0.3, mode)
-            for masks in (band_masks((1, 2, 4), grid, mode), [lpf.complement(), lpf]):
+    # The fusion path keeps only the half of each real branch's spectrum
+    # over the axes its masks vary on; at odd and even frame counts and
+    # widths it must match the full complex sum.
+    for t in (6, 5):
+        for w in (1, 2, 3, 4, 7, 8):
+            grid = (t, 3, w)
+            rng = SeededRng(50 + w)
+            branches = [rng.normals(2 * t * 3 * w).reshape(2, *grid) for _ in range(3)]
+            # m1 varies along T only and m2 along T and H: the fusion must
+            # transform the axes of every mask, not only the first's.
+            m1 = gaussian_lowpass(grid, 0.3, "temporal").weights
+            m2 = (1.0 - m1) * np.exp(-axis_frequencies(3) ** 2)[:, None]
+            partitions = [[FrequencyMask(m) for m in (m1, m2, 1.0 - m1 - m2)]]
+            for mode in DOMAIN_MODES:
+                lpf = gaussian_lowpass(grid, 0.3, mode)
+                partitions += [band_masks((1, 2, 4), grid, mode), [lpf.complement(), lpf]]
+            for masks in partitions:
                 total = sum(fft3(b).data * m.weights for b, m in zip(branches, masks))
                 want = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
                 err = np.abs(_fuse(branches[: len(masks)], masks) - want).max()
                 rel = err / np.abs(want).max()
-                assert rel <= 1e-12, f"half-spectrum fusion off by {rel} relative at W={w}"
+                assert rel <= 1e-12, \
+                    f"half-spectrum fusion off by {rel} relative at T={t}, W={w}"
 
 
 def check_sparse_substitution():
     masks = band_masks((1, 2, 4), (32, 4, 4))
-    # fused_spectrum holds the half spectrum over W (4 // 2 + 1 bins); every
-    # dropped bin is the conjugate of a kept one.
-    outside = ~masks[-1].weights[..., : 4 // 2 + 1].astype(bool)
+    # fused_spectrum holds the masks' half layout; every dropped bin is the
+    # conjugate of a kept one. Multiplying by the 0/1 band is exact.
+    _, index = _half_layout(*(m.weights for m in masks))
+    inside = masks[-1].weights[index]
     for seed in (36, 23):
         toks, weights = _fusion_inputs(32, seed)
         dense, sparse = (
@@ -310,9 +324,9 @@ def check_sparse_substitution():
             for plan in (FusionPlan(t_alpha=8, alphas=(1, 2, 4)),
                          FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True))
         )
-        assert np.array_equal(dense.data[:, outside], sparse.data[:, outside]), \
+        assert np.array_equal(dense.data * (1.0 - inside), sparse.data * (1.0 - inside)), \
             "sparse global branch leaked outside the coarsest band"
-        assert np.abs(dense.data[:, ~outside] - sparse.data[:, ~outside]).max() > 0.0, \
+        assert np.abs((dense.data - sparse.data) * inside).max() > 0.0, \
             "sparse global branch left the coarsest band unchanged"
 
 
@@ -322,7 +336,8 @@ def check_fusion_energy_bound():
     branches = _branch_latents(toks, weights, plan, (4, 4))
     masks = band_masks(plan.alphas, (32, 4, 4))
     fused = fused_spectrum(branches, masks)
-    per_bin_max = np.max([np.abs(fft3(b).data[..., : 4 // 2 + 1]) ** 2 for b in branches], axis=0)
+    axes, _ = _half_layout(*(m.weights for m in masks))
+    per_bin_max = np.max([np.abs(_rfftn(b, axes)) ** 2 for b in branches], axis=0)
     excess = (np.abs(fused.data) ** 2 - per_bin_max).max()
     assert excess <= 1e-9, f"fused energy exceeds branch bound by {excess}"
 

@@ -3,12 +3,12 @@
 Transforms are orthonormal (1/sqrt(N) per axis in each direction), so
 energy is preserved bin-for-bin and Parseval holds directly. `fft3` and
 `ifft3` are the public transforms over full complex spectra. The fusion
-path, whose inputs are real latents, uses the private real-input pair
-`_rfftn` / `_irfftn_real` instead: it keeps the
-(C, T, H, W//2+1) half of the spectrum (numpy's rfftn layout), since the
-other half is its conjugate mirror. The inverse checks the imaginary
-residue on the self-conjugate W planes (bin 0, and bin W/2 when W is
-even), the only part of a half spectrum that can make the output complex.
+path and band energy, whose inputs are real latents, use the private
+real-input pair `_rfftn` / `_irfftn_real` instead, in the one layout
+`_half_layout` defines: only the axes the masks vary on are transformed
+(T alone in temporal mode), since a mask commutes with the transform
+along an axis it is constant on, and the last of them keeps its half
+(numpy's rfftn layout), the rest being its conjugate mirror.
 
 Frequency convention: bin k of an axis of length N maps to the normalized
 angular frequency w = 2*pi*min(k, N-k)/N, covering [0, pi]. Masks are
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_integer
 from .errors import InvalidParameterError, InvalidShapeError, ShapeMismatchError
 from .tensor_core import SpectralTensor, VideoLatent
 
@@ -67,39 +68,61 @@ def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLaten
     return VideoLatent(full.real)
 
 
-def _rfftn(x) -> np.ndarray:
-    """Orthonormal real-input 3D FFT over (T, H, W), in float64.
+def _half_layout(*grids: np.ndarray) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """The real-input spectrum layout of one or more (T, H, W) weight grids.
 
-    `x` is a VideoLatent or a real (C, T, H, W) array. Returns the
-    (C, T, H, W//2+1) half of its spectrum: bins W//2+1 .. W-1 of the last
-    axis are the conjugates of bins (W-1)//2 .. 1 at the negated (T, H)
-    frequencies, so the half holds the whole spectrum.
+    Returns `(axes, index)`. `axes` are the grid axes, from T = 0, along
+    which any grid varies; constant grids give `(0,)`, an axis to run on.
+    `index` maps a grid onto the half spectrum `_rfftn(x, axes)`: every
+    bin of the transformed axes but n//2+1 of the last (length n), and bin
+    0, kept as length 1 so it broadcasts, of the others.
+    """
+    axes = tuple(a for a in range(3)
+                 if any((g != g.take([0], axis=a)).any() for g in grids)) or (0,)
+    index = [slice(None) if a in axes else slice(1) for a in range(3)]
+    index[axes[-1]] = slice(grids[0].shape[axes[-1]] // 2 + 1)
+    return axes, tuple(index)
+
+
+def _rfftn(x, axes: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal real-input FFT over `_half_layout`'s axes, in float64.
+
+    `x` is a VideoLatent or a real array whose last three axes are
+    (T, H, W). Returns the half of its spectrum that keeps bins 0 .. n//2
+    of the last transformed axis (length n): the others are the
+    conjugates of bins (n-1)//2 .. 1 at the negated frequencies of the
+    other transformed axes, so the half holds the whole spectrum.
     """
     data = x.data if isinstance(x, VideoLatent) else x
-    return np.fft.rfftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3), norm="ortho")
+    return np.fft.rfftn(np.asarray(data, dtype=np.float64), axes=[a - 3 for a in axes],
+                        norm="ortho")
 
 
-def _irfftn_real(half: np.ndarray, width: int, max_imag: float | None = None) -> np.ndarray:
-    """Orthonormal inverse of a `_rfftn` half spectrum, as a float64 (C, T, H, width) array.
+def _irfftn_real(half: np.ndarray, axes: tuple[int, ...], n: int,
+                 max_imag: float | None = None) -> np.ndarray:
+    """Orthonormal inverse of a `_rfftn(x, axes)` half spectrum, as a float64 array.
 
-    `width` is passed because W = 2m and W = 2m+1 share the half length
-    m+1. The inverse over (T, H) runs first; the inverse over W then
-    treats every bin as the conjugate of its mirror, which drops one
-    thing: the imaginary part of the self-conjugate W planes (bin 0, and
-    bin W/2 when W is even). Every other bin pairs with its mirror into a
-    real signal, so those planes alone make up the imaginary residue the
-    full complex inverse would have: at most (|Im P_0| + |Im P_W/2|) /
-    sqrt(W) per output sample, P being a plane after the (T, H) inverse.
-    With `max_imag` that residue is checked against the same limit as in
+    `n` is the length of the last transformed axis, passed because n = 2m
+    and n = 2m+1 share the half length m+1. The inverse over the other
+    transformed axes runs first; the inverse over the last then treats
+    every bin as the conjugate of its mirror, which drops one thing: the
+    imaginary part of its self-conjugate planes (bin 0, and bin n/2 when n
+    is even). Every other bin pairs with its mirror into a real signal, so
+    those planes alone make up the imaginary residue the full complex
+    inverse would have: at most (|Im P_0| + |Im P_n/2|) / sqrt(n) per
+    output sample, P being a plane after the first inverse. With
+    `max_imag` that residue is checked against the same limit as in
     `ifft3`.
     """
-    partial = np.fft.ifftn(half, axes=(1, 2), norm="ortho")
-    out = np.fft.irfft(partial, n=width, axis=3, norm="ortho")
+    last = axes[-1] - 3
+    # Over no axes (one transformed axis), ifftn returns `half` itself.
+    partial = np.fft.ifftn(half, axes=[a - 3 for a in axes[:-1]], norm="ortho")
+    out = np.fft.irfft(partial, n=n, axis=last, norm="ortho")
     if max_imag is not None:
-        imag = np.abs(partial[..., 0].imag)
-        if width % 2 == 0:
-            imag += np.abs(partial[..., width // 2].imag)
-        _check_residue(float(imag.max()) / np.sqrt(width), out, max_imag)
+        imag = np.abs(partial.take(0, axis=last).imag)
+        if n % 2 == 0:
+            imag += np.abs(partial.take(n // 2, axis=last).imag)
+        _check_residue(float(imag.max()) / np.sqrt(n), out, max_imag)
     return out
 
 
@@ -186,7 +209,7 @@ def gaussian_lowpass(
 
 
 def _check_alphas(alphas) -> tuple[int, ...]:
-    alphas = tuple(int(a) for a in alphas)
+    alphas = tuple(int(check_integer(a, "alphas")) for a in alphas)
     if not alphas:
         raise InvalidParameterError("alphas must be non-empty")
     if alphas[0] < 1:

@@ -197,7 +197,5 @@ def read_tensor(path) -> VideoLatent:
         raise TruncatedPayloadError(f"payload holds {size} bytes, header declares {expected}")
     if size > expected:
         raise UnsupportedFormatError(f"{size - expected} trailing bytes after payload")
-    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(dims)
-    if not np.isfinite(values).all():
-        raise NonFiniteValueError("payload contains NaN or Inf")
-    return VideoLatent(values)
+    # VideoLatent rejects a payload holding NaN or Inf (NonFiniteValueError).
+    return VideoLatent(np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(dims))

@@ -137,6 +137,11 @@ class TestMaskedAttention:
         with pytest.raises(InvalidParameterError):
             AttentionWindow(4, "sparse")
 
+    @pytest.mark.parametrize("span", [2.5, 2.0])
+    def test_non_integer_span_rejected(self, span):
+        with pytest.raises(InvalidParameterError, match="span_frames must be an integer"):
+            AttentionWindow.local(span)
+
     def test_span_one_relaxes_to_self(self):
         toks = random_tokens(4, 2, 4, 9)
         q, k, v = project_qkv(toks, random_weights(4, 10))

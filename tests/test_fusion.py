@@ -189,7 +189,8 @@ class TestFusionProperties:
            mode=st.sampled_from(["temporal", "radial"]), seed=st.integers(0, 2**32))
     def test_half_spectrum_matches_the_full_complex_oracle(self, c, t, h, w, alphas, gaussian,
                                                            d0, mode, seed):
-        # The fusion keeps the W // 2 + 1 half of each real branch's spectrum.
+        # The fusion keeps the half of each real branch's spectrum, in its
+        # masks' layout.
         if gaussian:
             lpf = gaussian_lowpass((t, h, w), d0, mode)
             masks = [lpf.complement(), lpf]
@@ -217,6 +218,17 @@ class TestFusionPlan:
     def test_descending_alphas_rejected(self):
         with pytest.raises(InvalidPlanError):
             FusionPlan(t_alpha=8, alphas=(2, 1))
+
+    @pytest.mark.parametrize("t_alpha", [8.0, 8.5])
+    def test_non_integer_t_alpha_rejected(self, t_alpha):
+        with pytest.raises(InvalidParameterError, match="t_alpha must be an integer"):
+            FusionPlan(t_alpha=t_alpha, alphas=(1, 2))
+
+    def test_non_integer_alpha_rejected(self):
+        with pytest.raises(InvalidPlanError, match="alphas must be an integer"):
+            FusionPlan(t_alpha=8, alphas=(1.5, 2))
+        plan = FusionPlan(t_alpha=np.int64(8), alphas=(np.int64(1), np.int32(2)))
+        assert plan.alphas == (1, 2) and all(type(a) is int for a in plan.alphas)
 
     def test_coverage_validation(self):
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))

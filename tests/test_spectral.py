@@ -22,7 +22,7 @@ from specfuse import (
     ifft3,
     parseval_energy,
 )
-from specfuse.spectral import _irfftn_real, _rfftn
+from specfuse.spectral import _half_layout, _irfftn_real, _rfftn, frequency_grid
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -100,40 +100,79 @@ class TestFft3:
             ifft3(SpectralTensor(lone), max_imag=1e-9)
 
 
-class TestRealInputTransforms:
-    """`_rfftn` / `_irfftn_real`: the half spectrum the fusion path uses,
-    and its residue check."""
+RADIAL, TEMPORAL = (0, 1, 2), (0,)
 
-    @pytest.mark.parametrize("w", [1, 2, 3, 4, 7, 8])
-    def test_half_of_the_full_spectrum_and_back(self, w):
-        lat = gaussian_latent((2, 5, 3, w), SeededRng(w))
-        half = _rfftn(lat)
-        assert half.shape == (2, 5, 3, w // 2 + 1)
-        assert np.abs(half - fft3(lat).data[..., : w // 2 + 1]).max() <= 1e-12
-        back = _irfftn_real(half, w, max_imag=1e-9)
+
+def _with_halved_axis(base, axes, value):
+    """`base` (C, T, H, W) with the axis `_rfftn(., axes)` halves set to `value`."""
+    out = list(base)
+    out[axes[-1] + 1] = value
+    return tuple(out)
+
+
+class TestRealInputTransforms:
+    """`_half_layout`, `_rfftn` and `_irfftn_real`: the half spectrum the
+    fusion path and band energy use, and its residue check, in the radial
+    layout (all three axes, W halved; the original ids) and the temporal
+    one (T alone, halved)."""
+
+    @pytest.mark.parametrize("axes, n", [(RADIAL, n) for n in (1, 2, 3, 4, 7, 8)]
+                             + [(TEMPORAL, n) for n in (1, 2, 3, 4, 7, 8)],
+                             ids=["1", "2", "3", "4", "7", "8",
+                                  "T1", "T2", "T3", "T4", "T7", "T8"])
+    def test_half_of_the_full_spectrum_and_back(self, axes, n):
+        lat = gaussian_latent(_with_halved_axis((2, 5, 3, 4), axes, n), SeededRng(n))
+        half = _rfftn(lat, axes)
+        assert half.shape == _with_halved_axis((2, 5, 3, 4), axes, n // 2 + 1)
+        full = np.fft.fftn(lat.data.astype(np.float64), axes=[a + 1 for a in axes],
+                           norm="ortho")
+        assert np.abs(half - full.take(range(n // 2 + 1), axis=axes[-1] + 1)).max() <= 1e-12
+        back = _irfftn_real(half, axes, n, max_imag=1e-9)
         assert back.dtype == np.float64
         assert np.abs(back - lat.data).max() <= 1e-12
 
-    @pytest.mark.parametrize("w, plane", [(1, 0), (4, 0), (7, 0), (2, 1), (8, 4)],
-                             ids=["W1-bin0", "W4-bin0", "W7-bin0", "W2-nyquist", "W8-nyquist"])
-    def test_lone_bin_in_a_self_conjugate_plane_rejected(self, w, plane):
-        half = np.zeros((1, 4, 2, w // 2 + 1), dtype=np.complex128)
-        half[0, 1, 0, plane] = 1.0  # no conjugate partner at (T, H) bin (3, 0)
+    # A radial lone bin at (T, H) bin (1, 0) has no conjugate partner at
+    # (3, 0); a temporal one is imaginary where a real signal keeps T bin 0
+    # (and T/2) real.
+    @pytest.mark.parametrize("axes, n, plane, value", [
+        (RADIAL, 1, 0, 1.0), (RADIAL, 4, 0, 1.0), (RADIAL, 7, 0, 1.0), (RADIAL, 2, 1, 1.0),
+        (RADIAL, 8, 4, 1.0), (TEMPORAL, 1, 0, 1j), (TEMPORAL, 4, 0, 1j), (TEMPORAL, 7, 0, 1j),
+        (TEMPORAL, 2, 1, 1j), (TEMPORAL, 8, 4, 1j),
+    ], ids=["W1-bin0", "W4-bin0", "W7-bin0", "W2-nyquist", "W8-nyquist",
+            "T1-bin0", "T4-bin0", "T7-bin0", "T2-nyquist", "T8-nyquist"])
+    def test_lone_bin_in_a_self_conjugate_plane_rejected(self, axes, n, plane, value):
+        half = np.zeros(_with_halved_axis((1, 4, 2, 3), axes, n // 2 + 1), dtype=np.complex128)
+        half[_with_halved_axis((0, 1, 0, 0), axes, plane)] = value
         with pytest.raises(InvalidParameterError, match="imaginary residue"):
-            _irfftn_real(half, w, max_imag=1e-9)
-        _irfftn_real(half, w)  # unchecked, the residue is dropped
+            _irfftn_real(half, axes, n, max_imag=1e-9)
+        _irfftn_real(half, axes, n)  # unchecked, the residue is dropped
 
-    @pytest.mark.parametrize("plane", [0, 4])
-    def test_residue_check_is_relative_to_the_signal(self, plane):
+    @pytest.mark.parametrize("axes, plane, value", [
+        (RADIAL, 0, 1e12), (RADIAL, 4, 1e12), (TEMPORAL, 0, 1e12j), (TEMPORAL, 8, 1e12j),
+    ], ids=["0", "4", "T0", "T8"])
+    def test_residue_check_is_relative_to_the_signal(self, axes, plane, value):
         big = 1e12 * gaussian_latent((2, 16, 8, 8), SeededRng(12)).data
         lat = VideoLatent(big.astype(np.float32))
-        half = _rfftn(lat)
-        back = _irfftn_real(half, 8, max_imag=1e-9)
+        n = lat.shape[axes[-1] + 1]
+        half = _rfftn(lat, axes)
+        back = _irfftn_real(half, axes, n, max_imag=1e-9)
         assert np.abs(back - lat.data).max() <= 1e-4 * np.abs(lat.data).max()
         lone = half.copy()
-        lone[0, 1, 0, plane] += 1e12  # a bin with no conjugate partner
+        lone[_with_halved_axis((0, 1, 0, 0), axes, plane)] += value  # no conjugate partner
         with pytest.raises(InvalidParameterError, match="imaginary residue"):
-            _irfftn_real(lone, 8, max_imag=1e-9)
+            _irfftn_real(lone, axes, n, max_imag=1e-9)
+
+    @pytest.mark.parametrize("shape", [(8, 4, 4), (7, 3, 5)])
+    def test_layout_axes(self, shape):
+        temporal = frequency_grid(shape, "temporal")
+        radial = frequency_grid(shape, "radial")
+        assert _half_layout(temporal)[0] == (0,)
+        assert _half_layout(np.ones(shape))[0] == (0,)
+        assert _half_layout(frequency_grid((1, *shape[1:]), "temporal"))[0] == (0,)
+        assert _half_layout(radial)[0] == (0, 1, 2)
+        assert _half_layout(temporal, radial)[0] == (0, 1, 2)
+        assert temporal[_half_layout(temporal)[1]].shape == (shape[0] // 2 + 1, 1, 1)
+        assert radial[_half_layout(radial)[1]].shape == (*shape[:2], shape[2] // 2 + 1)
 
 
 class TestGaussianLowpass:
@@ -173,7 +212,7 @@ class TestBandMasks:
         assert all(set(np.unique(m.weights)) <= {0.0, 1.0} for m in masks)
         assert np.array_equal(sum(m.weights for m in masks), np.ones((t, h, w)))
 
-    @pytest.mark.parametrize("alphas", [[1, 1, 2], [2, 1], [0, 1], []])
+    @pytest.mark.parametrize("alphas", [[1, 1, 2], [2, 1], [0, 1], [], [1, 2.7]])
     def test_invalid_alphas(self, alphas):
         with pytest.raises(InvalidParameterError):
             band_masks(alphas, (8, 4, 4))
