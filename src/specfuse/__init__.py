@@ -20,11 +20,10 @@ _EXPORTS = {
     "fusion": ("FusionPlan", "fused_spectrum", "latent_from_tokens", "multiband_attention",
                "multiband_fuse", "spectral_blend", "spectral_blend_attention",
                "tokens_from_latent"),
-    "harness": ("SyntheticScene", "Tone", "block_weights", "make_scene", "run_stack",
-                "scene_tokens"),
+    "harness": ("SyntheticScene", "Tone", "block_weights", "make_scene", "run_stack"),
     "noise_init": ("SpecMixParams", "base_noise", "center_distance", "mixing_angle", "specmix"),
-    "spectral": ("FrequencyMask", "apply_mask", "band_masks", "fft3", "frequency_grid",
-                 "gaussian_lowpass", "ifft3", "parseval_energy"),
+    "spectral": ("FrequencyMask", "band_masks", "fft3", "frequency_grid", "gaussian_lowpass",
+                 "ifft3"),
     "tensor_core": ("SeededRng", "SpectralTensor", "VideoLatent", "gaussian_latent",
                     "read_tensor", "write_tensor"),
 }

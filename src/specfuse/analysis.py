@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_integer
 from .errors import DegenerateInputError, InvalidParameterError
 from .spectral import _half_layout, _rfftn, frequency_grid
 from .tensor_core import VideoLatent
 
 DEFAULT_THRESHOLD = 0.9
-DEFAULT_BANDS = 16
 
 
 def uniform_band_edges(num_bands: int) -> np.ndarray:
     """Interior edges splitting [0, pi] into `num_bands` equal bands."""
-    if num_bands < 1:
+    if check_integer(num_bands, "num_bands") < 1:
         raise InvalidParameterError(f"num_bands must be >= 1, got {num_bands}")
     return np.arange(1, num_bands) * (np.pi / num_bands)
 

@@ -150,14 +150,10 @@ class AttentionWindow:
         return cls(span_frames=span_frames, kind="local")
 
     @classmethod
-    def global_for(cls, num_frames: int) -> "AttentionWindow":
-        return cls(span_frames=num_frames, kind="global")
-
-    @classmethod
     def for_span(cls, span_frames: int, num_frames: int) -> "AttentionWindow":
         """Local window, saturating to global once the span covers the sequence."""
         if span_frames >= num_frames:
-            return cls.global_for(num_frames)
+            return cls(span_frames=num_frames, kind="global")
         return cls.local(span_frames)
 
 

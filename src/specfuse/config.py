@@ -34,10 +34,6 @@ def parse_kv(text: str) -> dict[str, str]:
     return pairs
 
 
-def format_kv(pairs: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in pairs.items())
-
-
 def parse_bool(value: str, key: str) -> bool:
     if value == "true":
         return True
@@ -55,8 +51,8 @@ def parse_number(value: str, key: str, kind: type = int):
 
 
 def check_integer(value, name: str, error: type = InvalidParameterError):
-    """`value` if it is an int or a numpy integer, else `error` naming `name`."""
-    if not isinstance(value, numbers.Integral):
+    """`value` if it is an int or a numpy integer (not a bool), else `error` naming `name`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
     return value
 

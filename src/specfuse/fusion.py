@@ -40,8 +40,8 @@ from .attention import (
 )
 from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
                      ShapeMismatchError)
-from .spectral import (DOMAIN_MODES, FrequencyMask, _half_layout, _irfftn_real, _rfftn,
-                       band_masks, gaussian_lowpass)
+from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _half_layout, _irfftn_real,
+                       _rfftn, band_masks, gaussian_lowpass)
 from .tensor_core import SpectralTensor, VideoLatent
 
 PARTITION_TOLERANCE = 1e-6
@@ -102,12 +102,9 @@ class FusionPlan:
     def __post_init__(self):
         if config.check_integer(self.t_alpha, "t_alpha") < 1:
             raise InvalidParameterError(f"t_alpha must be >= 1, got {self.t_alpha}")
-        alphas = tuple(int(config.check_integer(a, "alphas", InvalidPlanError))
-                       for a in self.alphas)
-        if not alphas or alphas[0] < 1:
-            raise InvalidPlanError(f"alphas must be >= 1, got {alphas}")
-        if any(b <= a for a, b in zip(alphas, alphas[1:])):
-            raise InvalidPlanError(f"alphas must be strictly ascending, got {alphas}")
+        alphas = _check_alphas(self.alphas, InvalidPlanError)
+        if not isinstance(self.sparse_global, bool):
+            raise InvalidParameterError(f"sparse_global must be a bool, got {self.sparse_global!r}")
         if not 0.0 < self.d0 <= 1.0:
             raise InvalidParameterError(f"d0 must lie in (0, 1], got {self.d0}")
         if self.domain_mode not in DOMAIN_MODES:
@@ -120,17 +117,6 @@ class FusionPlan:
                 f"largest window {self.alphas[-1]}*{self.t_alpha} does not cover "
                 f"{num_frames} frames"
             )
-
-    def to_text(self) -> str:
-        return config.format_kv(
-            {
-                "t_alpha": str(self.t_alpha),
-                "alphas": ",".join(str(a) for a in self.alphas),
-                "sparse_global": "true" if self.sparse_global else "false",
-                "domain_mode": self.domain_mode,
-                "d0": repr(self.d0),
-            }
-        )
 
     @classmethod
     def from_text(cls, text: str) -> "FusionPlan":

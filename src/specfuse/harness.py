@@ -14,7 +14,7 @@ import numpy as np
 from . import config
 from .attention import TokenSequence
 from .errors import InvalidParameterError
-from .fusion import FusionPlan, multiband_attention, spectral_blend_attention, tokens_from_latent
+from .fusion import FusionPlan, multiband_attention, spectral_blend_attention
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
 AXIS_NAMES = ("t", "h", "w")
@@ -51,18 +51,6 @@ class SyntheticScene:
             raise InvalidParameterError(f"noise_level must be >= 0, got {self.noise_level}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "tones", tuple(self.tones))
-
-    def to_text(self) -> str:
-        pairs = {
-            "shape": ",".join(str(n) for n in self.shape),
-            "seed": str(self.seed),
-            "noise_level": repr(self.noise_level),
-        }
-        if self.tones:
-            pairs["tones"] = ", ".join(
-                f"{tn.axis}:{tn.omega!r}:{tn.amplitude!r}" for tn in self.tones
-            )
-        return config.format_kv(pairs)
 
     @classmethod
     def from_text(cls, text: str) -> "SyntheticScene":
@@ -112,10 +100,6 @@ def make_scene(scene: SyntheticScene) -> VideoLatent:
     return VideoLatent(data)
 
 
-def scene_tokens(scene: SyntheticScene) -> TokenSequence:
-    return tokens_from_latent(make_scene(scene))
-
-
 def block_weights(d_model: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q/K/V projections scaled by 1/sqrt(d) so logits stay O(1)."""
     scale = 1.0 / np.sqrt(d_model)
@@ -132,7 +116,7 @@ def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
     the banded fusion path. Weight draws come from one stream seeded with
     `seed`, three matrices per block, so the run is reproducible.
     """
-    if depth < 1:
+    if config.check_integer(depth, "depth") < 1:
         raise InvalidParameterError(f"depth must be >= 1, got {depth}")
     fuse = spectral_blend_attention if len(plan.alphas) == 2 else multiband_attention
     rng = SeededRng(seed)

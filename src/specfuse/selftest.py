@@ -40,28 +40,32 @@ from .fusion import (
     latent_from_tokens,
     multiband_attention,
     spectral_blend_attention,
+    tokens_from_latent,
 )
-from .harness import SyntheticScene, Tone, block_weights, make_scene, run_stack, scene_tokens
+from .harness import SyntheticScene, Tone, block_weights, make_scene, run_stack
 from .noise_init import SpecMixParams, base_noise, center_distance, specmix
 from .spectral import (
     DOMAIN_MODES,
     FrequencyMask,
     _half_layout,
     _rfftn,
-    apply_mask,
     axis_frequencies,
     band_masks,
     fft3,
     frequency_grid,
     gaussian_lowpass,
     ifft3,
-    parseval_energy,
 )
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent, read_tensor, write_tensor
 
 # (shape, seed) of the latents behind the transform identities.
 _SPECTRAL_CASES = (((1, 3, 5, 7), 100), ((2, 16, 8, 8), 101),
                    ((3, 31, 13, 11), 102), ((4, 32, 16, 16), 103))
+
+
+def _energy(x) -> float:
+    """Total squared magnitude of a latent or spectrum, taken as complex128, summed in float64."""
+    return float((np.abs(x.data.astype(np.complex128)) ** 2).sum())
 
 
 def _rand_latent(shape, seed) -> VideoLatent:
@@ -112,7 +116,7 @@ def check_fft_roundtrip():
 def check_parseval():
     for shape, seed in _SPECTRAL_CASES:
         lat = _rand_latent(shape, seed)
-        ex, es = parseval_energy(lat), parseval_energy(fft3(lat))
+        ex, es = _energy(lat), _energy(fft3(lat))
         rel = abs(ex - es) / ex
         assert rel <= 1e-5, f"parseval relative error {rel} at {shape}"
 
@@ -145,7 +149,7 @@ def check_mask_symmetry_residue():
         lat = _rand_latent(shape, 6)
         grid = shape[1:]
         for mask in [gaussian_lowpass(grid, 0.25)] + band_masks(alphas, grid):
-            full = np.fft.ifftn(apply_mask(fft3(lat), mask).data, axes=(1, 2, 3), norm="ortho")
+            full = np.fft.ifftn(fft3(lat).data * mask.weights, axes=(1, 2, 3), norm="ortho")
             residue = np.abs(full.imag).max()
             assert residue <= 1e-5, f"imaginary residue {residue}"
 
@@ -174,7 +178,7 @@ def check_wide_window_is_global():
     for tpf, seed in ((4, 23), (8, 11)):
         toks, q, k, v = _rand_qkv(8, tpf, 8, seed)
         wide = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(2 * 8))
-        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(8))
+        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(8, 8))
         err = np.abs(wide.features - glob.features).max()
         assert err <= 1e-6, f"wide window differs from global by {err}"
 
@@ -183,7 +187,7 @@ def check_sparse_all_frames_exact():
     for seed in (25, 17):
         toks, q, k, v = _rand_qkv(6, 4, 8, seed)
         sparse = sparse_attention(q, k, v, toks.frame_index, range(6))
-        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(6))
+        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(6, 6))
         assert np.array_equal(sparse.features, glob.features), "sparse(all) not bit-equal to global"
 
 
@@ -276,7 +280,7 @@ def check_short_input_idempotence():
     for seed in (34, 15, 300):
         toks, weights = _fusion_inputs(8, seed)
         q, k, v = project_qkv(toks, weights)
-        plain = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(8))
+        plain = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(8, 8))
         hard_bands = multiband_attention(toks, weights, plans[0], (4, 4))
         outs = [plain, hard_bands] + [run_stack(toks, plan, depth=1, seed=seed + 1, spatial=(4, 4))
                                       for plan in plans]
@@ -388,7 +392,7 @@ def check_band_energy_total():
         lat = _rand_latent((2, 16, 8, 8), seed)
         for mode in DOMAIN_MODES:
             energies = band_energy(lat, uniform_band_edges(16), mode)
-            rel = abs(energies.sum() - parseval_energy(lat)) / parseval_energy(lat)
+            rel = abs(energies.sum() - _energy(lat)) / _energy(lat)
             assert rel <= 1e-5, f"band energies do not sum to total: {rel}"
 
 
@@ -440,7 +444,7 @@ def check_scene_placement():
 def check_stack_determinism():
     scene = SyntheticScene(shape=(8, 32, 4, 4), noise_level=1.0, seed=5)
     for toks, alphas, depth, seed in ((_rand_tokens(16, 16, 8, 45), (1, 2), 2, 46),
-                                      (scene_tokens(scene), (1, 2, 4), 3, 11)):
+                                      (tokens_from_latent(make_scene(scene)), (1, 2, 4), 3, 11)):
         plan = FusionPlan(t_alpha=8, alphas=alphas)
         a = run_stack(toks, plan, depth=depth, seed=seed, spatial=(4, 4))
         b = run_stack(toks, plan, depth=depth, seed=seed, spatial=(4, 4))

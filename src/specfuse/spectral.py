@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_integer
-from .errors import InvalidParameterError, InvalidShapeError, ShapeMismatchError
+from .errors import InvalidParameterError, InvalidShapeError
 from .tensor_core import SpectralTensor, VideoLatent
 
 DOMAIN_MODES = ("temporal", "radial")
@@ -208,14 +208,15 @@ def gaussian_lowpass(
     return FrequencyMask(weights)
 
 
-def _check_alphas(alphas) -> tuple[int, ...]:
-    alphas = tuple(int(check_integer(a, "alphas")) for a in alphas)
+def _check_alphas(alphas, error: type) -> tuple[int, ...]:
+    """`alphas` as a non-empty, strictly ascending tuple of ints >= 1, else `error`."""
+    alphas = tuple(int(check_integer(a, "alphas", error)) for a in alphas)
     if not alphas:
-        raise InvalidParameterError("alphas must be non-empty")
+        raise error("alphas must be non-empty")
     if alphas[0] < 1:
-        raise InvalidParameterError(f"alphas must be >= 1, got {alphas}")
+        raise error(f"alphas must be >= 1, got {alphas}")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise InvalidParameterError(f"alphas must be strictly ascending, got {alphas}")
+        raise error(f"alphas must be strictly ascending, got {alphas}")
     return alphas
 
 
@@ -233,7 +234,7 @@ def band_masks(
     band edge belongs to the coarser band, so every bin is claimed exactly
     once and the masks sum to 1 everywhere.
     """
-    alphas = _check_alphas(alphas)
+    alphas = _check_alphas(alphas, InvalidParameterError)
     grid = frequency_grid(shape, domain_mode)
     # Interior edges ascending: pi/(2*alpha) for every scale but the finest.
     edges = np.pi / (2.0 * np.array(alphas[:0:-1], dtype=np.float64))
@@ -243,18 +244,3 @@ def band_masks(
     coarse_idx = np.searchsorted(edges, grid, side="left")
     return [FrequencyMask((coarse_idx == len(alphas) - 1 - i).astype(np.float64))
             for i in range(len(alphas))]
-
-
-def apply_mask(spectrum: SpectralTensor, mask: FrequencyMask) -> SpectralTensor:
-    """Elementwise complex-by-real product, broadcast over channels."""
-    if spectrum.shape[1:] != mask.shape:
-        raise ShapeMismatchError(
-            f"mask shape {mask.shape} does not match spectrum {spectrum.shape[1:]}"
-        )
-    return SpectralTensor(spectrum.data * mask.weights[None, :, :, :])
-
-
-def parseval_energy(x) -> float:
-    """Total squared magnitude of a latent or spectrum, accumulated in f64."""
-    data = x.data
-    return float((np.abs(data.astype(np.complex128)) ** 2).sum())

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_integer
 from .errors import (
     BadMagicError,
     InvalidParameterError,
@@ -68,18 +69,12 @@ class VideoLatent:
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralTensor:
-    """Complex-valued (C, T, H, W) tensor, the 3D-FFT image of a latent.
+    """Complex-valued (C, T, H, W) spectrum of either kind: a latent's full
+    3D-FFT image (`fft3`), or the half spectrum `fusion.fused_spectrum`
+    keeps in its masks' layout, (C, T//2+1, H, W) for temporal masks.
 
     Like VideoLatent, it holds a read-only, C-contiguous copy of its input.
     """
@@ -117,7 +112,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= int(seed) < 2**64:
+        if not 0 <= check_integer(seed, "seed") < 2**64:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = int(seed)
         self._bits = np.random.Philox(key=self.seed)

@@ -15,9 +15,9 @@ from specfuse import (
     FusionPlan,
     MacCounter,
     SeededRng,
+    SpectralTensor,
     TokenSequence,
     aggregate_attention,
-    apply_mask,
     attention_map,
     band_masks,
     diagonality,
@@ -121,7 +121,7 @@ def test_criterion_3_attention_oracle_equivalence():
             key_set[keys] = True
             admit = lambda fi, fj: key_set[fj]
         else:
-            out = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(t))
+            out = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(t, t))
             admit = lambda fi, fj: np.ones_like(fi + fj, dtype=bool)
         oracle = dense_oracle(q, k, v, toks.frame_index, admit)
         worst = max(worst, float(np.abs(out.features - oracle).max()))
@@ -148,7 +148,7 @@ def test_criterion_7_distortion_trend():
     ref = gaussian_latent((4, 8, 8, 8), SeededRng(700))
     raw = gaussian_latent((4, 32, 8, 8), SeededRng(701))
     lpf = gaussian_lowpass((32, 8, 8), 0.25, "temporal")
-    ext = ifft3(apply_mask(fft3(raw), lpf))
+    ext = ifft3(SpectralTensor(fft3(raw).data * lpf.weights))
     rep = relative_snr(ref, ext, [0.25 * np.pi], threshold=0.9)
     low, high = (float(r) for r in rep.ratios)
     ok = low >= 0.95 and high <= 0.7 and high < low

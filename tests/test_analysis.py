@@ -13,10 +13,10 @@ from specfuse import (
     InvalidParameterError,
     SeededRng,
     SnrReport,
+    SpectralTensor,
     TokenSequence,
     VideoLatent,
     aggregate_attention,
-    apply_mask,
     attention_map,
     band_energy,
     diagonality,
@@ -24,7 +24,6 @@ from specfuse import (
     gaussian_latent,
     gaussian_lowpass,
     ifft3,
-    parseval_energy,
     project_qkv,
     relative_snr,
     uniform_band_edges,
@@ -44,14 +43,14 @@ class TestBandEnergy:
     def test_dc_lands_in_lowest_band(self):
         lat = VideoLatent(np.ones((1, 8, 4, 4), dtype=np.float32))
         energies = band_energy(lat, [0.25 * np.pi])
-        assert energies[0] == pytest.approx(parseval_energy(lat), rel=1e-12)
+        assert energies[0] == pytest.approx(selftest._energy(lat), rel=1e-12)
         assert energies[1] == 0.0
 
     def test_high_tone_lands_in_high_band(self):
         lat = tone_latent(16, 4)  # omega = pi/2
         energies = band_energy(lat, [0.25 * np.pi])
         assert energies[0] == pytest.approx(0.0, abs=1e-9)
-        assert energies[1] == pytest.approx(parseval_energy(lat), rel=1e-6)
+        assert energies[1] == pytest.approx(selftest._energy(lat), rel=1e-6)
 
     def test_white_noise_tracks_bin_counts(self):
         lat = gaussian_latent((4, 64, 32, 32), SeededRng(1))
@@ -108,6 +107,11 @@ class TestBandEnergy:
         with pytest.raises(InvalidParameterError):
             band_energy(lat, [0.5, 0.25])
 
+    @pytest.mark.parametrize("num_bands", [2.5, 2.0, True])
+    def test_non_integer_band_count_rejected(self, num_bands):
+        with pytest.raises(InvalidParameterError, match="num_bands must be an integer"):
+            uniform_band_edges(num_bands)
+
 
 class TestRelativeSnr:
     test_scale_invariance = staticmethod(selftest.check_snr_scale_invariance)
@@ -122,7 +126,7 @@ class TestRelativeSnr:
         ref = gaussian_latent((2, 8, 8, 8), SeededRng(5))
         ext_raw = gaussian_latent((2, 32, 8, 8), SeededRng(6))
         lpf = gaussian_lowpass((32, 8, 8), 0.25, "temporal")
-        ext = ifft3(apply_mask(fft3(ext_raw), lpf))
+        ext = ifft3(SpectralTensor(fft3(ext_raw).data * lpf.weights))
         report = relative_snr(ref, ext, [0.25 * np.pi])
         low, high = report.ratios
         assert high < low

@@ -137,7 +137,7 @@ class TestMaskedAttention:
         with pytest.raises(InvalidParameterError):
             AttentionWindow(4, "sparse")
 
-    @pytest.mark.parametrize("span", [2.5, 2.0])
+    @pytest.mark.parametrize("span", [2.5, 2.0, True])
     def test_non_integer_span_rejected(self, span):
         with pytest.raises(InvalidParameterError, match="span_frames must be an integer"):
             AttentionWindow.local(span)
@@ -224,7 +224,7 @@ class TestMacCounter:
         toks = random_tokens(t, tpf, d, 27)
         q, k, v = project_qkv(toks, random_weights(d, 28))
         dense, sparse = MacCounter(), MacCounter()
-        masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(t), dense)
+        masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(t, t), dense)
         sparse_attention(q, k, v, toks.frame_index, uniform_keyframes(t, 0.5), sparse)
         n = t * tpf
         assert dense.macs == n * n * 2 * d
@@ -337,7 +337,7 @@ class TestMultiWindowCore:
         toks = random_tokens(t, tpf, d, seed)
         q, k, v = project_qkv(toks, random_weights(d, seed + 1))
         sparse = sparse_attention(q, k, v, toks.frame_index, range(t))
-        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(t))
+        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(t, t))
         assert np.array_equal(sparse.features, glob.features)
 
     @given(split_cases())

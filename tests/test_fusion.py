@@ -207,9 +207,11 @@ class TestFusionProperties:
 
 class TestFusionPlan:
     def test_text_roundtrip(self):
-        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True,
-                          domain_mode="radial", d0=0.3)
-        assert FusionPlan.from_text(plan.to_text()) == plan
+        # Every plan key, as the CLI reads it from a plan file.
+        text = ("t_alpha = 8\nalphas = 1,2,4\nsparse_global = true\n"
+                "domain_mode = radial\nd0 = 0.3\n")
+        assert FusionPlan.from_text(text) == FusionPlan(
+            t_alpha=8, alphas=(1, 2, 4), sparse_global=True, domain_mode="radial", d0=0.3)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -219,10 +221,23 @@ class TestFusionPlan:
         with pytest.raises(InvalidPlanError):
             FusionPlan(t_alpha=8, alphas=(2, 1))
 
-    @pytest.mark.parametrize("t_alpha", [8.0, 8.5])
+    @pytest.mark.parametrize("t_alpha", [8.0, 8.5, True])
     def test_non_integer_t_alpha_rejected(self, t_alpha):
         with pytest.raises(InvalidParameterError, match="t_alpha must be an integer"):
             FusionPlan(t_alpha=t_alpha, alphas=(1, 2))
+
+    @pytest.mark.parametrize("alphas", [(), (0, 1), (2, 1), (1, 1), (1.5, 2), (True, 2)])
+    def test_one_alpha_rule_for_masks_and_plans(self, alphas):
+        # band_masks and FusionPlan share one validator, each with its own error type.
+        with pytest.raises(InvalidParameterError):
+            band_masks(alphas, (8, 4, 4))
+        with pytest.raises(InvalidPlanError):
+            FusionPlan(t_alpha=8, alphas=alphas)
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_non_bool_sparse_global_rejected(self, flag):
+        with pytest.raises(InvalidParameterError, match="sparse_global must be a bool"):
+            FusionPlan(t_alpha=8, alphas=(1, 2), sparse_global=flag)
 
     def test_non_integer_alpha_rejected(self):
         with pytest.raises(InvalidPlanError, match="alphas must be an integer"):
@@ -309,7 +324,7 @@ class TestFusedAttention:
         zeros = FrequencyMask(np.zeros((16, 4, 4)))
         out = multiband_attention(toks, weights, plan, (4, 4), masks=[zeros, ones])
         q, k, v = project_qkv(toks, weights)
-        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.global_for(16))
+        glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(16, 16))
         assert np.abs(out.features - glob.features).max() <= 1e-4
 
     @pytest.mark.parametrize("plan", [

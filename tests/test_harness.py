@@ -17,8 +17,12 @@ from specfuse import (
     masked_attention,
     project_qkv,
     run_stack,
-    scene_tokens,
+    tokens_from_latent,
 )
+
+
+def noisy_scene_tokens(shape, seed):
+    return tokens_from_latent(make_scene(SyntheticScene(shape=shape, noise_level=1.0, seed=seed)))
 
 
 class TestMakeScene:
@@ -61,13 +65,15 @@ class TestMakeScene:
         assert np.array_equal(make_scene(scene).data, make_scene(scene).data)
 
     def test_config_roundtrip(self):
-        scene = SyntheticScene(
+        # Every scene key, as the CLI reads it from a scene file.
+        text = ("shape = 4,32,8,8\nseed = 42\nnoise_level = 0.25\n"
+                "tones = t:0.125:1.0, w:0.5:2.0\n")
+        assert SyntheticScene.from_text(text) == SyntheticScene(
             shape=(4, 32, 8, 8),
             tones=(Tone("t", 0.125, 1.0), Tone("w", 0.5, 2.0)),
             noise_level=0.25,
             seed=42,
         )
-        assert SyntheticScene.from_text(scene.to_text()) == scene
 
     def test_unknown_config_key(self):
         with pytest.raises(InvalidParameterError):
@@ -88,7 +94,7 @@ class TestRunStack:
     test_three_scale_stack_reproducible = staticmethod(selftest.check_stack_determinism)
 
     def test_depth_one_is_single_call(self):
-        toks = scene_tokens(SyntheticScene(shape=(8, 16, 4, 4), noise_level=1.0, seed=1))
+        toks = noisy_scene_tokens((8, 16, 4, 4), 1)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
         from specfuse import spectral_blend_attention
         from specfuse.harness import block_weights
@@ -100,17 +106,22 @@ class TestRunStack:
 
     def test_depth_two_identity_short_input(self):
         # T == t_alpha with identity projections: two plain attention passes.
-        toks = scene_tokens(SyntheticScene(shape=(4, 8, 4, 4), noise_level=1.0, seed=2))
+        toks = noisy_scene_tokens((4, 8, 4, 4), 2)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2), domain_mode="radial")
         out = run_stack(toks, plan, depth=2, seed=0, spatial=(4, 4), identity_weights=True)
         eye = (np.eye(4), np.eye(4), np.eye(4))
         ref = toks
         for _ in range(2):
             q, k, v = project_qkv(ref, eye)
-            ref = masked_attention(q, k, v, ref.frame_index, AttentionWindow.global_for(8))
+            ref = masked_attention(q, k, v, ref.frame_index, AttentionWindow.for_span(8, 8))
         assert np.abs(out.features - ref.features).max() <= 2e-4
 
     def test_bad_depth(self):
-        toks = scene_tokens(SyntheticScene(shape=(2, 8, 2, 2), noise_level=1.0, seed=6))
+        toks = noisy_scene_tokens((2, 8, 2, 2), 6)
         with pytest.raises(InvalidParameterError):
             run_stack(toks, FusionPlan(t_alpha=8, alphas=(1, 2)), 0, 1, (2, 2))
+
+    def test_non_integer_depth_rejected(self):
+        toks = noisy_scene_tokens((2, 8, 2, 2), 6)
+        with pytest.raises(InvalidParameterError, match="depth must be an integer"):
+            run_stack(toks, FusionPlan(t_alpha=8, alphas=(1, 2)), 1.0, 1, (2, 2))

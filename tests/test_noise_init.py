@@ -64,8 +64,9 @@ class TestBaseNoise:
         with pytest.raises(InvalidParameterError):
             SpecMixParams(frames=4, t_alpha=8)
 
-    @pytest.mark.parametrize("field, counts", [("frames", (8.5, 8)), ("t_alpha", (8, 2.5))],
-                             ids=["frames", "t_alpha"])
+    @pytest.mark.parametrize("field, counts",
+                             [("frames", (8.5, 8)), ("t_alpha", (8, 2.5)), ("frames", (True, 1))],
+                             ids=["frames", "t_alpha", "frames-bool"])
     def test_non_integer_frame_counts_rejected(self, field, counts):
         frames, t_alpha = counts
         with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer"):

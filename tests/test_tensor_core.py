@@ -6,6 +6,7 @@ import pytest
 from specfuse import selftest
 from specfuse import (
     BadMagicError,
+    InvalidParameterError,
     InvalidShapeError,
     NonFiniteValueError,
     SeededRng,
@@ -45,6 +46,11 @@ class TestSeededRng:
 
     def test_permutation_deterministic(self):
         assert np.array_equal(SeededRng(6).permutation(12), SeededRng(6).permutation(12))
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+            SeededRng(seed)
 
 
 class TestGaussianLatent:
