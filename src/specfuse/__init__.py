@@ -21,11 +21,11 @@ _EXPORTS = {
                "multiband_fuse", "spectral_blend", "spectral_blend_attention",
                "tokens_from_latent"),
     "harness": ("SyntheticScene", "Tone", "block_weights", "make_scene", "run_stack"),
-    "noise_init": ("SpecMixParams", "base_noise", "center_distance", "mixing_angle", "specmix"),
+    "noise_init": ("SpecMixParams", "base_noise", "specmix"),
     "spectral": ("FrequencyMask", "band_masks", "fft3", "frequency_grid", "gaussian_lowpass",
                  "ifft3"),
-    "tensor_core": ("SeededRng", "SpectralTensor", "VideoLatent", "gaussian_latent",
-                    "read_tensor", "write_tensor"),
+    "tensor_core": ("SeededRng", "VideoLatent", "gaussian_latent", "read_tensor",
+                    "write_tensor"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

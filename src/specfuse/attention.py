@@ -408,7 +408,7 @@ def uniform_keyframes(num_frames: int, fraction: float) -> np.ndarray:
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidParameterError(f"fraction must lie in (0, 1], got {fraction}")
-    if num_frames < 1:
+    if check_integer(num_frames, "num_frames") < 1:
         raise InvalidParameterError("num_frames must be >= 1")
     count = math.ceil(fraction * num_frames)
     return np.array([-(-j * num_frames // count) for j in range(count)], dtype=np.int64)

@@ -42,7 +42,7 @@ from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueErro
                      ShapeMismatchError)
 from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _half_layout, _irfftn_real,
                        _rfftn, band_masks, gaussian_lowpass)
-from .tensor_core import SpectralTensor, VideoLatent
+from .tensor_core import VideoLatent
 
 PARTITION_TOLERANCE = 1e-6
 IMAG_RESIDUE_LIMIT = 1e-5
@@ -194,9 +194,9 @@ def _fused_half(branch_outputs, masks) -> tuple[np.ndarray, tuple[int, ...]]:
     return total, axes
 
 
-def fused_spectrum(branch_outputs, masks) -> SpectralTensor:
-    """`_fused_half`'s sum as a read-only `SpectralTensor`, in the masks' half layout."""
-    return SpectralTensor(_fused_half(branch_outputs, masks)[0])
+def fused_spectrum(branch_outputs, masks) -> np.ndarray:
+    """`_fused_half`'s complex128 sum itself, in the masks' half layout."""
+    return _fused_half(branch_outputs, masks)[0]
 
 
 def _fuse(branch_outputs, masks) -> np.ndarray:

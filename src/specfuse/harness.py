@@ -15,7 +15,7 @@ from . import config
 from .attention import TokenSequence
 from .errors import InvalidParameterError
 from .fusion import FusionPlan, multiband_attention, spectral_blend_attention
-from .tensor_core import SeededRng, VideoLatent, gaussian_latent
+from .tensor_core import SeededRng, VideoLatent, _check_shape4, gaussian_latent
 
 AXIS_NAMES = ("t", "h", "w")
 
@@ -49,7 +49,7 @@ class SyntheticScene:
     def __post_init__(self):
         if self.noise_level < 0.0:
             raise InvalidParameterError(f"noise_level must be >= 0, got {self.noise_level}")
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "shape", _check_shape4(self.shape))
         object.__setattr__(self, "tones", tuple(self.tones))
 
     @classmethod
@@ -109,7 +109,7 @@ def block_weights(d_model: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray,
 
 
 def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
-              spatial: tuple[int, int], identity_weights: bool = False) -> TokenSequence:
+              spatial: tuple[int, int]) -> TokenSequence:
     """Apply `depth` fusion blocks, each with its own seeded projections.
 
     Plans with two scales run the low-pass blend path; longer plans run
@@ -123,6 +123,5 @@ def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
     d = tokens.d_model
     out = tokens
     for _ in range(depth):
-        weights = (np.eye(d),) * 3 if identity_weights else block_weights(d, rng)
-        out = fuse(out, weights, plan, spatial)
+        out = fuse(out, block_weights(d, rng), plan, spatial)
     return out

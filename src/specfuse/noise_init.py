@@ -7,10 +7,10 @@ Builds the starting noise tensor from two ingredients:
   pins the low-frequency content across windows;
 * a fresh Gaussian residual, sampled independently per frame.
 
-The two are mixed with cos/sin weights driven by the normalized distance
-of a temporal index to the sequence center: the center keeps the base,
-the edges keep the residual, and cos^2 + sin^2 = 1 keeps the variance at
-1 in expectation. Mixing domains ("mix_domain"):
+The two are mixed with cos/sin weights (`_mix_weights`) driven by the
+normalized distance of a temporal index to the sequence center: the
+center keeps the base, the edges keep the residual, and cos^2 + sin^2 = 1
+keeps the variance at 1 in expectation. Mixing domains ("mix_domain"):
 
 * "spatial" (default): a direct per-frame mix,
   cos_w[t] * base[t] + sin_w[t] * residual[t]. Weights at the extreme
@@ -26,7 +26,6 @@ and its inverse around the mix would cancel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,7 @@ def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     frames is a fresh seeded permutation of the first window; a trailing
     partial window takes the first (frames mod t_alpha) entries of one.
     """
-    c, h, w = (int(n) for n in chw)
+    c, h, w = chw
     t, ta = params.frames, params.t_alpha
     first = gaussian_latent((c, ta, h, w), SeededRng(params.seed_base)).data
     out = np.empty((c, t, h, w), dtype=np.float32)
@@ -79,26 +78,14 @@ def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     return VideoLatent(out)
 
 
-def center_distance(t: int, frames: int) -> float:
-    """Normalized distance of frame t to the sequence center, in [0, 1]."""
-    if frames < 1 or not 0 <= t < frames:
-        raise InvalidParameterError(f"frame {t} outside [0, {frames})")
-    if frames == 1:
-        return 0.0
-    half = (frames - 1) / 2.0
-    return abs(t - half) / half
-
-
-def mixing_angle(d: float) -> float:
-    """Map a center distance to the mixing angle d * pi/2."""
-    if not 0.0 <= d <= 1.0:
-        raise InvalidParameterError(f"distance must lie in [0, 1], got {d}")
-    return d * math.pi / 2.0
-
-
 def _mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, sin) weight per temporal index, shaped to broadcast over (C, T, H, W)."""
-    theta = np.array([mixing_angle(center_distance(t, frames)) for t in range(frames)])
+    """(cos, sin) of d * pi/2 per temporal index, shaped to broadcast over (C, T, H, W).
+
+    d in [0, 1] is the index's distance to the centre over (frames - 1) / 2.
+    """
+    half = (frames - 1) / 2.0
+    d = np.abs(np.arange(frames) - half) / half if frames > 1 else np.zeros(1)
+    theta = d * np.pi / 2.0
     cos_w = np.cos(theta)
     sin_w = np.sin(theta)
     # cos(pi/2) rounds to ~6e-17; clamp so the extreme indices mix exactly.
@@ -118,7 +105,7 @@ def specmix(params: SpecMixParams, chw: tuple[int, int, int],
     """
     if mix_domain not in MIX_DOMAINS:
         raise InvalidParameterError(f"unknown mix_domain {mix_domain!r}")
-    c, h, w = (int(n) for n in chw)
+    c, h, w = chw
     base = base_noise(params, chw).data.astype(np.float64)
     res = gaussian_latent((c, params.frames, h, w), SeededRng(params.seed_res)).data
     res = res.astype(np.float64)

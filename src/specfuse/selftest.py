@@ -43,7 +43,7 @@ from .fusion import (
     tokens_from_latent,
 )
 from .harness import SyntheticScene, Tone, block_weights, make_scene, run_stack
-from .noise_init import SpecMixParams, base_noise, center_distance, specmix
+from .noise_init import SpecMixParams, _mix_weights, base_noise, specmix
 from .spectral import (
     DOMAIN_MODES,
     FrequencyMask,
@@ -63,9 +63,9 @@ _SPECTRAL_CASES = (((1, 3, 5, 7), 100), ((2, 16, 8, 8), 101),
                    ((3, 31, 13, 11), 102), ((4, 32, 16, 16), 103))
 
 
-def _energy(x) -> float:
-    """Total squared magnitude of a latent or spectrum, taken as complex128, summed in float64."""
-    return float((np.abs(x.data.astype(np.complex128)) ** 2).sum())
+def _energy(x: np.ndarray) -> float:
+    """Total squared magnitude of a real or complex array, taken as complex128, summed in float64."""
+    return float((np.abs(np.asarray(x, dtype=np.complex128)) ** 2).sum())
 
 
 def _rand_latent(shape, seed) -> VideoLatent:
@@ -116,7 +116,7 @@ def check_fft_roundtrip():
 def check_parseval():
     for shape, seed in _SPECTRAL_CASES:
         lat = _rand_latent(shape, seed)
-        ex, es = _energy(lat), _energy(fft3(lat))
+        ex, es = _energy(lat.data), _energy(fft3(lat))
         rel = abs(ex - es) / ex
         assert rel <= 1e-5, f"parseval relative error {rel} at {shape}"
 
@@ -149,7 +149,7 @@ def check_mask_symmetry_residue():
         lat = _rand_latent(shape, 6)
         grid = shape[1:]
         for mask in [gaussian_lowpass(grid, 0.25)] + band_masks(alphas, grid):
-            full = np.fft.ifftn(fft3(lat).data * mask.weights, axes=(1, 2, 3), norm="ortho")
+            full = np.fft.ifftn(fft3(lat) * mask.weights, axes=(1, 2, 3), norm="ortho")
             residue = np.abs(full.imag).max()
             assert residue <= 1e-5, f"imaginary residue {residue}"
 
@@ -265,11 +265,11 @@ def check_band_ownership():
     for seed in (32, 19, 400):
         toks, weights = _fusion_inputs(32, seed)
         fused = multiband_attention(toks, weights, plan, (4, 4))
-        fused_spec = fft3(latent_from_tokens(fused, (4, 4))).data
+        fused_spec = fft3(latent_from_tokens(fused, (4, 4)))
         branches = _branch_latents(toks, weights, plan, (4, 4))
         for mask, branch in zip(masks, branches):
             sel = mask.weights.astype(bool)
-            err = np.abs((fused_spec - fft3(branch).data)[:, sel]).max()
+            err = np.abs((fused_spec - fft3(branch))[:, sel]).max()
             assert err <= 1e-4, f"band not owned by its branch: {err}"
 
 
@@ -307,7 +307,7 @@ def check_half_spectrum_fusion():
                 lpf = gaussian_lowpass(grid, 0.3, mode)
                 partitions += [band_masks((1, 2, 4), grid, mode), [lpf.complement(), lpf]]
             for masks in partitions:
-                total = sum(fft3(b).data * m.weights for b, m in zip(branches, masks))
+                total = sum(fft3(b) * m.weights for b, m in zip(branches, masks))
                 want = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
                 err = np.abs(_fuse(branches[: len(masks)], masks) - want).max()
                 rel = err / np.abs(want).max()
@@ -328,9 +328,9 @@ def check_sparse_substitution():
             for plan in (FusionPlan(t_alpha=8, alphas=(1, 2, 4)),
                          FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True))
         )
-        assert np.array_equal(dense.data * (1.0 - inside), sparse.data * (1.0 - inside)), \
+        assert np.array_equal(dense * (1.0 - inside), sparse * (1.0 - inside)), \
             "sparse global branch leaked outside the coarsest band"
-        assert np.abs((dense.data - sparse.data) * inside).max() > 0.0, \
+        assert np.abs((dense - sparse) * inside).max() > 0.0, \
             "sparse global branch left the coarsest band unchanged"
 
 
@@ -342,7 +342,7 @@ def check_fusion_energy_bound():
     fused = fused_spectrum(branches, masks)
     axes, _ = _half_layout(*(m.weights for m in masks))
     per_bin_max = np.max([np.abs(_rfftn(b, axes)) ** 2 for b in branches], axis=0)
-    excess = (np.abs(fused.data) ** 2 - per_bin_max).max()
+    excess = (np.abs(fused) ** 2 - per_bin_max).max()
     assert excess <= 1e-9, f"fused energy exceeds branch bound by {excess}"
 
 
@@ -360,8 +360,8 @@ def check_specmix_determinism_and_limits():
             base = base_noise(params, (2, 4, 4)).data
             assert np.array_equal(a[:, center], base[:, center]), "center frame is not the base"
     for frames in (4, 9, 16, 17):
-        d = [center_distance(t, frames) for t in range(frames)]
-        assert d == d[::-1], "center distance is not symmetric"
+        for w in _mix_weights(frames):
+            assert np.array_equal(w, w[:, ::-1]), "mixing weights are not symmetric"
 
 
 def check_specmix_variance():
@@ -392,7 +392,7 @@ def check_band_energy_total():
         lat = _rand_latent((2, 16, 8, 8), seed)
         for mode in DOMAIN_MODES:
             energies = band_energy(lat, uniform_band_edges(16), mode)
-            rel = abs(energies.sum() - _energy(lat)) / _energy(lat)
+            rel = abs(energies.sum() - _energy(lat.data)) / _energy(lat.data)
             assert rel <= 1e-5, f"band energies do not sum to total: {rel}"
 
 
@@ -436,7 +436,7 @@ def check_scene_placement():
         omega = 2 * np.pi * k / 32
         assert int(round(omega * 32 / (2 * np.pi))) == k, f"omega does not map back to bin {k}"
         scene = SyntheticScene(shape=(1, 32, side, side), tones=(Tone("t", omega, 1.0),))
-        spec = fft3(make_scene(scene)).data[0]
+        spec = fft3(make_scene(scene))[0]
         peak = int(((np.abs(spec) ** 2).sum(axis=(1, 2))).argmax())
         assert peak in (k, 32 - k), f"tone at bin {k} landed at bin {peak}"
 

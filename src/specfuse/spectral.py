@@ -2,10 +2,10 @@
 
 Transforms are orthonormal (1/sqrt(N) per axis in each direction), so
 energy is preserved bin-for-bin and Parseval holds directly. `fft3` and
-`ifft3` are the public transforms over full complex spectra. The fusion
-path and band energy, whose inputs are real latents, use the private
-real-input pair `_rfftn` / `_irfftn_real` instead, in the one layout
-`_half_layout` defines: only the axes the masks vary on are transformed
+`ifft3` map latents to and from full complex arrays; no pipeline runs
+them. The fusion path and band energy, whose inputs are real latents,
+use the private real-input pair `_rfftn` / `_irfftn_real`, in the one
+layout `_half_layout` defines: only the axes the masks vary on are transformed
 (T alone in temporal mode), since a mask commutes with the transform
 along an axis it is constant on, and the last of them keeps its half
 (numpy's rfftn layout), the rest being its conjugate mirror.
@@ -27,45 +27,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_integer
-from .errors import InvalidParameterError, InvalidShapeError
-from .tensor_core import SpectralTensor, VideoLatent
+from .errors import InvalidParameterError, InvalidShapeError, NonFiniteValueError
+from .tensor_core import VideoLatent, _check_shape4
 
 DOMAIN_MODES = ("temporal", "radial")
 
 
-def fft3(x) -> SpectralTensor:
-    """Orthonormal 3D FFT over the (T, H, W) axes, per channel.
+def _checked_spectrum(arr: np.ndarray) -> np.ndarray:
+    """`arr` if it is (C, T, H, W) and finite, else InvalidShapeError or NonFiniteValueError."""
+    _check_shape4(arr.shape)
+    if not np.isfinite(arr).all():
+        raise NonFiniteValueError("spectrum values must be finite")
+    return arr
+
+
+def fft3(x) -> np.ndarray:
+    """Orthonormal 3D FFT over the (T, H, W) axes, per channel, as complex128.
 
     `x` is a VideoLatent or a real (C, T, H, W) array; either is
     transformed in float64.
     """
     data = x.data if isinstance(x, VideoLatent) else x
-    return SpectralTensor(np.fft.fftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3),
-                                      norm="ortho"))
+    return _checked_spectrum(np.fft.fftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3),
+                                 norm="ortho"))
 
 
-def _check_residue(residue: float, out: np.ndarray, max_imag: float) -> None:
-    limit = max_imag * max(1.0, float(np.abs(out).max()))
-    if residue > limit:
-        raise InvalidParameterError(
-            f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
-            "spectrum is not conjugate-symmetric"
-        )
-
-
-def ifft3(spectrum: SpectralTensor, max_imag: float | None = None) -> VideoLatent:
-    """Orthonormal inverse 3D FFT; the imaginary residue is discarded.
-
-    If `max_imag` is given, raises InvalidParameterError when the largest
-    absolute imaginary component of the inverse exceeds
-    max_imag * max(1, largest absolute real component). A spectrum built
-    from a real latent through symmetric masks keeps the residue at
-    rounding level relative to the signal, whatever its amplitude.
-    """
-    full = np.fft.ifftn(spectrum.data, axes=(1, 2, 3), norm="ortho")
-    if max_imag is not None:
-        _check_residue(float(np.abs(full.imag).max()), full.real, max_imag)
-    return VideoLatent(full.real)
+def ifft3(spectrum) -> VideoLatent:
+    """Orthonormal inverse 3D FFT of a complex (C, T, H, W) array; the imaginary part is dropped."""
+    spectrum = _checked_spectrum(np.asarray(spectrum, dtype=np.complex128))
+    return VideoLatent(np.fft.ifftn(spectrum, axes=(1, 2, 3), norm="ortho").real)
 
 
 def _half_layout(*grids: np.ndarray) -> tuple[tuple[int, ...], tuple[slice, ...]]:
@@ -99,7 +89,7 @@ def _rfftn(x, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _irfftn_real(half: np.ndarray, axes: tuple[int, ...], n: int,
-                 max_imag: float | None = None) -> np.ndarray:
+                 max_imag: float) -> np.ndarray:
     """Orthonormal inverse of a `_rfftn(x, axes)` half spectrum, as a float64 array.
 
     `n` is the length of the last transformed axis, passed because n = 2m
@@ -110,19 +100,25 @@ def _irfftn_real(half: np.ndarray, axes: tuple[int, ...], n: int,
     is even). Every other bin pairs with its mirror into a real signal, so
     those planes alone make up the imaginary residue the full complex
     inverse would have: at most (|Im P_0| + |Im P_n/2|) / sqrt(n) per
-    output sample, P being a plane after the first inverse. With
-    `max_imag` that residue is checked against the same limit as in
-    `ifft3`.
+    output sample, P being a plane after the first inverse. Raises
+    InvalidParameterError when it exceeds max_imag * max(1, largest
+    absolute output): real latents under symmetric masks keep it at
+    rounding level relative to the signal, whatever its amplitude.
     """
     last = axes[-1] - 3
     # Over no axes (one transformed axis), ifftn returns `half` itself.
     partial = np.fft.ifftn(half, axes=[a - 3 for a in axes[:-1]], norm="ortho")
     out = np.fft.irfft(partial, n=n, axis=last, norm="ortho")
-    if max_imag is not None:
-        imag = np.abs(partial.take(0, axis=last).imag)
-        if n % 2 == 0:
-            imag += np.abs(partial.take(n // 2, axis=last).imag)
-        _check_residue(float(imag.max()) / np.sqrt(n), out, max_imag)
+    imag = np.abs(partial.take(0, axis=last).imag)
+    if n % 2 == 0:
+        imag += np.abs(partial.take(n // 2, axis=last).imag)
+    residue = float(imag.max()) / np.sqrt(n)
+    limit = max_imag * max(1.0, float(np.abs(out).max()))
+    if residue > limit:
+        raise InvalidParameterError(
+            f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
+            "spectrum is not conjugate-symmetric"
+        )
     return out
 
 

@@ -1,8 +1,8 @@
 """Dense 4-axis video tensors, deterministic sampling, and the .spfu file format.
 
 Axis order is fixed to (C, T, H, W): channels, frames, height, width.
-Real tensors are stored as float32; all reductions and transforms elsewhere
-in the toolkit accumulate in 64-bit.
+Latents are stored as float32; reductions and transforms elsewhere in
+the toolkit accumulate in 64-bit, into plain float64 or complex128 arrays.
 
 File format (little-endian, no padding, no compression):
 
@@ -40,7 +40,7 @@ _HEADER = struct.Struct("<4sHBB4I")
 def _check_shape4(shape: tuple) -> tuple[int, int, int, int]:
     if len(shape) != 4:
         raise InvalidShapeError(f"expected 4 axes (C, T, H, W), got {len(shape)}")
-    dims = tuple(int(n) for n in shape)
+    dims = tuple(int(check_integer(n, "shape", InvalidShapeError)) for n in shape)
     if any(n < 1 for n in dims):
         raise InvalidShapeError(f"all axes must be >= 1, got {dims}")
     return dims
@@ -62,30 +62,6 @@ class VideoLatent:
         _check_shape4(arr.shape)
         if not np.isfinite(arr).all():
             raise NonFiniteValueError("latent values must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.data.shape
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralTensor:
-    """Complex-valued (C, T, H, W) spectrum of either kind: a latent's full
-    3D-FFT image (`fft3`), or the half spectrum `fusion.fused_spectrum`
-    keeps in its masks' layout, (C, T//2+1, H, W) for temporal masks.
-
-    Like VideoLatent, it holds a read-only, C-contiguous copy of its input.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128, order="C")
-        _check_shape4(arr.shape)
-        if not np.isfinite(arr).all():
-            raise NonFiniteValueError("spectrum values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 

@@ -15,7 +15,6 @@ from specfuse import (
     FusionPlan,
     MacCounter,
     SeededRng,
-    SpectralTensor,
     TokenSequence,
     aggregate_attention,
     attention_map,
@@ -148,7 +147,7 @@ def test_criterion_7_distortion_trend():
     ref = gaussian_latent((4, 8, 8, 8), SeededRng(700))
     raw = gaussian_latent((4, 32, 8, 8), SeededRng(701))
     lpf = gaussian_lowpass((32, 8, 8), 0.25, "temporal")
-    ext = ifft3(SpectralTensor(fft3(raw).data * lpf.weights))
+    ext = ifft3(fft3(raw) * lpf.weights)
     rep = relative_snr(ref, ext, [0.25 * np.pi], threshold=0.9)
     low, high = (float(r) for r in rep.ratios)
     ok = low >= 0.95 and high <= 0.7 and high < low
@@ -186,9 +185,9 @@ def test_criterion_9_sparse_efficiency():
     # conjugate of a kept one. Multiplying by the 0/1 band is exact.
     _, index = _half_layout(*(m.weights for m in masks))
     inside = masks[-1].weights[index]
-    same_outside = np.array_equal(dense_spec.data * (1.0 - inside),
-                                  sparse_spec.data * (1.0 - inside))
-    differs_inside = float(np.abs((dense_spec.data - sparse_spec.data) * inside).max()) > 0.0
+    same_outside = np.array_equal(dense_spec * (1.0 - inside),
+                                  sparse_spec * (1.0 - inside))
+    differs_inside = float(np.abs((dense_spec - sparse_spec) * inside).max()) > 0.0
     ok = ratio <= 0.55 and same_outside and differs_inside
     report("criterion-9 sparse key-frame efficiency", ok,
            f"mac ratio {ratio:.3f}, outside-band identical {same_outside}")

@@ -13,7 +13,6 @@ from specfuse import (
     InvalidParameterError,
     SeededRng,
     SnrReport,
-    SpectralTensor,
     TokenSequence,
     VideoLatent,
     aggregate_attention,
@@ -43,14 +42,14 @@ class TestBandEnergy:
     def test_dc_lands_in_lowest_band(self):
         lat = VideoLatent(np.ones((1, 8, 4, 4), dtype=np.float32))
         energies = band_energy(lat, [0.25 * np.pi])
-        assert energies[0] == pytest.approx(selftest._energy(lat), rel=1e-12)
+        assert energies[0] == pytest.approx(selftest._energy(lat.data), rel=1e-12)
         assert energies[1] == 0.0
 
     def test_high_tone_lands_in_high_band(self):
         lat = tone_latent(16, 4)  # omega = pi/2
         energies = band_energy(lat, [0.25 * np.pi])
         assert energies[0] == pytest.approx(0.0, abs=1e-9)
-        assert energies[1] == pytest.approx(selftest._energy(lat), rel=1e-6)
+        assert energies[1] == pytest.approx(selftest._energy(lat.data), rel=1e-6)
 
     def test_white_noise_tracks_bin_counts(self):
         lat = gaussian_latent((4, 64, 32, 32), SeededRng(1))
@@ -82,7 +81,7 @@ class TestBandEnergy:
         lat = gaussian_latent((3, t, 5, w), SeededRng(20 + w))
         edges = uniform_band_edges(6)
         grid = frequency_grid((t, 5, w), mode)
-        energy = (np.abs(fft3(lat).data) ** 2).sum(axis=0)
+        energy = (np.abs(fft3(lat)) ** 2).sum(axis=0)
         want = np.bincount(np.searchsorted(edges, grid, side="left").ravel(),
                            weights=energy.ravel(), minlength=edges.size + 1)
         got = band_energy(lat, edges, mode)
@@ -126,7 +125,7 @@ class TestRelativeSnr:
         ref = gaussian_latent((2, 8, 8, 8), SeededRng(5))
         ext_raw = gaussian_latent((2, 32, 8, 8), SeededRng(6))
         lpf = gaussian_lowpass((32, 8, 8), 0.25, "temporal")
-        ext = ifft3(SpectralTensor(fft3(ext_raw).data * lpf.weights))
+        ext = ifft3(fft3(ext_raw) * lpf.weights)
         report = relative_snr(ref, ext, [0.25 * np.pi])
         low, high = report.ratios
         assert high < low

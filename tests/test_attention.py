@@ -213,6 +213,14 @@ class TestUniformKeyframes:
         with pytest.raises(InvalidParameterError):
             uniform_keyframes(8, frac)
 
+    @pytest.mark.parametrize("num_frames", [8.5, True], ids=["float", "bool"])
+    def test_non_integer_frame_count_rejected(self, num_frames):
+        with pytest.raises(InvalidParameterError, match="^num_frames must be an integer"):
+            uniform_keyframes(num_frames, 0.5)
+
+    def test_numpy_integer_frame_count_accepted(self):
+        assert uniform_keyframes(np.int64(8), 0.5).tolist() == [0, 2, 4, 6]
+
 
 class TestEquivariance:
     test_within_frame_permutation = staticmethod(selftest.check_frame_permutation_equivariance)

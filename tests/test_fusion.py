@@ -106,8 +106,8 @@ class TestSpectralBlend:
         low, high = temporal_tone(shape, 1), temporal_tone(shape, 6)
         fine_mask, coarse_mask = band_masks([1, 4], (16, 4, 4))  # split at pi/8
         out = spectral_blend(low, high, coarse_mask)  # low band from `low`, rest from `high`
-        spec_out = fft3(out).data[0]
-        expected = fft3(low).data[0] + fft3(high).data[0]
+        spec_out = fft3(out)[0]
+        expected = fft3(low)[0] + fft3(high)[0]
         assert np.abs(spec_out - expected).max() <= 1e-6
 
     def test_large_amplitude_is_accepted(self):
@@ -145,8 +145,8 @@ class TestMultibandFuse:
         # k=1 -> pi/16 (coarse band), k=3 -> 3pi/16 (middle), k=8 -> pi/2 (fine).
         fine, mid, coarse = temporal_tone(shape, 8), temporal_tone(shape, 3), temporal_tone(shape, 1)
         out = multiband_fuse([fine, mid, coarse], masks)
-        expected = fft3(fine).data + fft3(mid).data + fft3(coarse).data
-        assert np.abs(fft3(out).data - expected).max() <= 1e-6
+        expected = fft3(fine) + fft3(mid) + fft3(coarse)
+        assert np.abs(fft3(out) - expected).max() <= 1e-6
 
     def test_partition_violation_rejected(self):
         z = gaussian_latent((1, 8, 4, 4), SeededRng(11))
@@ -198,7 +198,7 @@ class TestFusionProperties:
             masks = band_masks(alphas, (t, h, w), mode)
         rng = SeededRng(seed)
         branches = [rng.normals(c * t * h * w).reshape(c, t, h, w) for _ in masks]
-        total = sum(fft3(b).data * m.weights for b, m in zip(branches, masks))
+        total = sum(fft3(b) * m.weights for b, m in zip(branches, masks))
         oracle = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
         fused = fusion._fuse(branches, masks)
         assert np.abs(fused - oracle).max() <= 1e-12 * np.abs(oracle).max()

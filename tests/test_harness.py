@@ -8,10 +8,12 @@ from specfuse import (
     AttentionWindow,
     FusionPlan,
     InvalidParameterError,
+    InvalidShapeError,
     SeededRng,
     SyntheticScene,
     Tone,
     band_energy,
+    block_weights,
     fft3,
     make_scene,
     masked_attention,
@@ -48,7 +50,7 @@ class TestMakeScene:
 
     def test_spatial_tone_axis(self):
         scene = SyntheticScene(shape=(1, 2, 16, 2), tones=(Tone("h", np.pi / 2, 2.0),))
-        spec = np.abs(fft3(make_scene(scene)).data[0]) ** 2
+        spec = np.abs(fft3(make_scene(scene))[0]) ** 2
         profile = spec.sum(axis=(0, 2))
         assert int(profile.argmax()) in (4, 12)
 
@@ -75,6 +77,17 @@ class TestMakeScene:
             seed=42,
         )
 
+    @pytest.mark.parametrize("shape", [(1, 8.7, 2, 2), (1, 8, 2, True), (1, 8, 2)],
+                             ids=["float", "bool", "rank-3"])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(InvalidShapeError):
+            SyntheticScene(shape=shape)
+
+    def test_numpy_integer_shape_accepted(self):
+        scene = SyntheticScene(shape=tuple(np.int64(n) for n in (1, 8, 2, 2)))
+        assert scene == SyntheticScene(shape=(1, 8, 2, 2))
+        assert all(type(n) is int for n in scene.shape)
+
     def test_unknown_config_key(self):
         with pytest.raises(InvalidParameterError):
             SyntheticScene.from_text("shape = 1,2,2,2\nwhat = 3\n")
@@ -97,22 +110,22 @@ class TestRunStack:
         toks = noisy_scene_tokens((8, 16, 4, 4), 1)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
         from specfuse import spectral_blend_attention
-        from specfuse.harness import block_weights
 
         stacked = run_stack(toks, plan, depth=1, seed=3, spatial=(4, 4))
         weights = block_weights(8, SeededRng(3))
         single = spectral_blend_attention(toks, weights, plan, (4, 4))
         assert np.array_equal(stacked.features, single.features)
 
-    def test_depth_two_identity_short_input(self):
-        # T == t_alpha with identity projections: two plain attention passes.
+    def test_depth_two_short_input_is_plain_attention(self):
+        # T == t_alpha: two plain attention passes, each block taking the
+        # next three matrices of the seeded weight stream.
         toks = noisy_scene_tokens((4, 8, 4, 4), 2)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2), domain_mode="radial")
-        out = run_stack(toks, plan, depth=2, seed=0, spatial=(4, 4), identity_weights=True)
-        eye = (np.eye(4), np.eye(4), np.eye(4))
+        out = run_stack(toks, plan, depth=2, seed=0, spatial=(4, 4))
+        rng = SeededRng(0)
         ref = toks
         for _ in range(2):
-            q, k, v = project_qkv(ref, eye)
+            q, k, v = project_qkv(ref, block_weights(4, rng))
             ref = masked_attention(q, k, v, ref.frame_index, AttentionWindow.for_span(8, 8))
         assert np.abs(out.features - ref.features).max() <= 2e-4
 

@@ -8,14 +8,14 @@ import pytest
 from specfuse import selftest
 from specfuse import (
     InvalidParameterError,
+    InvalidShapeError,
     SeededRng,
     SpecMixParams,
     base_noise,
-    center_distance,
     gaussian_latent,
-    mixing_angle,
     specmix,
 )
+from specfuse.noise_init import _mix_weights
 
 
 def frame_digest(data: np.ndarray, t: int) -> str:
@@ -30,8 +30,12 @@ def mix_inputs(params: SpecMixParams, chw) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of d * pi/2 per temporal index, the extreme indices exactly 0/1."""
-    theta = np.array([center_distance(t, frames) for t in range(frames)]) * np.pi / 2
+    """cos/sin of d * pi/2 per temporal index, the extreme indices exactly 0/1.
+
+    d = |t - c| / c is index t's distance to the centre c = (frames - 1) / 2.
+    """
+    centre = (frames - 1) / 2
+    theta = np.array([abs(t - centre) / centre for t in range(frames)]) * np.pi / 2
     cos_w, sin_w = np.cos(theta), np.sin(theta)
     cos_w[-1] = cos_w[0] = 0.0
     sin_w[-1] = sin_w[0] = 1.0
@@ -74,30 +78,29 @@ class TestBaseNoise:
 
 
 class TestCenterDistance:
+    """The centre distance d behind `_mix_weights`, read through the angle d * pi/2."""
+
     test_symmetry = staticmethod(selftest.check_specmix_determinism_and_limits)
 
     def test_center_of_odd_sequence(self):
-        assert center_distance(2, 5) == 0.0
-        assert mixing_angle(center_distance(2, 5)) == 0.0
+        cos_w, sin_w = _mix_weights(5)
+        assert (cos_w[0, 2, 0, 0], sin_w[0, 2, 0, 0]) == (1.0, 0.0)
 
     def test_endpoints(self):
+        # Exactly 0/1 only where the angle is exactly pi/2, i.e. d == 1.
         for frames in (2, 5, 17):
-            assert center_distance(0, frames) == 1.0
-            assert center_distance(frames - 1, frames) == 1.0
-            assert mixing_angle(1.0) == np.pi / 2
+            cos_w, sin_w = _mix_weights(frames)
+            assert cos_w.ravel()[[0, -1]].tolist() == [0.0, 0.0]
+            assert sin_w.ravel()[[0, -1]].tolist() == [1.0, 1.0]
 
     def test_interior_value(self):
-        assert center_distance(1, 5) == 0.5
-        assert mixing_angle(0.5) == np.pi / 4
+        cos_w, sin_w = _mix_weights(5)  # frame 1 is halfway out: d = 0.5
+        assert (cos_w[0, 1, 0, 0], sin_w[0, 1, 0, 0]) == (np.cos(np.pi / 4), np.sin(np.pi / 4))
 
     def test_single_frame(self):
-        assert center_distance(0, 1) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            center_distance(5, 5)
-        with pytest.raises(InvalidParameterError):
-            mixing_angle(1.5)
+        # A lone frame is the centre, with no 0/0 (a RuntimeWarning fails the test).
+        cos_w, sin_w = _mix_weights(1)
+        assert (cos_w.ravel().tolist(), sin_w.ravel().tolist()) == ([1.0], [0.0])
 
 
 class TestSpecmix:
@@ -146,3 +149,24 @@ class TestSpecmix:
         params = SpecMixParams(frames=8, t_alpha=8)
         with pytest.raises(InvalidParameterError):
             specmix(params, (1, 2, 2), "bogus")
+
+    def test_single_frame_is_the_base(self):
+        # One frame is the centre: cos = 1 and sin = 0, so the mix is the base itself.
+        params = SpecMixParams(frames=1, t_alpha=1, seed_base=4, seed_res=5, seed_perm=6)
+        for mode in ("spatial", "full3d"):
+            assert specmix(params, (2, 3, 4), mode).data.tobytes() == \
+                base_noise(params, (2, 3, 4)).data.tobytes()
+
+    @pytest.mark.parametrize("chw", [(2.5, 4, 4), (2, 4, True), (2, 4.0, 4)],
+                             ids=["float", "bool", "integral-float"])
+    def test_non_integer_axis_rejected(self, chw):
+        params = SpecMixParams(frames=8, t_alpha=4)
+        for make in (base_noise, specmix):
+            with pytest.raises(InvalidShapeError, match="^shape must be an integer"):
+                make(params, chw)
+
+    def test_numpy_integer_axes_accepted(self):
+        params = SpecMixParams(frames=8, t_alpha=4)
+        chw = tuple(np.int64(n) for n in (2, 4, 3))
+        for make in (base_noise, specmix):
+            assert make(params, chw).data.tobytes() == make(params, (2, 4, 3)).data.tobytes()

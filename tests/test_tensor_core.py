@@ -10,7 +10,6 @@ from specfuse import (
     InvalidShapeError,
     NonFiniteValueError,
     SeededRng,
-    SpectralTensor,
     TruncatedPayloadError,
     UnsupportedFormatError,
     VideoLatent,
@@ -71,6 +70,18 @@ class TestGaussianLatent:
         with pytest.raises(InvalidShapeError):
             gaussian_latent((2, 4, 4), SeededRng(1))
 
+    @pytest.mark.parametrize("shape", [(1, 4.5, 2, 2), (1, 4, 2, True), (1.0, 4, 2, 2)],
+                             ids=["float", "bool", "integral-float"])
+    def test_non_integer_axis_rejected(self, shape):
+        with pytest.raises(InvalidShapeError, match="^shape must be an integer"):
+            gaussian_latent(shape, SeededRng(1))
+
+    def test_numpy_integer_axes_accepted(self):
+        shape = tuple(np.int64(n) for n in (1, 4, 2, 3))
+        lat = gaussian_latent(shape, SeededRng(1))
+        assert lat.shape == (1, 4, 2, 3)
+        assert np.array_equal(lat.data, gaussian_latent((1, 4, 2, 3), SeededRng(1)).data)
+
 
 class TestVideoLatent:
     def test_rejects_non_finite(self):
@@ -97,21 +108,6 @@ class TestVideoLatent:
         lat = gaussian_latent((1, 2, 2, 2), SeededRng(3))
         with pytest.raises(ValueError):
             lat.data[0, 0, 0, 0] = 1.0
-
-
-class TestSpectralTensor:
-    def test_rejects_non_finite(self):
-        data = np.zeros((1, 2, 2, 2), dtype=np.complex128)
-        data[0, 0, 1, 0] = complex(0.0, np.nan)
-        with pytest.raises(NonFiniteValueError):
-            SpectralTensor(data)
-
-    def test_copies_the_callers_array(self):
-        data = np.arange(8, dtype=np.complex128).reshape(1, 2, 2, 2)
-        spec = SpectralTensor(data)
-        assert data.flags.writeable
-        data[0, 0, 0, 0] = 99.0
-        assert np.array_equal(spec.data, np.arange(8).reshape(1, 2, 2, 2))
 
 
 class TestFileFormat:
