@@ -202,7 +202,7 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     if not maps:
         raise InvalidParameterError("need at least one attention matrix")
-    t = int(num_frames)
+    t = check_integer(num_frames, "num_frames")
     if t < 1:
         raise InvalidParameterError(f"num_frames must be >= 1, got {num_frames}")
     pooled = np.zeros((t, t), dtype=np.float64)

@@ -1,18 +1,18 @@
 """Scaled dot-product attention over frame-indexed token sequences.
 
-Single-head only. Tokens carry a frame id; masks are defined on frame
-indices and admit all tokens of an admitted frame. A local window of
-span s admits key frames j with |i - j| < floor(s / 2) around the query
-frame i; masked keys are excluded before the softmax, so they get zero
-weight exactly. Logits and reductions run in float64.
+Single-head only. Tokens carry a frame id; a mask is a (T, T) boolean
+matrix (`_frame_set`) whose row i holds the key frames, with all their
+tokens, that query frame i admits: |i - j| < max(1, floor(s / 2)) for a
+local window of span s, every frame for a global one, the key-frame
+columns for a key-frame set. Masked keys get zero weight exactly.
+Logits and reductions run in float64.
 
-One core, `_attend`, serves every variant. It takes several admitted-frame
-sets at once (local ranges, the whole sequence, key-frame sets) and makes
-one pass over the query frames, computing the logits of every key frame
-that some set admits once. Each query row's logits are shifted by a static
-bound instead of by the row's running max (see `_attend`), so a key
-frame's weighted values and row sum simply add up across the frames of a
-set, with no log-sum-exp rescaling (the online softmax of Milakov &
+One core, `_attend`, serves every variant. It takes several masks at once
+and makes one pass over the query frames, computing the logits of every
+key frame that some mask admits once. Each query row's logits are shifted
+by a static bound instead of by the row's running max (see `_attend`), so
+a key frame's weighted values and row sum simply add up across the frames
+of a set, with no log-sum-exp rescaling (the online softmax of Milakov &
 Gimelshein 2018, with its bookkeeping gone). Nested windows therefore cost
 one pass of the widest, and each set's output equals the same set run
 alone, bit for bit.
@@ -161,12 +161,11 @@ class AttentionWindow:
 class MacCounter:
     """Accumulates key-value multiply-accumulate counts across attention calls.
 
-    Counts queries x admitted_keys x 2*d per block: one d-MAC for the
-    logit, one for the value accumulation. Softmax arithmetic, including
-    the shift and row-sum columns the core appends, is excluded.
-    The count is logical: a branch's counter gets its own queries x its
-    own admitted keys x 2*d even when several branches share one pass,
-    whose physical work is that of the union of the branches' frames.
+    One d-MAC per admitted query-key token pair for the logit and one for
+    the value accumulation; softmax arithmetic is excluded. Counts come
+    from the (T, T) admitted-frame matrices, not from the core: a set's
+    logical MACs are admitted.sum() * tpf**2 * 2d, and a pass shared by
+    stacked sets does admitted.any(0).sum() * tpf**2 * 2d physically.
     """
 
     macs: int = 0
@@ -203,36 +202,37 @@ def _frame_slices(frames: np.ndarray) -> tuple[int, int]:
     return t, tpf
 
 
-def _admitted_range(i: int, radius: int, t: int) -> tuple[int, int]:
-    # |i - j| < radius, relaxed to the query's own frame when radius == 0.
-    if radius <= 0:
-        return i, i + 1
-    return max(0, i - radius + 1), min(t, i + radius)
+def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None) -> np.ndarray:
+    """The key frames each query frame admits, as a read-only (T, T) bool matrix.
 
-
-def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None):
-    """The key frames each query frame admits, as `admitted(i)`.
-
-    `admitted(i)` is a slice of frames for a window (local range or the
-    whole sequence) and the ascending key-frame array for a key-frame set;
-    either one indexes a (T, ...) per-frame array. Exactly one of `window`
-    / `keyframes` selects the set; both None means the whole sequence.
+    Row i is True at the key frames query frame i admits (see the module
+    docstring). Exactly one of `window` / `keyframes` selects the set;
+    both None means the whole sequence.
     """
     if window is not None and keyframes is not None:
         raise InvalidParameterError("pass either window or keyframes, not both")
+    ids = np.arange(t)
     if keyframes is not None:
         keys = np.unique(np.asarray(list(keyframes), dtype=np.int64))
         if keys.size == 0:
             raise InvalidParameterError("keyframe set must be non-empty")
         if keys[0] < 0 or keys[-1] >= t:
             raise InvalidParameterError(f"keyframes must lie in [0, {t}), got {keys.tolist()}")
-        return lambda i: keys
-    if window is None or window.kind == "global":
+        admitted = np.broadcast_to(np.isin(ids, keys), (t, t))
+    elif window is None or window.kind == "global":
         if window is not None and window.span_frames < t:
             raise InvalidParameterError("global window must span the whole sequence")
-        return lambda i: slice(0, t)
-    radius = window.span_frames // 2
-    return lambda i: slice(*_admitted_range(i, radius, t))
+        admitted = np.broadcast_to(True, (t, t))
+    else:
+        admitted = np.abs(ids[:, None] - ids) < max(1, window.span_frames // 2)
+        admitted.flags.writeable = False
+    return admitted
+
+
+def _frame_index(ids: np.ndarray) -> slice | np.ndarray:
+    """Ascending frame ids as a slice when they are contiguous, else as they are."""
+    lo, hi = int(ids[0]), int(ids[-1]) + 1
+    return slice(lo, hi) if hi - lo == ids.size else ids
 
 
 def _pool_width() -> int:
@@ -289,33 +289,31 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
     """`_attend`'s work for the query frames `frame_ids`, in `buffers` of its own.
 
-    q3, k3 and v3 carry the extra column (-c_r, ones, ones). Writes only
+    q3, k3 and v3 carry the extra column (-c_r, ones, ones); `admitted` is
+    the (sets, T, T) stack of admitted-frame matrices. Writes only
     those frames' rows of `outs` and calls only numpy, so it can run on a
     pool thread next to other shares. Floating-point errors are ignored
     on the shifted path, whose failures the fallback catches, and follow
     the caller's np.errstate in the fallback.
     """
-    t, tpf, _ = q3.shape
+    tpf = q3.shape[1]
     block, partial = buffers
     group, rows = block.shape[:2]
     caller = np.geterr()
     with np.errstate(all="ignore"):
         for i in frame_ids:
-            in_union = np.zeros(t, dtype=bool)
-            for keys in admitted[i]:
-                in_union[keys] = True
-            union = np.flatnonzero(in_union)
+            union = np.flatnonzero(admitted[:, i].any(axis=0))
+            sets = [_frame_index(np.flatnonzero(row)) for row in admitted[:, i]]
             for r0 in range(0, tpf, rows):
                 m = min(rows, tpf - r0)
                 for start in range(0, union.size, group):
                     part = union[start : start + group]
-                    lo, hi = int(part[0]), int(part[-1]) + 1
-                    keys = slice(lo, hi) if hi - lo == part.size else part
+                    keys = _frame_index(part)
                     weights = np.matmul(q3[i, r0 : r0 + m], k3[keys].transpose(0, 2, 1),
                                         out=block[: part.size, :m])
                     np.exp(weights, out=weights)
                     partial[keys, :m] = weights @ v3[keys]
-                for out, keys in zip(outs, admitted[i]):
+                for out, keys in zip(outs, sets):
                     total = partial[keys, :m].sum(axis=0)
                     rows_out = out[i, r0 : r0 + m]
                     np.divide(total[:, :-1], total[:, -1:], out=rows_out)
@@ -326,29 +324,30 @@ def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
                                                          k3[keys, :, :-1], v3[keys, :, :-1])
 
 
-def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
+def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     """One-pass multi-window attention core; one (n, d_v) output per frame set.
 
-    For each query frame i, the logits of every key frame that some set
-    admits are computed once, as stacked (J, rows, tpf) matmuls over groups
-    of frames sized to stay in cache, one chunk of the frame's query rows
-    at a time. The keys are first centred on the mean key of the call: an
-    offset shared by every key adds q_r . o to a whole row, which the
-    softmax cancels, but it would inflate the shift below far past the
-    row's true max. Query row r is shifted by c_r = |q_r| * max_j |k_j|,
-    with the max over every (centred) key token of the call, which bounds
-    every logit of the row. The shift is folded into the logits matmul (a
-    -c_r column of the scaled Q meets a ones column of K) and the row sum
-    into the value matmul (a ones column of V), so key frame j yields
+    Each frame set is a (T, T) admitted-frame matrix from `_frame_set`. For
+    each query frame i, the logits of every key frame in the union of the
+    sets' rows i are computed once, as stacked (J, rows, tpf) matmuls over
+    groups of frames sized to stay in cache, one chunk of the frame's query
+    rows at a time. The keys are first centred on the mean key of the call:
+    an offset shared by every key adds q_r . o to a whole row, which the
+    softmax cancels, but it would inflate the shift below far past the row's
+    true max. Query row r is shifted by c_r = |q_r| * max_j |k_j|, with the
+    max over every (centred) key token of the call, which bounds every logit
+    of the row. The shift is folded into the logits matmul (a -c_r column of
+    the scaled Q meets a ones column of K) and the row sum into the value
+    matmul (a ones column of V), so key frame j yields
     p_j = exp(logit - c_r) @ [V_j | 1] after one `exp` pass. A set's rows
     are sum_j p_j[:, :dv] / sum_j p_j[:, dv] over its own frames, added in
     ascending frame order; a row whose sum is below `_MIN_ROW_SUM` or not
-    finite is recomputed with the set's own row max. Neither the centring,
-    the shift nor the fallback depends on the other sets, so a set's output is
-    bit-identical to the same set run alone. Query frames are split
-    across `_pool_width()` threads (see the module docstring) and the
-    output does not depend on the width. `counters[b]`, if not None,
-    receives set b's logical MACs.
+    finite is recomputed with the set's own row max. Neither the centring, the shift
+    nor the fallback depends on the other sets, so a set's output is
+    bit-identical to the same set run alone. Query frames are split across
+    `_pool_width()` threads (see the module docstring) and the output does
+    not depend on the width. The core counts no work (see `MacCounter` for
+    reading counts off the matrices).
     """
     t, tpf = _frame_slices(frames)
     d, dv = q.shape[1], v.shape[1]
@@ -365,7 +364,7 @@ def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
     k3 = k3.reshape(t, tpf, d + 1)
     v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
-    admitted = [[frame_set(i) for frame_set in frame_sets] for i in range(t)]
+    admitted = np.stack(frame_sets)
     width = min(_pool_width(), t)
     shares = [range(first, t, width) for first in range(width)]
     task = functools.partial(_attend_frames, q3, k3, v3, admitted, outs)
@@ -383,21 +382,25 @@ def _attend(q, k, v, frames, frame_sets, counters=None) -> list[np.ndarray]:
         task(shares[0], buffers[0])
     for future in futures:
         future.result()
-    frame_ids = np.arange(t)
-    for b, counter in enumerate(counters or ()):
-        if counter is not None:
-            count = sum(frame_ids[per_set[b]].size for per_set in admitted)
-            counter.add(tpf * count * tpf * 2 * d)
     return [out.reshape(t * tpf, dv) for out in outs]
+
+
+def _one_set_attention(q, k, v, frame_index, counter: MacCounter | None,
+                       **frame_set) -> TokenSequence:
+    """Attention under one `_frame_set`; `counter`, if not None, gets its logical MACs."""
+    q, k, v, frames = _check_qkv(q, k, v, frame_index)
+    t, tpf = _frame_slices(frames)
+    admitted = _frame_set(t, **frame_set)
+    (out,) = _attend(q, k, v, frames, [admitted])
+    if counter is not None:
+        counter.add(int(admitted.sum()) * tpf * tpf * 2 * q.shape[1])
+    return TokenSequence(out, frames)
 
 
 def masked_attention(q, k, v, frame_index, window: AttentionWindow,
                      counter: MacCounter | None = None) -> TokenSequence:
     """Windowed (or global) attention under the frame-distance mask rule."""
-    q, k, v, frames = _check_qkv(q, k, v, frame_index)
-    t, _ = _frame_slices(frames)
-    (out,) = _attend(q, k, v, frames, [_frame_set(t, window=window)], [counter])
-    return TokenSequence(out, frames)
+    return _one_set_attention(q, k, v, frame_index, counter, window=window)
 
 
 def uniform_keyframes(num_frames: int, fraction: float) -> np.ndarray:
@@ -421,10 +424,7 @@ def sparse_attention(q, k, v, frame_index, keyframes,
     With keyframes covering every frame this reduces to global attention
     bit-for-bit (same frame blocks, same merge order).
     """
-    q, k, v, frames = _check_qkv(q, k, v, frame_index)
-    t, _ = _frame_slices(frames)
-    (out,) = _attend(q, k, v, frames, [_frame_set(t, keyframes=keyframes)], [counter])
-    return TokenSequence(out, frames)
+    return _one_set_attention(q, k, v, frame_index, counter, keyframes=keyframes)
 
 
 def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
@@ -445,7 +445,7 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     # Query frame i's rows, as (tpf, T, tpf) blocks per key frame.
     weights = np.zeros((t, tpf, t, tpf), dtype=np.float64)
     for i in range(t):
-        keys = admitted(i)
+        keys = _frame_index(np.flatnonzero(admitted[i]))
         logits = q3[i] @ k3[keys].reshape(-1, d).T
         weights[i][:, keys] = _softmax_rows(logits).reshape(tpf, -1, tpf)
     return weights.reshape(t * tpf, t * tpf)

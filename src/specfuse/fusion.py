@@ -31,7 +31,6 @@ import numpy as np
 from . import config
 from .attention import (
     AttentionWindow,
-    MacCounter,
     TokenSequence,
     _attend,
     _frame_set,
@@ -55,7 +54,7 @@ def _token_rows(grid: np.ndarray) -> np.ndarray:
 
 
 def _check_spatial(spatial: tuple[int, int], tpf: int) -> tuple[int, int]:
-    h, w = int(spatial[0]), int(spatial[1])
+    h, w = (int(config.check_integer(n, "spatial", ShapeMismatchError)) for n in spatial)
     if h < 1 or h * w != tpf:
         raise ShapeMismatchError(f"spatial {h}x{w} does not factor {tpf} tokens per frame")
     return h, w
@@ -220,27 +219,41 @@ def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
     return multiband_fuse([z_local, z_global], [lpf.complement(), lpf])
 
 
-def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
-                    spatial: tuple[int, int],
-                    counters: list[MacCounter | None] | None = None) -> list[np.ndarray]:
-    """Run every branch of `plan` in one attention pass on shared projections.
-
-    Returns one float64 (C, T, H, W) array per branch, in plan order;
-    `counters`, aligned with the alphas, get each branch's logical MACs.
-    """
-    t = tokens.num_frames
-    plan.validate_for(t)
-    _check_spatial(spatial, tokens.tokens_per_frame)
-    q, k, v = project_qkv(tokens, qkv_weights)
+def _branch_sets(plan: FusionPlan, t: int) -> list[np.ndarray]:
+    """The (T, T) admitted-frame matrices of `plan`'s branches at t frames, in plan order."""
     last = len(plan.alphas) - 1
-    frame_sets = [
+    return [
         _frame_set(t, keyframes=uniform_keyframes(t, SPARSE_KEY_FRACTION))
         if plan.sparse_global and i == last
         else _frame_set(t, window=AttentionWindow.for_span(alpha * plan.t_alpha, t))
         for i, alpha in enumerate(plan.alphas)
     ]
-    outs = _attend(q, k, v, tokens.frame_index, frame_sets, counters)
+
+
+def _fusion_grid(tokens: TokenSequence, plan: FusionPlan,
+                 spatial: tuple[int, int]) -> tuple[int, int, int]:
+    """The (T, H, W) grid of `tokens` once `plan` covers it and `spatial` factors it."""
+    plan.validate_for(tokens.num_frames)
+    return (tokens.num_frames, *_check_spatial(spatial, tokens.tokens_per_frame))
+
+
+def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
+                    spatial: tuple[int, int]) -> list[np.ndarray]:
+    """Run every branch of `plan` in one attention pass on shared projections.
+
+    Returns one float64 (C, T, H, W) array per branch, in plan order.
+    """
+    t = _fusion_grid(tokens, plan, spatial)[0]
+    q, k, v = project_qkv(tokens, qkv_weights)
+    outs = _attend(q, k, v, tokens.frame_index, _branch_sets(plan, t))
     return [_latent_grid(out, t, spatial) for out in outs]
+
+
+def _fused_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
+                     spatial: tuple[int, int], masks: list[FrequencyMask]) -> TokenSequence:
+    """`plan`'s branches fused by `masks`, one per alpha: any partition of unity."""
+    branch_outputs = _branch_latents(tokens, qkv_weights, plan, spatial)
+    return TokenSequence(_token_rows(_fuse(branch_outputs, masks)), tokens.frame_index)
 
 
 def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
@@ -249,30 +262,18 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
 
     The plan must hold exactly two scales with the finer one at 1; the
     coarser branch runs globally (its window covers the sequence by the
-    plan invariant) and contributes the low band. This is
-    multiband_attention with the masks [1 - P, P] of the plan's low-pass
-    filter P.
+    plan invariant) and contributes the low band. This is the fusion of
+    `multiband_attention` with the masks [1 - P, P] of the plan's
+    low-pass filter P in place of the hard bands.
     """
     if len(plan.alphas) != 2 or plan.alphas[0] != 1:
         raise InvalidPlanError(f"blend plan needs alphas (1, global), got {plan.alphas}")
-    _check_spatial(spatial, tokens.tokens_per_frame)
-    lpf = gaussian_lowpass((tokens.num_frames, *spatial), plan.d0, plan.domain_mode)
-    return multiband_attention(tokens, qkv_weights, plan, spatial,
-                               masks=[lpf.complement(), lpf])
+    lpf = gaussian_lowpass(_fusion_grid(tokens, plan, spatial), plan.d0, plan.domain_mode)
+    return _fused_attention(tokens, qkv_weights, plan, spatial, [lpf.complement(), lpf])
 
 
 def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
-                        spatial: tuple[int, int],
-                        masks: list[FrequencyMask] | None = None) -> TokenSequence:
-    """Per-scale windowed attention fused band-by-band.
-
-    `masks` (aligned with the ascending alphas) replaces the plan's hard
-    band masks, which are built only when it is None; any partition of
-    unity is accepted.
-    """
-    branch_outputs = _branch_latents(tokens, qkv_weights, plan, spatial)
-    if masks is None:
-        masks = band_masks(plan.alphas, (tokens.num_frames, *spatial), plan.domain_mode)
-    elif len(masks) != len(plan.alphas):
-        raise InvalidPlanError("need one mask per plan branch")
-    return TokenSequence(_token_rows(_fuse(branch_outputs, masks)), tokens.frame_index)
+                        spatial: tuple[int, int]) -> TokenSequence:
+    """Per-scale windowed attention fused band-by-band (`band_masks`)."""
+    masks = band_masks(plan.alphas, _fusion_grid(tokens, plan, spatial), plan.domain_mode)
+    return _fused_attention(tokens, qkv_weights, plan, spatial, masks)

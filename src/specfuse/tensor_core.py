@@ -46,6 +46,12 @@ def _check_shape4(shape: tuple) -> tuple[int, int, int, int]:
     return dims
 
 
+def _check_count(n) -> int:
+    if check_integer(n, "n") < 0:
+        raise InvalidParameterError(f"n must be >= 0, got {n}")
+    return int(n)
+
+
 @dataclass(frozen=True, eq=False)
 class VideoLatent:
     """Real-valued (C, T, H, W) tensor holding features or noise.
@@ -95,12 +101,12 @@ class SeededRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values uniform on the open interval (0, 1)."""
-        raw = self._bits.random_raw(int(n))
+        raw = self._bits.random_raw(_check_count(n))
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard-normal values."""
-        n = int(n)
+        n = _check_count(n)
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
         u1, u2 = u[0::2], u[1::2]
@@ -112,7 +118,7 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         """A permutation of range(n) as int64, via Fisher-Yates."""
-        n = int(n)
+        n = _check_count(n)
         perm = np.arange(n, dtype=np.int64)
         if n > 1:
             u = self.uniforms(n - 1)

@@ -13,7 +13,6 @@ import numpy as np
 from specfuse import (
     AttentionWindow,
     FusionPlan,
-    MacCounter,
     SeededRng,
     TokenSequence,
     aggregate_attention,
@@ -32,7 +31,7 @@ from specfuse import (
     uniform_keyframes,
 )
 from specfuse.cli import main as cli_main
-from specfuse.fusion import _branch_latents
+from specfuse.fusion import _branch_latents, _branch_sets
 from specfuse.harness import block_weights
 from specfuse.selftest import (
     check_band_ownership,
@@ -44,6 +43,8 @@ from specfuse.selftest import (
     check_specmix_variance,
 )
 from specfuse.spectral import _half_layout
+
+from attention_oracle import admitted_by_rule, frame_oracle
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -71,17 +72,6 @@ def random_tokens(t, tpf, d, seed) -> TokenSequence:
     return TokenSequence(feats, np.repeat(np.arange(t), tpf))
 
 
-def dense_oracle(q, k, v, frames, admit_frame) -> np.ndarray:
-    """O(n^2) reference: full logit matrix, -inf at masked pairs."""
-    n, d = q.shape
-    fi = frames[:, None]
-    fj = frames[None, :]
-    mask = admit_frame(fi, fj)
-    logits = np.where(mask, (q @ k.T) / np.sqrt(d), -np.inf)
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return (shifted / shifted.sum(axis=1, keepdims=True)) @ v
-
-
 def test_criterion_1_spectral_identity():
     report_checks("criterion-1 spectral identity", check_fft_roundtrip, check_parseval,
                   seconds=5.0)
@@ -104,25 +94,16 @@ def test_criterion_3_attention_oracle_equivalence():
         toks = random_tokens(t, tpf, d, 5000 + trial)
         q, k, v = project_qkv(toks, block_weights(d, SeededRng(6000 + trial)))
         kind = trial % 3
-        if kind == 0:
-            span = int(u[3] * 2 * t) + 1
-            out = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(span))
-            radius = span // 2
-            if radius == 0:
-                admit = lambda fi, fj: fi == fj
-            else:
-                admit = lambda fi, fj: np.abs(fi - fj) < radius
-        elif kind == 1:
-            frac = 0.25 + 0.75 * u[4]
-            keys = uniform_keyframes(t, frac)
+        if kind == 1:
+            keys = uniform_keyframes(t, 0.25 + 0.75 * u[4])
             out = sparse_attention(q, k, v, toks.frame_index, keys)
-            key_set = np.zeros(t, dtype=bool)
-            key_set[keys] = True
-            admit = lambda fi, fj: key_set[fj]
+            admitted = admitted_by_rule(t, keyframes=keys)
         else:
-            out = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(t, t))
-            admit = lambda fi, fj: np.ones_like(fi + fj, dtype=bool)
-        oracle = dense_oracle(q, k, v, toks.frame_index, admit)
+            window = (AttentionWindow.local(int(u[3] * 2 * t) + 1) if kind == 0
+                      else AttentionWindow.for_span(t, t))
+            out = masked_attention(q, k, v, toks.frame_index, window)
+            admitted = admitted_by_rule(t, window=window)
+        oracle = frame_oracle(q, k, v, toks.frame_index, admitted)
         worst = max(worst, float(np.abs(out.features - oracle).max()))
         cases += 1
     ok = cases >= 100 and worst <= 1e-6
@@ -174,10 +155,13 @@ def test_criterion_9_sparse_efficiency():
     weights = block_weights(8, SeededRng(901))
     dense_plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
     sparse_plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
-    dense_ctr, sparse_ctr = MacCounter(), MacCounter()
-    dense_out = _branch_latents(toks, weights, dense_plan, (4, 4), [None, None, dense_ctr])
-    sparse_out = _branch_latents(toks, weights, sparse_plan, (4, 4), [None, None, sparse_ctr])
-    ratio = sparse_ctr.macs / dense_ctr.macs
+    # The global branch's logical MACs: admitted frame pairs x 16^2 token pairs x 2d.
+    dense_macs, sparse_macs = (int(_branch_sets(plan, 32)[-1].sum()) * 16 * 16 * 2 * 8
+                               for plan in (dense_plan, sparse_plan))
+    exact = dense_macs == 512 * 512 * 2 * 8 and sparse_macs == 512 * 256 * 2 * 8
+    ratio = sparse_macs / dense_macs
+    dense_out = _branch_latents(toks, weights, dense_plan, (4, 4))
+    sparse_out = _branch_latents(toks, weights, sparse_plan, (4, 4))
     masks = band_masks((1, 2, 4), (32, 4, 4))
     dense_spec = fused_spectrum(dense_out, masks)
     sparse_spec = fused_spectrum(sparse_out, masks)
@@ -188,7 +172,7 @@ def test_criterion_9_sparse_efficiency():
     same_outside = np.array_equal(dense_spec * (1.0 - inside),
                                   sparse_spec * (1.0 - inside))
     differs_inside = float(np.abs((dense_spec - sparse_spec) * inside).max()) > 0.0
-    ok = ratio <= 0.55 and same_outside and differs_inside
+    ok = exact and ratio <= 0.55 and same_outside and differs_inside
     report("criterion-9 sparse key-frame efficiency", ok,
            f"mac ratio {ratio:.3f}, outside-band identical {same_outside}")
 

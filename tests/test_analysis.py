@@ -29,6 +29,8 @@ from specfuse import (
 )
 from specfuse.harness import block_weights
 
+from attention_oracle import admitted_by_rule
+
 
 def tone_latent(t: int, k: int, spatial=4) -> VideoLatent:
     wave = np.cos(2.0 * np.pi * k * np.arange(t) / t)
@@ -182,14 +184,9 @@ class TestAggregateAttention:
         feats = SeededRng(11).normals(t * tpf * 4).reshape(t * tpf, 4)
         toks = TokenSequence(feats, np.repeat(np.arange(t), tpf))
         q, k, _ = project_qkv(toks, block_weights(4, SeededRng(12)))
-        weights = attention_map(q, k, toks.frame_index,
-                                window=AttentionWindow.local(span))
-        agg = aggregate_attention([weights], t)
-        radius = span // 2
-        for i in range(t):
-            for j in range(t):
-                if abs(i - j) >= radius:
-                    assert agg.matrix[i, j] == 0.0
+        window = AttentionWindow.local(span)
+        agg = aggregate_attention([attention_map(q, k, toks.frame_index, window=window)], t)
+        assert (agg.matrix[~admitted_by_rule(t, window=window)] == 0.0).all()
 
     @pytest.mark.parametrize("t, tpf", [(1, 5), (4, 3), (7, 2), (9, 4)])
     def test_matches_the_pooling_oracle(self, t, tpf):
@@ -230,6 +227,14 @@ class TestAggregateAttention:
     def test_frame_count_below_one_rejected(self, num_frames):
         with pytest.raises(InvalidParameterError):
             aggregate_attention([np.eye(4)], num_frames)
+
+    @pytest.mark.parametrize("num_frames", [4.5, 4.0, True])
+    def test_non_integer_frame_count_rejected(self, num_frames):
+        with pytest.raises(InvalidParameterError, match="^num_frames must be an integer"):
+            aggregate_attention([np.eye(4)], num_frames)
+
+    def test_numpy_integer_frame_count_accepted(self):
+        assert np.array_equal(aggregate_attention([np.eye(4)], np.int64(2)).matrix, np.eye(2))
 
 
 class TestDiagonality:

@@ -1,4 +1,4 @@
-"""Attention semantics against a brute-force O(n^2) oracle."""
+"""Attention semantics against the dense O(n^2) oracle in attention_oracle.py."""
 
 import sys
 from unittest import mock
@@ -27,27 +27,7 @@ from specfuse import (
 from specfuse import attention
 from specfuse.attention import _attend, _frame_set
 
-
-def oracle_attention(q, k, v, frames, admit) -> np.ndarray:
-    """Full-matrix reference: -inf logits for masked pairs, row softmax."""
-    n, d = q.shape
-    logits = np.full((n, n), -np.inf)
-    for i in range(n):
-        for j in range(n):
-            if admit(int(frames[i]), int(frames[j])):
-                logits[i, j] = float(q[i] @ k[j]) / np.sqrt(d)
-    out = np.zeros((n, v.shape[1]))
-    for i in range(n):
-        w = np.exp(logits[i] - logits[i].max())
-        out[i] = (w / w.sum()) @ v
-    return out
-
-
-def window_admit(span: int):
-    radius = span // 2
-    if radius == 0:
-        return lambda fi, fj: fi == fj
-    return lambda fi, fj: abs(fi - fj) < radius
+from attention_oracle import admitted_by_rule, frame_oracle
 
 
 def random_tokens(t, tpf, d, seed) -> TokenSequence:
@@ -130,7 +110,7 @@ class TestMaskedAttention:
         toks = random_tokens(6, 2, 4, 7)
         q, k, v = project_qkv(toks, random_weights(4, 8))
         out = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(2))
-        oracle = oracle_attention(q, k, v, toks.frame_index, window_admit(2))
+        oracle = frame_oracle(q, k, v, toks.frame_index, np.eye(6, dtype=bool))
         assert np.abs(out.features - oracle).max() < 1e-12
 
     def test_sparse_window_kind_rejected(self):
@@ -153,15 +133,11 @@ class TestMaskedAttention:
         t, tpf, span = 8, 2, 4
         toks = random_tokens(t, tpf, 4, 15)
         q, k, _ = project_qkv(toks, random_weights(4, 16))
-        weights = attention_map(q, k, toks.frame_index, window=AttentionWindow.local(span))
-        radius = span // 2
-        for i in range(t):
-            for j in range(t):
-                block = weights[i * tpf : (i + 1) * tpf, j * tpf : (j + 1) * tpf]
-                if abs(i - j) < radius:
-                    assert block.min() > 0.0
-                else:
-                    assert np.abs(block).max() == 0.0
+        window = AttentionWindow.local(span)
+        blocks = attention_map(q, k, toks.frame_index, window=window).reshape(t, tpf, t, tpf)
+        admitted = admitted_by_rule(t, window=window)
+        assert (blocks.min(axis=(1, 3))[admitted] > 0.0).all()
+        assert (np.abs(blocks).max(axis=(1, 3))[~admitted] == 0.0).all()
 
 
 class TestSparseAttention:
@@ -171,7 +147,7 @@ class TestSparseAttention:
         toks = random_tokens(4, 2, 4, 19)
         q, k, v = project_qkv(toks, random_weights(4, 20))
         out = sparse_attention(q, k, v, toks.frame_index, {0, 2})
-        oracle = oracle_attention(q, k, v, toks.frame_index, lambda fi, fj: fj in (0, 2))
+        oracle = frame_oracle(q, k, v, toks.frame_index, admitted_by_rule(4, keyframes={0, 2}))
         assert np.abs(out.features - oracle).max() < 1e-12
 
     def test_empty_keyframes_rejected(self):
@@ -249,8 +225,9 @@ class TestOracleSweep:
             d = 2 * half_d
             toks = random_tokens(t, tpf, d, 1000 + trial)
             q, k, v = project_qkv(toks, random_weights(d, 2000 + trial))
-            out = masked_attention(q, k, v, toks.frame_index, AttentionWindow.local(span))
-            oracle = oracle_attention(q, k, v, toks.frame_index, window_admit(span))
+            window = AttentionWindow.local(span)
+            out = masked_attention(q, k, v, toks.frame_index, window)
+            oracle = frame_oracle(q, k, v, toks.frame_index, admitted_by_rule(t, window=window))
             assert np.abs(out.features - oracle).max() <= 1e-6
             cases += 1
         assert cases == 40
@@ -286,22 +263,6 @@ def pooled(width):
     return mock.patch.object(attention, "_pool_width", return_value=width)
 
 
-def frame_oracle(q, k, v, frames, admitted: np.ndarray) -> np.ndarray:
-    """Full-matrix attention with -inf logits wherever admitted[fi, fj] is False."""
-    logits = (q @ k.T) / np.sqrt(q.shape[1])
-    logits[~admitted[frames][:, frames]] = -np.inf
-    w = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return (w / w.sum(axis=1, keepdims=True)) @ v
-
-
-def admitted_frames(frame_set, t: int) -> np.ndarray:
-    """A `_frame_set` as the (T, T) boolean matrix `frame_oracle` takes."""
-    admitted = np.zeros((t, t), dtype=bool)
-    for i in range(t):
-        admitted[i, np.arange(t)[frame_set(i)]] = True
-    return admitted
-
-
 class TestMultiWindowCore:
     @pytest.mark.parametrize("value", ["abc", "-3"])
     def test_pool_width_rejects_a_malformed_thread_cap(self, monkeypatch, value):
@@ -309,35 +270,38 @@ class TestMultiWindowCore:
         with pytest.raises(InvalidParameterError, match="SPFU_THREADS"):
             attention._pool_width()
 
+    @given(st.data())
+    def test_frame_set_follows_the_window_rule(self, data):
+        t = data.draw(st.integers(1, 16))
+        masks = [{}, {"window": AttentionWindow.for_span(t, t)},
+                 {"keyframes": data.draw(st.sets(st.integers(0, t - 1), min_size=1))}]
+        masks += [{"window": AttentionWindow.local(span)} for span in range(1, 2 * t + 2)]
+        for mask in masks:
+            admitted = _frame_set(t, **mask)
+            assert admitted.dtype == bool and not admitted.flags.writeable
+            assert np.array_equal(admitted, admitted_by_rule(t, **mask))
+
     @given(multi_window_cases())
     def test_one_call_matches_oracle_and_single_windows(self, case):
         t, tpf, d, spans, keyframes, seed = case
         toks = random_tokens(t, tpf, d, seed)
         q, k, v = project_qkv(toks, random_weights(d, seed + 1))
         frames = toks.frame_index
-        windows = [AttentionWindow.for_span(span, t) for span in spans]
-        sets = [_frame_set(t, window=w) for w in windows]
-        fi, fj = np.meshgrid(np.arange(t), np.arange(t), indexing="ij")
-        admitted = [window_admit(span)(fi, fj) | (w.kind == "global")
-                    for span, w in zip(spans, windows)]
-        alone_counters = [MacCounter() for _ in sets]
-        alone = [masked_attention(q, k, v, frames, w, c).features
-                 for w, c in zip(windows, alone_counters)]
+        masks = [{"window": AttentionWindow.for_span(span, t)} for span in spans]
         if keyframes is not None:
-            sets.append(_frame_set(t, keyframes=keyframes))
-            admitted.append(np.isin(fj, sorted(keyframes)))
-            alone_counters.append(MacCounter())
-            alone.append(sparse_attention(q, k, v, frames, keyframes,
-                                          alone_counters[-1]).features)
-        counters = [MacCounter() for _ in sets]
-        outs = _attend(q, k, v, frames, sets, counters)
-        assert len(outs) == len(sets)
-        for out, admit, single in zip(outs, admitted, alone):
-            assert np.abs(out - frame_oracle(q, k, v, frames, admit)).max() <= 1e-6
-            assert np.array_equal(out, single)
-        # Counters stay logical: each set's own queries x admitted keys x 2d.
-        for counter, alone_counter, admit in zip(counters, alone_counters, admitted):
-            assert counter.macs == alone_counter.macs == admit.sum() * tpf * tpf * 2 * d
+            masks.append({"keyframes": keyframes})
+        counters = [MacCounter() for _ in masks]
+        alone = [masked_attention(q, k, v, frames, m["window"], c) if "window" in m
+                 else sparse_attention(q, k, v, frames, m["keyframes"], c)
+                 for m, c in zip(masks, counters)]
+        outs = _attend(q, k, v, frames, [_frame_set(t, **m) for m in masks])
+        assert len(outs) == len(masks)
+        for out, single, counter, mask in zip(outs, alone, counters, masks):
+            admitted = admitted_by_rule(t, **mask)
+            assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-6
+            assert np.array_equal(out, single.features)
+            # Counts stay logical: the set's own queries x admitted keys x 2d.
+            assert counter.macs == admitted.sum() * tpf * tpf * 2 * d
 
     @given(multi_window_cases())
     def test_sparse_over_all_frames_is_global(self, case):
@@ -367,8 +331,7 @@ class TestMultiWindowCore:
                     outs[width] = _attend(q, k, v, frames, sets)
         for width in (2, 3):
             assert all(np.array_equal(a, b) for a, b in zip(outs[1], outs[width]))
-        for out, frame_set in zip(outs[1], sets):
-            admitted = admitted_frames(frame_set, t)
+        for out, admitted in zip(outs[1], sets):
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-6
 
     @given(multi_window_cases(), st.floats(-2.0, 3.0))
@@ -384,10 +347,9 @@ class TestMultiWindowCore:
         if keyframes is not None:
             sets.append(_frame_set(t, keyframes=keyframes))
         outs = _attend(q, k, v, frames, sets)
-        for out, frame_set in zip(outs, sets):
-            admitted = admitted_frames(frame_set, t)
+        for out, admitted in zip(outs, sets):
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-10
-            assert np.array_equal(out, _attend(q, k, v, frames, [frame_set])[0])
+            assert np.array_equal(out, _attend(q, k, v, frames, [admitted])[0])
 
     def test_rows_whose_shifted_weights_underflow_are_recomputed(self):
         # One key at 1000 * e1 sets max |k| to 1000, so every row's shift is
@@ -400,8 +362,7 @@ class TestMultiWindowCore:
         frames = np.repeat(np.arange(2), 2)
         sets = [_frame_set(2), _frame_set(2, window=AttentionWindow.local(2)),
                 _frame_set(2, keyframes=[1])]
-        for out, frame_set in zip(_attend(q, k, v, frames, sets), sets):
-            admitted = admitted_frames(frame_set, 2)
+        for out, admitted in zip(_attend(q, k, v, frames, sets), sets):
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
 
     @given(multi_window_cases(), st.floats(0.0, 1e3))
@@ -427,8 +388,7 @@ class TestMultiWindowCore:
 
         with mock.patch.object(attention, "_exact_rows", side_effect=counted):
             outs = _attend(q, k + offset, v, frames, sets)
-        for out, frame_set in zip(outs, sets):
-            admitted = admitted_frames(frame_set, t)
+        for out, admitted in zip(outs, sets):
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
         assert rows == []
 

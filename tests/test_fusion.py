@@ -298,7 +298,8 @@ class TestFusedAttention:
             assert np.array_equal(run_stack(toks, plan, depth=1, seed=19, spatial=(4, 4)).features,
                                   stacked.features)
 
-    @pytest.mark.parametrize("spatial", [(3, 5), (-4, -4), (0, 16)])
+    @pytest.mark.parametrize("spatial", [(3, 5), (-4, -4), (0, 16), (4.7, 4), (True, 16),
+                                         (4.7, 4.2)])
     def test_bad_spatial_rejected_before_attention(self, spatial):
         toks = random_tokens(16, 16, 8, 20)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
@@ -306,6 +307,8 @@ class TestFusedAttention:
             for fuse in (multiband_attention, spectral_blend_attention):
                 with pytest.raises(ShapeMismatchError):
                     fuse(toks, block_weights(8, SeededRng(21)), plan, spatial)
+        with pytest.raises(ShapeMismatchError):
+            latent_from_tokens(toks, spatial)
 
     def test_single_branch_is_plain_attention(self):
         toks = random_tokens(8, 16, 8, 13)
@@ -322,7 +325,7 @@ class TestFusedAttention:
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
         ones = FrequencyMask(np.ones((16, 4, 4)))
         zeros = FrequencyMask(np.zeros((16, 4, 4)))
-        out = multiband_attention(toks, weights, plan, (4, 4), masks=[zeros, ones])
+        out = fusion._fused_attention(toks, weights, plan, (4, 4), [zeros, ones])
         q, k, v = project_qkv(toks, weights)
         glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(16, 16))
         assert np.abs(out.features - glob.features).max() <= 1e-4

@@ -46,6 +46,19 @@ class TestSeededRng:
     def test_permutation_deterministic(self):
         assert np.array_equal(SeededRng(6).permutation(12), SeededRng(6).permutation(12))
 
+    @pytest.mark.parametrize("draw", ["uniforms", "normals", "permutation"])
+    @pytest.mark.parametrize("n, message", [(4.5, "an integer"), (3.0, "an integer"),
+                                            (True, "an integer"), (-1, ">= 0")])
+    def test_bad_sample_count_rejected(self, draw, n, message):
+        with pytest.raises(InvalidParameterError, match=f"^n must be {message}"):
+            getattr(SeededRng(3), draw)(n)
+
+    @pytest.mark.parametrize("draw", ["uniforms", "normals", "permutation"])
+    def test_numpy_integer_and_zero_counts_accepted(self, draw):
+        rng = SeededRng(3)
+        assert getattr(rng, draw)(np.int64(5)).shape == (5,)
+        assert getattr(rng, draw)(0).shape == (0,)
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, True])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(InvalidParameterError, match="seed must be an integer"):
