@@ -18,17 +18,18 @@ one pass of the widest, and each set's output equals the same set run
 alone, bit for bit.
 
 Query frames are independent, so `_attend` splits them across a small
-pool of threads: frame i goes to share i mod width, the calling thread
-runs share 0, and width - 1 pool threads, started for the call and
-joined before it returns, run the rest. The width is the number of
-usable cores, capped by SPFU_THREADS when that is set above 0, else by
-OMP_NUM_THREADS. Each share has its own logits and partial buffers and
-writes only its own frames' output rows. A frame's query rows are taken
-in chunks small enough that every matmul has M*N*K <= 2**18, the size
-OpenBLAS runs on the calling thread, so the threads never queue for
-OpenBLAS's own pool. Every row is computed by the same operations in the
-same order whichever thread runs it, so outputs are bit-identical at
-every width.
+pool of threads through `config.run_shares`: frame i goes to share
+i mod width, the calling thread runs share 0, and width - 1 pool threads,
+started for the call and joined before it returns, run the rest. The
+width is `config.pool_width()`: the number of usable cores, capped by
+SPFU_THREADS when that is set above 0, else by OMP_NUM_THREADS. Each
+share has its own logits and partial buffers, allocated on the calling
+thread, and writes only its own frames' output rows. A frame's query
+rows are taken in chunks small enough that every matmul has
+M*N*K <= 2**18, the size OpenBLAS runs on the calling thread, so the
+threads never queue for OpenBLAS's own pool. Every row is computed by
+the same operations in the same order whichever thread runs it, so
+outputs are bit-identical at every width.
 
 Frame-level attention maps run through the same core: `frame_attention`
 passes a one-hot frame indicator as the values, so each output row is the
@@ -39,17 +40,15 @@ diagnostic and test oracle.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .analysis import AttnMap
-from .config import check_integer, thread_cap
+from .config import check_integer
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
 # Each thread computes logits in stacks of key-frame blocks of at most
@@ -235,26 +234,6 @@ def _frame_index(ids: np.ndarray) -> slice | np.ndarray:
     return slice(lo, hi) if hi - lo == ids.size else ids
 
 
-def _pool_width() -> int:
-    """Threads that share `_attend`'s query frames, the calling thread included.
-
-    The usable core count, capped by SPFU_THREADS when that is set above
-    0, else by OMP_NUM_THREADS. A SPFU_THREADS that is not an integer
-    >= 0 raises InvalidParameterError, as it does in the CLI.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cores = os.cpu_count() or 1
-    cap = thread_cap()
-    if cap == 0:
-        try:
-            cap = int(os.environ.get("OMP_NUM_THREADS", "0"))
-        except ValueError:  # OpenMP's own syntax, such as "4,2", is not a cap here
-            cap = 0
-    return max(1, min(cores, cap) if cap > 0 else cores)
-
-
 def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, np.ndarray]:
     """One share's scratch: a logits block and every key frame's augmented
     partial sums, for query-row chunks within `_SERIAL_GEMM_MACS`."""
@@ -345,8 +324,8 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     finite is recomputed with the set's own row max. Neither the centring, the shift
     nor the fallback depends on the other sets, so a set's output is
     bit-identical to the same set run alone. Query frames are split across
-    `_pool_width()` threads (see the module docstring) and the output does
-    not depend on the width. The core counts no work (see `MacCounter` for
+    `config.pool_width()` threads (see the module docstring) and the output
+    does not depend on the width. The core counts no work (see `MacCounter` for
     reading counts off the matrices).
     """
     t, tpf = _frame_slices(frames)
@@ -365,23 +344,11 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
     admitted = np.stack(frame_sets)
-    width = min(_pool_width(), t)
-    shares = [range(first, t, width) for first in range(width)]
+    width = min(config.pool_width(), t)
     task = functools.partial(_attend_frames, q3, k3, v3, admitted, outs)
-    # Every share's buffers are allocated here: memory that a pool thread
-    # allocates stays cached in that thread's malloc arena after the call
-    # and adds to the process's peak RSS.
-    buffers = [_share_buffers(t, tpf, d, dv) for _ in shares]
-    # Each pool task runs in a copy of the caller's context: NumPy keeps
-    # np.errstate in a context variable, so errors and warnings follow the
-    # caller's settings on every thread.
-    # Leaving the block joins the pool's threads, also when a share raises.
-    with ThreadPoolExecutor(max(1, width - 1), thread_name_prefix="specfuse-attend") as pool:
-        futures = [pool.submit(contextvars.copy_context().run, task, share, own)
-                   for share, own in zip(shares[1:], buffers[1:])]
-        task(shares[0], buffers[0])
-    for future in futures:
-        future.result()
+    # Every share's buffers are allocated here, on the calling thread.
+    config.run_shares(task, [(range(first, t, width), _share_buffers(t, tpf, d, dv))
+                             for first in range(width)])
     return [out.reshape(t * tpf, dv) for out in outs]
 
 

@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 runtime failure (single `error: ...` line on
 stderr), 2 usage error. Outputs go only to the paths named by flags, so
 identical invocations produce identical bytes.
 
-SPFU_THREADS caps the BLAS/FFT thread pools and the attention core's
-pool of query-frame threads (0 or unset = library default: one attention
-thread per usable core, capped by OMP_NUM_THREADS). It is applied before
-the numeric modules load; the package imports them lazily for this.
+SPFU_THREADS caps the threads of the attention core's query frames and
+of the fusion's channel blocks, plus the BLAS pools; numpy's FFT has no
+thread pool of its own (0 or unset = library default: one thread per
+usable core, capped by OMP_NUM_THREADS). It is applied before the numeric
+modules load; the package imports them lazily for this.
 """
 
 from __future__ import annotations

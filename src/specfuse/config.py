@@ -1,8 +1,14 @@
 """Plain-text key = value config dialect shared by plans and scene specs,
-and the SPFU_THREADS environment variable.
+the SPFU_THREADS environment variable, and the thread pool that splits a
+pass into shares.
 
 One `key = value` pair per line; blank lines and lines starting with '#'
 are ignored. Keys are case-sensitive. No sections, no nesting.
+
+`run_shares` is the one share runner: the attention core splits its
+query frames and the fusion its channel blocks through it, `pool_width()`
+shares wide. Callers reach both through this module, so patching
+`config.pool_width` pins the width of every split.
 
 This module loads no numpy, so the CLI can read SPFU_THREADS before the
 thread pools start.
@@ -10,8 +16,10 @@ thread pools start.
 
 from __future__ import annotations
 
+import contextvars
 import numbers
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameterError
 
@@ -63,3 +71,47 @@ def thread_cap() -> int:
     if n < 0:
         raise InvalidParameterError(f"SPFU_THREADS must be >= 0, got {n}")
     return n
+
+
+def pool_width() -> int:
+    """Threads that share a split pass, the calling thread included.
+
+    The usable core count, capped by SPFU_THREADS when that is set above
+    0, else by OMP_NUM_THREADS. A SPFU_THREADS that is not an integer
+    >= 0 raises InvalidParameterError, as it does in the CLI.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    cap = thread_cap()
+    if cap == 0:
+        try:
+            cap = int(os.environ.get("OMP_NUM_THREADS", "0"))
+        except ValueError:  # OpenMP's own syntax, such as "4,2", is not a cap here
+            cap = 0
+    return max(1, min(cores, cap) if cap > 0 else cores)
+
+
+def run_shares(task, shares) -> None:
+    """Call `task(*share)` for every share, on one thread each.
+
+    The calling thread runs the first share; pool threads, started for
+    the call and joined before it returns (also when a share raises), run
+    the rest. One share starts no thread. Each pool task runs in a copy
+    of the caller's context: NumPy keeps np.errstate in a context
+    variable, so errors and warnings follow the caller's settings on
+    every thread. Memory a pool thread allocates stays cached in its
+    malloc arena after the call and adds to the process's peak RSS, so
+    callers allocate every share's scratch on the calling thread and pass
+    it in the share.
+    """
+    first, *rest = shares
+    if not rest:
+        task(*first)
+        return
+    with ThreadPoolExecutor(len(rest), thread_name_prefix="specfuse") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, task, *share) for share in rest]
+        task(*first)
+    for future in futures:
+        future.result()

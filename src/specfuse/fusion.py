@@ -3,18 +3,24 @@
 The `FusionPlan` alone describes the branches: branch i runs at scale
 plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
 path: every branch comes from one pass of the multi-window attention core
-on shared Q, K, V, and `_fused_half` sums the branches' mask-weighted
+on shared Q, K, V, and `_masked_sum` sums the branches' mask-weighted
 spectra in float64 (the masks must form a partition of unity). Branches
 are real, so the sum is kept in the masks' real-input half layout
 (`spectral._half_layout`): transformed only along the axes the masks vary
 on, T alone for temporal masks and (T, H, W) for radial ones, with the
-last of them halved. The inverse (`spectral._irfftn_real`) checks the
-imaginary residue on that axis's self-conjugate planes. The masks, built
-once where they are used, pick the scheme: one hard band per scale
-(`band_masks`, in `multiband_attention`) or the Gaussian low-pass pair
-[1 - P, P] (`spectral_blend_attention`, low band from the global branch). Branch
-outputs stay float64 up to the returned tokens; float32 `VideoLatent`s
-appear only at the latent API.
+last of them halved. The sum runs over blocks of whole channels, each at
+most `_BLOCK_BYTES` of float64 input (one channel at least), so a block's
+transforms stay in cache. `_fuse` inverts each block's sum
+(`spectral._irfftn_real`) straight into its channels of the result, with
+the blocks split across the threads of `config.run_shares`; after every
+block it checks finiteness and, once over the whole result, the
+imaginary residue on the last axis's self-conjugate planes. The output is
+bit-identical at every block size and thread count. The masks, built
+once where they are used and after the attention pass, pick the scheme:
+one hard band per scale (`band_masks`, in `multiband_attention`) or the
+Gaussian low-pass pair [1 - P, P] (`spectral_blend_attention`, low band
+from the global branch). Branch outputs stay float64 up to the returned
+tokens; float32 `VideoLatent`s appear only at the latent API.
 
 Token <-> latent mapping: d_model is the channel axis; tokens are ordered
 frame-major, then row-major over (H, W). Branch windows saturate to fully
@@ -24,12 +30,14 @@ short inputs unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
 from .attention import (
+    _BLOCK_BYTES,
     AttentionWindow,
     TokenSequence,
     _attend,
@@ -39,9 +47,9 @@ from .attention import (
 )
 from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
                      ShapeMismatchError)
-from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _half_layout, _irfftn_real,
-                       _rfftn, band_masks, gaussian_lowpass)
-from .tensor_core import VideoLatent
+from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _check_residue, _half_layout,
+                       _irfftn_real, _rfftn, band_masks, gaussian_lowpass)
+from .tensor_core import VideoLatent, _check_shape4
 
 PARTITION_TOLERANCE = 1e-6
 IMAG_RESIDUE_LIMIT = 1e-5
@@ -159,17 +167,15 @@ def _check_partition(masks) -> None:
         raise InvalidPlanError(f"masks do not form a partition of unity (max error {err:.3e})")
 
 
-def _fused_half(branch_outputs, masks) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Sum of masked branch spectra, in branch order, as a float64 half spectrum.
+def _fusion_operands(branch_outputs, masks):
+    """The checked operands of a fusion: branch arrays, half weights, axes, channel blocks.
 
-    Branch outputs are VideoLatents or real (C, T, H, W) arrays; each is
-    transformed in float64 by `_rfftn` over the axes any mask varies on.
-    Returns the sum in the masks' half layout (`spectral._half_layout`)
-    and those axes. The masks are constant along the other axes, so
-    leaving those untransformed changes nothing the inverse returns. At
-    bins where a branch's mask is zero its contribution is exactly zero,
-    so branches cannot leak outside their band. Raises NonFiniteValueError
-    if the sum is not finite.
+    Branch outputs are VideoLatents or real (C, T, H, W) arrays, one per
+    mask; the masks must form a partition of unity. Returns the branches'
+    arrays, each mask's weights in the masks' half layout
+    (`spectral._half_layout`), the layout's axes, and the channel blocks
+    as slices: each holds at most `_BLOCK_BYTES` of float64 input, so a
+    block's transforms stay in cache, and never less than one channel.
     """
     if len(branch_outputs) != len(masks):
         raise InvalidParameterError("need one mask per branch output")
@@ -178,30 +184,99 @@ def _fused_half(branch_outputs, masks) -> tuple[np.ndarray, tuple[int, ...]]:
     shape = _check_same_shape(branch_outputs)
     if masks[0].shape != shape[1:]:
         raise ShapeMismatchError(f"mask shape {masks[0].shape} does not match latent {shape[1:]}")
+    _check_shape4(shape)  # no channels would leave no block
     _check_partition(masks)
     axes, index = _half_layout(*(mask.weights for mask in masks))
-    total = None
-    for branch, mask in zip(branch_outputs, masks):
-        spectrum = _rfftn(branch, axes)
-        spectrum *= mask.weights[index]
-        if total is None:
-            total = spectrum
-        else:
-            total += spectrum
-    if not np.isfinite(total).all():
-        raise NonFiniteValueError("spectrum values must be finite")
-    return total, axes
+    data = [b.data if isinstance(b, VideoLatent) else np.asarray(b) for b in branch_outputs]
+    per = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
+    blocks = [slice(lo, min(lo + per, shape[0])) for lo in range(0, shape[0], per)]
+    return data, [mask.weights[index] for mask in masks], axes, blocks
+
+
+def _half_shape(shape, axes) -> tuple[int, ...]:
+    """The shape of `_rfftn(x, axes)` for an x of (C, T, H, W) `shape`."""
+    k = axes[-1] + 1
+    return (*shape[:k], shape[k] // 2 + 1, *shape[k + 1 :])
+
+
+def _block_scratch(shape, axes) -> tuple[np.ndarray, np.ndarray]:
+    """`_masked_sum`'s scratch for blocks of up to shape[0] channels of a
+    (C, T, H, W) `shape`: a float64 staging block and one branch's masked
+    spectrum."""
+    return np.empty(shape), np.empty(_half_shape(shape, axes), dtype=np.complex128)
+
+
+def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -> bool:
+    """Channels `block` of every branch's masked spectrum, summed in branch order into `total`.
+
+    The one masked-sum path. Each branch's channels are staged in float64
+    in scratch[0] and transformed by `_rfftn` over the masks' axes; the
+    masks are constant along the other axes, so leaving those
+    untransformed changes nothing the inverse returns. At bins where a
+    branch's mask is zero its contribution is exactly zero, so branches
+    cannot leak outside their band. Returns whether the sum is finite.
+    """
+    stage, term = (buf[: block.stop - block.start] for buf in scratch)
+    for i, (x, w) in enumerate(zip(data, weights)):
+        np.copyto(stage, x[block])
+        spectrum = _rfftn(stage, axes, out=term if i else total)
+        spectrum *= w
+        if i:
+            total += term
+    return bool(np.isfinite(total).all())
 
 
 def fused_spectrum(branch_outputs, masks) -> np.ndarray:
-    """`_fused_half`'s complex128 sum itself, in the masks' half layout."""
-    return _fused_half(branch_outputs, masks)[0]
+    """Sum of masked branch spectra, in branch order, as a complex128 half spectrum.
+
+    The sum is in the masks' half layout (`spectral._half_layout`),
+    computed one channel block at a time by `_masked_sum`. Raises
+    NonFiniteValueError if it is not finite.
+    """
+    data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
+    total = np.empty(_half_shape(data[0].shape, axes), dtype=np.complex128)
+    scratch = _block_scratch((blocks[0].stop, *data[0].shape[1:]), axes)
+    if not all(_masked_sum(data, weights, axes, block, total[block], scratch)
+               for block in blocks):
+        raise NonFiniteValueError("spectrum values must be finite")
+    return total
 
 
 def _fuse(branch_outputs, masks) -> np.ndarray:
-    """Inverse of `_fused_half`, residue-checked, as a float64 (C, T, H, W) array."""
-    half, axes = _fused_half(branch_outputs, masks)
-    return _irfftn_real(half, axes, masks[0].shape[axes[-1]], IMAG_RESIDUE_LIMIT)
+    """Inverse of `fused_spectrum`, residue-checked, as a float64 (C, T, H, W) array.
+
+    Streams over the channel blocks: each block's masked sum goes to its
+    share's own accumulator and is inverted by `_irfftn_real` straight
+    into the block's channels of the result. Block i runs on share
+    i mod width of `config.run_shares`, `config.pool_width()` wide at
+    most; every share's scratch is allocated on the calling thread. After
+    every block, a non-finite sum raises NonFiniteValueError, else the
+    residue is checked once against the largest output of the whole
+    result. Each channel is computed by the same operations whichever
+    block or thread runs it, so the output does not depend on either.
+    """
+    data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
+    n = masks[0].shape[axes[-1]]
+    out = np.empty(data[0].shape)
+    # Per block: 1 if its sum is finite, its residue, its largest |output|.
+    stats = np.zeros((len(blocks), 3))
+
+    def run(share, acc, scratch):
+        for j in share:
+            total = acc[: blocks[j].stop - blocks[j].start]
+            if _masked_sum(data, weights, axes, blocks[j], total, scratch):
+                stats[j] = 1.0, *_irfftn_real(total, axes, n, out[blocks[j]])
+
+    block_shape = (blocks[0].stop, *out.shape[1:])
+    width = min(config.pool_width(), len(blocks))
+    config.run_shares(run, [(range(first, len(blocks), width),
+                             np.empty(_half_shape(block_shape, axes), dtype=np.complex128),
+                             _block_scratch(block_shape, axes))
+                            for first in range(width)])
+    if not stats[:, 0].all():
+        raise NonFiniteValueError("spectrum values must be finite")
+    _check_residue(stats[:, 1].max(), stats[:, 2].max(), IMAG_RESIDUE_LIMIT)
+    return out
 
 
 def multiband_fuse(branch_outputs, masks) -> VideoLatent:
@@ -250,9 +325,15 @@ def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
 
 
 def _fused_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
-                     spatial: tuple[int, int], masks: list[FrequencyMask]) -> TokenSequence:
-    """`plan`'s branches fused by `masks`, one per alpha: any partition of unity."""
+                     spatial: tuple[int, int], masks_for) -> TokenSequence:
+    """`plan`'s branches fused by `masks_for(grid)`, one mask per alpha: any partition of unity.
+
+    The masks are built from the (T, H, W) grid after the attention pass,
+    so they are not alive through it; the plan and `spatial` are checked
+    before it.
+    """
     branch_outputs = _branch_latents(tokens, qkv_weights, plan, spatial)
+    masks = masks_for(branch_outputs[0].shape[1:])
     return TokenSequence(_token_rows(_fuse(branch_outputs, masks)), tokens.frame_index)
 
 
@@ -268,12 +349,16 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
     """
     if len(plan.alphas) != 2 or plan.alphas[0] != 1:
         raise InvalidPlanError(f"blend plan needs alphas (1, global), got {plan.alphas}")
-    lpf = gaussian_lowpass(_fusion_grid(tokens, plan, spatial), plan.d0, plan.domain_mode)
-    return _fused_attention(tokens, qkv_weights, plan, spatial, [lpf.complement(), lpf])
+
+    def lowpass_pair(grid):
+        lpf = gaussian_lowpass(grid, plan.d0, plan.domain_mode)
+        return [lpf.complement(), lpf]
+
+    return _fused_attention(tokens, qkv_weights, plan, spatial, lowpass_pair)
 
 
 def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                         spatial: tuple[int, int]) -> TokenSequence:
     """Per-scale windowed attention fused band-by-band (`band_masks`)."""
-    masks = band_masks(plan.alphas, _fusion_grid(tokens, plan, spatial), plan.domain_mode)
-    return _fused_attention(tokens, qkv_weights, plan, spatial, masks)
+    return _fused_attention(tokens, qkv_weights, plan, spatial,
+                            lambda grid: band_masks(plan.alphas, grid, plan.domain_mode))

@@ -203,10 +203,11 @@ def check_locality_argmax():
     q = np.tile(np.eye(d)[0], (t * tpf, 1)) * 5.0
     frames = np.repeat(np.arange(t), tpf)
     for span in (16, 8, 4):
-        m = attention_map(q, k, frames, window=AttentionWindow.local(span))
-        radius = span // 2
+        window = AttentionWindow.local(span)
+        m = attention_map(q, k, frames, window=window)
+        admitted = _frame_set(t, window=window)
         for i in range(t):
-            if abs(i - center) < radius:
+            if admitted[i, center]:
                 assert m[i * tpf].argmax() == center * tpf, f"argmax moved at span {span}"
 
 

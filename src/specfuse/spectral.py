@@ -8,7 +8,11 @@ use the private real-input pair `_rfftn` / `_irfftn_real`, in the one
 layout `_half_layout` defines: only the axes the masks vary on are transformed
 (T alone in temporal mode), since a mask commutes with the transform
 along an axis it is constant on, and the last of them keeps its half
-(numpy's rfftn layout), the rest being its conjugate mirror.
+(numpy's rfftn layout), the rest being its conjugate mirror. Both write
+into caller-owned arrays (`out=`), so the fusion runs them one channel
+block at a time; `_irfftn_real` returns its imaginary residue and largest
+output instead of raising, and `_check_residue` checks them once for a
+signal inverted in blocks.
 
 Frequency convention: bin k of an axis of length N maps to the normalized
 angular frequency w = 2*pi*min(k, N-k)/N, covering [0, pi]. Masks are
@@ -74,52 +78,61 @@ def _half_layout(*grids: np.ndarray) -> tuple[tuple[int, ...], tuple[slice, ...]
     return axes, tuple(index)
 
 
-def _rfftn(x, axes: tuple[int, ...]) -> np.ndarray:
+def _rfftn(x, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal real-input FFT over `_half_layout`'s axes, in float64.
 
     `x` is a VideoLatent or a real array whose last three axes are
     (T, H, W). Returns the half of its spectrum that keeps bins 0 .. n//2
     of the last transformed axis (length n): the others are the
     conjugates of bins (n-1)//2 .. 1 at the negated frequencies of the
-    other transformed axes, so the half holds the whole spectrum.
+    other transformed axes, so the half holds the whole spectrum. With
+    `out`, a complex128 array of the half's shape, the half is written
+    there and `out` is returned.
     """
     data = x.data if isinstance(x, VideoLatent) else x
     return np.fft.rfftn(np.asarray(data, dtype=np.float64), axes=[a - 3 for a in axes],
-                        norm="ortho")
+                        norm="ortho", out=out)
 
 
 def _irfftn_real(half: np.ndarray, axes: tuple[int, ...], n: int,
-                 max_imag: float) -> np.ndarray:
-    """Orthonormal inverse of a `_rfftn(x, axes)` half spectrum, as a float64 array.
+                 out: np.ndarray) -> tuple[float, float]:
+    """Orthonormal inverse of a `_rfftn(x, axes)` half spectrum, into `out`.
 
-    `n` is the length of the last transformed axis, passed because n = 2m
-    and n = 2m+1 share the half length m+1. The inverse over the other
-    transformed axes runs first; the inverse over the last then treats
-    every bin as the conjugate of its mirror, which drops one thing: the
-    imaginary part of its self-conjugate planes (bin 0, and bin n/2 when n
-    is even). Every other bin pairs with its mirror into a real signal, so
-    those planes alone make up the imaginary residue the full complex
-    inverse would have: at most (|Im P_0| + |Im P_n/2|) / sqrt(n) per
-    output sample, P being a plane after the first inverse. Raises
-    InvalidParameterError when it exceeds max_imag * max(1, largest
-    absolute output): real latents under symmetric masks keep it at
-    rounding level relative to the signal, whatever its amplitude.
+    `out` is the float64 array the real signal is written to; `half` is
+    overwritten. `n` is the length of the last transformed axis, passed
+    because n = 2m and n = 2m+1 share the half length m+1. The inverse
+    over the other transformed axes runs first, in place; the inverse
+    over the last then treats every bin as the conjugate of its mirror,
+    which drops one thing: the imaginary part of its self-conjugate planes
+    (bin 0, and bin n/2 when n is even). Every other bin pairs with its
+    mirror into a real signal, so those planes alone make up the
+    imaginary residue the full complex inverse would have: at most
+    (|Im P_0| + |Im P_n/2|) / sqrt(n) per output sample, P being a plane
+    after the first inverse. Returns that bound's largest value and the
+    largest absolute output, for `_check_residue`: a signal inverted in
+    parts is checked once, against the largest of its parts.
     """
     last = axes[-1] - 3
-    # Over no axes (one transformed axis), ifftn returns `half` itself.
-    partial = np.fft.ifftn(half, axes=[a - 3 for a in axes[:-1]], norm="ortho")
-    out = np.fft.irfft(partial, n=n, axis=last, norm="ortho")
-    imag = np.abs(partial.take(0, axis=last).imag)
+    if len(axes) > 1:
+        np.fft.ifftn(half, axes=[a - 3 for a in axes[:-1]], norm="ortho", out=half)
+    np.fft.irfft(half, n=n, axis=last, norm="ortho", out=out)
+    imag = np.abs(half.take(0, axis=last).imag)
     if n % 2 == 0:
-        imag += np.abs(partial.take(n // 2, axis=last).imag)
-    residue = float(imag.max()) / np.sqrt(n)
-    limit = max_imag * max(1.0, float(np.abs(out).max()))
+        imag += np.abs(half.take(n // 2, axis=last).imag)
+    return float(imag.max()) / np.sqrt(n), max(float(out.max()), -float(out.min()))
+
+
+def _check_residue(residue: float, largest: float, max_imag: float) -> None:
+    """InvalidParameterError when `_irfftn_real`'s residue exceeds
+    max_imag * max(1, largest absolute output): real latents under
+    symmetric masks keep it at rounding level relative to the signal,
+    whatever its amplitude."""
+    limit = max_imag * max(1.0, largest)
     if residue > limit:
         raise InvalidParameterError(
             f"imaginary residue {residue:.3e} exceeds {limit:.3e}; "
             "spectrum is not conjugate-symmetric"
         )
-    return out
 
 
 def axis_frequencies(n: int) -> np.ndarray:

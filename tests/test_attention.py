@@ -24,7 +24,7 @@ from specfuse import (
     sparse_attention,
     uniform_keyframes,
 )
-from specfuse import attention
+from specfuse import attention, config
 from specfuse.attention import _attend, _frame_set
 
 from attention_oracle import admitted_by_rule, frame_oracle
@@ -260,7 +260,7 @@ def split_cases(draw):
 
 def pooled(width):
     """`_attend` split across `width` threads, whatever the machine's cores."""
-    return mock.patch.object(attention, "_pool_width", return_value=width)
+    return mock.patch.object(config, "pool_width", return_value=width)
 
 
 class TestMultiWindowCore:
@@ -268,7 +268,7 @@ class TestMultiWindowCore:
     def test_pool_width_rejects_a_malformed_thread_cap(self, monkeypatch, value):
         monkeypatch.setenv("SPFU_THREADS", value)
         with pytest.raises(InvalidParameterError, match="SPFU_THREADS"):
-            attention._pool_width()
+            config.pool_width()
 
     @given(st.data())
     def test_frame_set_follows_the_window_rule(self, data):

@@ -19,7 +19,7 @@ from specfuse import (
     spectral_blend_attention,
     tokens_from_latent,
 )
-from specfuse import attention
+from specfuse import config
 from specfuse.cli import _build_parser, main
 from specfuse.harness import block_weights
 
@@ -223,7 +223,7 @@ class TestAttnmapCommand:
         run_cli("scene", "--config", str(cfg), "--out", str(lat))
         tracemalloc.start()
         try:
-            with mock.patch.object(attention, "_pool_width", return_value=2):
+            with mock.patch.object(config, "pool_width", return_value=2):
                 code, _ = run_cli("attnmap", "--input", str(lat), "--weights-seed", "2",
                                   "--out", str(out))
             _, peak = tracemalloc.get_traced_memory()
@@ -327,7 +327,7 @@ class TestProcessLevel:
         env = dict(os.environ, SPFU_THREADS="1")
         proc = subprocess.run(
             [sys.executable, "-c",
-             "from specfuse.attention import _pool_width; print(_pool_width())"],
+             "from specfuse.config import pool_width; print(pool_width())"],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr

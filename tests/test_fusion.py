@@ -1,5 +1,6 @@
 """Blend and multi-band fusion, including the token <-> latent mapping."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specfuse import fusion, selftest
+from specfuse import config, fusion, selftest
 from specfuse import (
     AttentionWindow,
     FrequencyMask,
     FusionPlan,
     InvalidParameterError,
     InvalidPlanError,
+    InvalidShapeError,
     NonFiniteValueError,
     SeededRng,
     ShapeMismatchError,
@@ -205,6 +207,78 @@ class TestFusionProperties:
         assert np.array_equal(multiband_fuse(branches, masks).data, fused.astype(np.float32))
 
 
+class TestChannelBlocks:
+    """`_fuse` streams over channel blocks of at most `_BLOCK_BYTES`, split
+    across `config.pool_width()` threads; neither may change a bit."""
+
+    @given(data=st.data(), c=st.integers(1, 17), t=st.sampled_from([1, 2, 5, 7, 8]),
+           h=st.integers(1, 4), w=st.sampled_from([1, 2, 3, 4, 7]), gaussian=st.booleans(),
+           mode=st.sampled_from(["temporal", "radial"]), seed=st.integers(0, 2**32))
+    def test_blocks_and_widths_change_no_bit(self, data, c, t, h, w, gaussian, mode, seed):
+        if gaussian:
+            lpf = gaussian_lowpass((t, h, w), 0.3, mode)
+            masks = [lpf.complement(), lpf]
+        else:
+            masks = band_masks((1, 2, 4), (t, h, w), mode)
+        rng = SeededRng(seed)
+        branches = [rng.normals(c * t * h * w).reshape(c, t, h, w) for _ in masks]
+        latents = [VideoLatent(b) for b in branches]
+        # At these sizes the whole latent is one block.
+        whole = fusion._fuse(branches, masks)
+        whole_latent = multiband_fuse(latents, masks).data
+        whole_spectrum = fusion.fused_spectrum(branches, masks)
+        total = sum(fft3(b) * m.weights for b, m in zip(branches, masks))
+        oracle = np.fft.ifftn(total, axes=(1, 2, 3), norm="ortho").real
+        assert np.abs(whole - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        per = data.draw(st.integers(1, c), label="channels per block")
+        with mock.patch.object(fusion, "_BLOCK_BYTES", 8 * per * t * h * w):
+            assert np.array_equal(fusion.fused_spectrum(branches, masks), whole_spectrum)
+            for width in (1, 2, 3):
+                with mock.patch.object(config, "pool_width", return_value=width):
+                    assert np.array_equal(fusion._fuse(branches, masks), whole)
+                    assert np.array_equal(multiband_fuse(latents, masks).data, whole_latent)
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_non_finite_sum_in_one_block_raises(self, width):
+        masks = band_masks((1, 2), (8, 4, 4))
+        rng = SeededRng(40)
+        branches = [rng.normals(4 * 8 * 4 * 4).reshape(4, 8, 4, 4) for _ in masks]
+        branches[1][3] = 1e308  # finite, but its spectrum overflows
+        with mock.patch.object(fusion, "_BLOCK_BYTES", 8 * 8 * 4 * 4), \
+                mock.patch.object(config, "pool_width", return_value=width), \
+                np.errstate(all="ignore"), pytest.raises(NonFiniteValueError):
+            fusion._fuse(branches, masks)
+
+    def test_no_channels_rejected(self):
+        masks = band_masks((1, 2), (4, 2, 2))
+        for fuse in (multiband_fuse, fusion.fused_spectrum):
+            with pytest.raises(InvalidShapeError):
+                fuse([np.zeros((0, 4, 2, 2))] * 2, masks)
+
+    def test_one_block_starts_no_thread(self):
+        z = gaussian_latent((8, 32, 8, 8), SeededRng(41))
+        lpf = gaussian_lowpass((32, 8, 8), 0.25, "radial")
+        with mock.patch.object(config, "pool_width", return_value=2), \
+                mock.patch.object(config, "ThreadPoolExecutor",
+                                  side_effect=AssertionError("a thread pool started")):
+            spectral_blend(z, z, lpf)
+
+    def test_blend_peak_memory_at_signal_diag_shape(self):
+        # (16, 256, 16, 16): 4 MiB per float32 latent and one 512 KiB block
+        # per channel. Whole-latent spectra peaked at 35.5 MiB here.
+        zg = gaussian_latent((16, 256, 16, 16), SeededRng(42))
+        zl = gaussian_latent((16, 256, 16, 16), SeededRng(43))
+        lpf = gaussian_lowpass((256, 16, 16), 0.25, "radial")
+        tracemalloc.start()
+        try:
+            with mock.patch.object(config, "pool_width", return_value=2):
+                spectral_blend(zg, zl, lpf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"spectral_blend peaked at {peak / 2**20:.1f} MiB"
+
+
 class TestFusionPlan:
     def test_text_roundtrip(self):
         # Every plan key, as the CLI reads it from a plan file.
@@ -325,7 +399,7 @@ class TestFusedAttention:
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
         ones = FrequencyMask(np.ones((16, 4, 4)))
         zeros = FrequencyMask(np.zeros((16, 4, 4)))
-        out = fusion._fused_attention(toks, weights, plan, (4, 4), [zeros, ones])
+        out = fusion._fused_attention(toks, weights, plan, (4, 4), lambda grid: [zeros, ones])
         q, k, v = project_qkv(toks, weights)
         glob = masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(16, 16))
         assert np.abs(out.features - glob.features).max() <= 1e-4
