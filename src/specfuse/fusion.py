@@ -12,10 +12,10 @@ last of them halved. The sum runs over blocks of whole channels, each at
 most `_BLOCK_BYTES` of float64 input (one channel at least), so a block's
 transforms stay in cache. `_fuse` inverts each block's sum
 (`spectral._irfftn_real`) straight into its channels of the result, with
-the blocks split across the threads of `config.run_shares`; after every
-block it checks finiteness and, once over the whole result, the
-imaginary residue on the last axis's self-conjugate planes. The output is
-bit-identical at every block size and thread count. The masks, built
+the blocks split across the threads of `config.run_shares`. Each block's
+sum must be finite; after every block, the imaginary residue on the last
+axis's self-conjugate planes is checked once over the whole result. The
+output is bit-identical at every block size and thread count. The masks, built
 once where they are used and after the attention pass, pick the scheme:
 one hard band per scale (`band_masks`, in `multiband_attention`) or the
 Gaussian low-pass pair [1 - P, P] (`spectral_blend_attention`, low band
@@ -48,7 +48,7 @@ from .attention import (
 from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
                      ShapeMismatchError)
 from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _check_residue, _half_layout,
-                       _irfftn_real, _rfftn, band_masks, gaussian_lowpass)
+                       _half_shape, _irfftn_real, _rfftn, band_masks, gaussian_lowpass)
 from .tensor_core import VideoLatent, _check_shape4
 
 PARTITION_TOLERANCE = 1e-6
@@ -193,12 +193,6 @@ def _fusion_operands(branch_outputs, masks):
     return data, [mask.weights[index] for mask in masks], axes, blocks
 
 
-def _half_shape(shape, axes) -> tuple[int, ...]:
-    """The shape of `_rfftn(x, axes)` for an x of (C, T, H, W) `shape`."""
-    k = axes[-1] + 1
-    return (*shape[:k], shape[k] // 2 + 1, *shape[k + 1 :])
-
-
 def _block_scratch(shape, axes) -> tuple[np.ndarray, np.ndarray]:
     """`_masked_sum`'s scratch for blocks of up to shape[0] channels of a
     (C, T, H, W) `shape`: a float64 staging block and one branch's masked
@@ -206,7 +200,7 @@ def _block_scratch(shape, axes) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(shape), np.empty(_half_shape(shape, axes), dtype=np.complex128)
 
 
-def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -> bool:
+def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -> None:
     """Channels `block` of every branch's masked spectrum, summed in branch order into `total`.
 
     The one masked-sum path. Each branch's channels are staged in float64
@@ -214,7 +208,8 @@ def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -
     masks are constant along the other axes, so leaving those
     untransformed changes nothing the inverse returns. At bins where a
     branch's mask is zero its contribution is exactly zero, so branches
-    cannot leak outside their band. Returns whether the sum is finite.
+    cannot leak outside their band. Raises NonFiniteValueError if the sum
+    is not finite.
     """
     stage, term = (buf[: block.stop - block.start] for buf in scratch)
     for i, (x, w) in enumerate(zip(data, weights)):
@@ -223,7 +218,8 @@ def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -
         spectrum *= w
         if i:
             total += term
-    return bool(np.isfinite(total).all())
+    if not np.isfinite(total).all():
+        raise NonFiniteValueError("spectrum values must be finite")
 
 
 def fused_spectrum(branch_outputs, masks) -> np.ndarray:
@@ -236,9 +232,8 @@ def fused_spectrum(branch_outputs, masks) -> np.ndarray:
     data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
     total = np.empty(_half_shape(data[0].shape, axes), dtype=np.complex128)
     scratch = _block_scratch((blocks[0].stop, *data[0].shape[1:]), axes)
-    if not all(_masked_sum(data, weights, axes, block, total[block], scratch)
-               for block in blocks):
-        raise NonFiniteValueError("spectrum values must be finite")
+    for block in blocks:
+        _masked_sum(data, weights, axes, block, total[block], scratch)
     return total
 
 
@@ -249,23 +244,25 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
     share's own accumulator and is inverted by `_irfftn_real` straight
     into the block's channels of the result. Block i runs on share
     i mod width of `config.run_shares`, `config.pool_width()` wide at
-    most; every share's scratch is allocated on the calling thread. After
-    every block, a non-finite sum raises NonFiniteValueError, else the
-    residue is checked once against the largest output of the whole
-    result. Each channel is computed by the same operations whichever
-    block or thread runs it, so the output does not depend on either.
+    most; every share's scratch is allocated on the calling thread. A
+    block whose sum is not finite raises NonFiniteValueError, which
+    `config.run_shares` passes on once every share has stopped; after
+    every block, the residue is checked once against the largest output
+    of the whole result. Each channel is computed by the same operations
+    whichever block or thread runs it, so the output does not depend on
+    either.
     """
     data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
     n = masks[0].shape[axes[-1]]
     out = np.empty(data[0].shape)
-    # Per block: 1 if its sum is finite, its residue, its largest |output|.
-    stats = np.zeros((len(blocks), 3))
+    # Per block: its residue and its largest |output|.
+    stats = np.zeros((len(blocks), 2))
 
     def run(share, acc, scratch):
         for j in share:
             total = acc[: blocks[j].stop - blocks[j].start]
-            if _masked_sum(data, weights, axes, blocks[j], total, scratch):
-                stats[j] = 1.0, *_irfftn_real(total, axes, n, out[blocks[j]])
+            _masked_sum(data, weights, axes, blocks[j], total, scratch)
+            stats[j] = _irfftn_real(total, axes, n, out[blocks[j]])
 
     block_shape = (blocks[0].stop, *out.shape[1:])
     width = min(config.pool_width(), len(blocks))
@@ -273,9 +270,7 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
                              np.empty(_half_shape(block_shape, axes), dtype=np.complex128),
                              _block_scratch(block_shape, axes))
                             for first in range(width)])
-    if not stats[:, 0].all():
-        raise NonFiniteValueError("spectrum values must be finite")
-    _check_residue(stats[:, 1].max(), stats[:, 2].max(), IMAG_RESIDUE_LIMIT)
+    _check_residue(stats[:, 0].max(), stats[:, 1].max(), IMAG_RESIDUE_LIMIT)
     return out
 
 

@@ -9,8 +9,8 @@ layout `_half_layout` defines: only the axes the masks vary on are transformed
 (T alone in temporal mode), since a mask commutes with the transform
 along an axis it is constant on, and the last of them keeps its half
 (numpy's rfftn layout), the rest being its conjugate mirror. Both write
-into caller-owned arrays (`out=`), so the fusion runs them one channel
-block at a time; `_irfftn_real` returns its imaginary residue and largest
+into caller-owned arrays (`out=`, which numpy's FFT takes from 2.0 on),
+so the fusion runs them one channel block at a time; `_irfftn_real` returns its imaginary residue and largest
 output instead of raising, and `_check_residue` checks them once for a
 signal inverted in blocks.
 
@@ -74,8 +74,16 @@ def _half_layout(*grids: np.ndarray) -> tuple[tuple[int, ...], tuple[slice, ...]
     axes = tuple(a for a in range(3)
                  if any((g != g.take([0], axis=a)).any() for g in grids)) or (0,)
     index = [slice(None) if a in axes else slice(1) for a in range(3)]
-    index[axes[-1]] = slice(grids[0].shape[axes[-1]] // 2 + 1)
+    index[axes[-1]] = slice(_half_shape(grids[0].shape, axes)[axes[-1]])
     return axes, tuple(index)
+
+
+def _half_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape of `_rfftn(x, axes)` for an x of `shape`, whose last three
+    axes are (T, H, W): the last transformed axis, of length n, keeps
+    n//2+1 bins."""
+    k = len(shape) - 3 + axes[-1]
+    return (*shape[:k], shape[k] // 2 + 1, *shape[k + 1 :])
 
 
 def _rfftn(x, axes: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
