@@ -29,8 +29,7 @@ DEFAULT_THRESHOLD = 0.9
 
 def uniform_band_edges(num_bands: int) -> np.ndarray:
     """Interior edges splitting [0, pi] into `num_bands` equal bands."""
-    if check_integer(num_bands, "num_bands") < 1:
-        raise InvalidParameterError(f"num_bands must be >= 1, got {num_bands}")
+    num_bands = check_integer(num_bands, "num_bands", minimum=1)
     return np.arange(1, num_bands) * (np.pi / num_bands)
 
 
@@ -155,14 +154,11 @@ def relative_snr(reference: VideoLatent, extended: VideoLatent, edges,
         raise DegenerateInputError("extended input has zero total spectral energy")
     ref_frac = ref_e / ref_total
     ext_frac = ext_e / ext_total
-    ratios = np.empty_like(ref_frac)
-    for i in range(ratios.size):
-        if ref_frac[i] > 0.0:
-            ratios[i] = ext_frac[i] / ref_frac[i]
-        else:
-            # The reference is empty in this band: matching emptiness is a
-            # perfect match, anything else is unbounded excess.
-            ratios[i] = 1.0 if ext_frac[i] == 0.0 else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # An empty reference band reads 1 if the extended band is also
+        # empty (a perfect match), else inf (unbounded excess).
+        ratios = np.where(ref_frac > 0.0, ext_frac / ref_frac,
+                          np.where(ext_frac == 0.0, 1.0, np.inf))
     boundaries = np.concatenate(([0.0], edges, [np.pi]))
     return SnrReport(boundaries, ratios, threshold=threshold)
 
@@ -202,9 +198,7 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     maps = [np.asarray(m, dtype=np.float64) for m in maps]
     if not maps:
         raise InvalidParameterError("need at least one attention matrix")
-    t = check_integer(num_frames, "num_frames")
-    if t < 1:
-        raise InvalidParameterError(f"num_frames must be >= 1, got {num_frames}")
+    t = check_integer(num_frames, "num_frames", minimum=1)
     pooled = np.zeros((t, t), dtype=np.float64)
     for m in maps:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t:

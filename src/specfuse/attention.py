@@ -17,14 +17,11 @@ Gimelshein 2018, with its bookkeeping gone). Nested windows therefore cost
 one pass of the widest, and each set's output equals the same set run
 alone, bit for bit.
 
-Query frames are independent, so `_attend` splits them across a small
-pool of threads through `config.run_shares`: frame i goes to share
-i mod width, the calling thread runs share 0, and width - 1 pool threads,
-started for the call and joined before it returns, run the rest. The
-width is `config.pool_width()`: the number of usable cores, capped by
-SPFU_THREADS when that is set above 0, else by OMP_NUM_THREADS. Each
-share has its own logits and partial buffers, allocated on the calling
-thread, and writes only its own frames' output rows. A frame's query
+Query frames are independent, so `_attend` splits them across threads
+through `config.run_shares`, `config.pool_width()` shares wide: the
+number of usable cores, capped by SPFU_THREADS when that is set above 0,
+else by OMP_NUM_THREADS. Each share has its own logits and partial
+buffers and writes only its own frames' output rows. A frame's query
 rows are taken in chunks small enough that every matmul has
 M*N*K <= 2**18, the size OpenBLAS runs on the calling thread, so the
 threads never queue for OpenBLAS's own pool. Every row is computed by
@@ -139,8 +136,7 @@ class AttentionWindow:
     kind: str = "local"
 
     def __post_init__(self):
-        if check_integer(self.span_frames, "span_frames") < 1:
-            raise InvalidParameterError(f"span_frames must be >= 1, got {self.span_frames}")
+        check_integer(self.span_frames, "span_frames", minimum=1)
         if self.kind not in ("local", "global"):
             raise InvalidParameterError(f"unknown window kind {self.kind!r}")
 
@@ -344,11 +340,8 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
     admitted = np.stack(frame_sets)
-    width = min(config.pool_width(), t)
-    task = functools.partial(_attend_frames, q3, k3, v3, admitted, outs)
-    # Every share's buffers are allocated here, on the calling thread.
-    config.run_shares(task, [(range(first, t, width), _share_buffers(t, tpf, d, dv))
-                             for first in range(width)])
+    config.run_shares(functools.partial(_attend_frames, q3, k3, v3, admitted, outs), t,
+                      lambda: _share_buffers(t, tpf, d, dv))
     return [out.reshape(t * tpf, dv) for out in outs]
 
 
@@ -378,8 +371,7 @@ def uniform_keyframes(num_frames: int, fraction: float) -> np.ndarray:
     """
     if not 0.0 < fraction <= 1.0:
         raise InvalidParameterError(f"fraction must lie in (0, 1], got {fraction}")
-    if check_integer(num_frames, "num_frames") < 1:
-        raise InvalidParameterError("num_frames must be >= 1")
+    num_frames = check_integer(num_frames, "num_frames", minimum=1)
     count = math.ceil(fraction * num_frames)
     return np.array([-(-j * num_frames // count) for j in range(count)], dtype=np.int64)
 

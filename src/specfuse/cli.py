@@ -5,10 +5,12 @@ stderr), 2 usage error. Outputs go only to the paths named by flags, so
 identical invocations produce identical bytes.
 
 SPFU_THREADS caps the threads of the attention core's query frames and
-of the fusion's channel blocks, plus the BLAS pools; numpy's FFT has no
-thread pool of its own (0 or unset = library default: one thread per
-usable core, capped by OMP_NUM_THREADS). It is applied before the numeric
-modules load; the package imports them lazily for this.
+of the fusion's channel blocks, plus the BLAS pools: above 0 it sets
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS, over any
+values already set. numpy's FFT has no thread pool of its own (0 or
+unset = library default: one thread per usable core, capped by
+OMP_NUM_THREADS). It is applied before the numeric modules load; the
+package imports them lazily for this.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def _apply_thread_cap() -> None:
     n = thread_cap()
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
+            os.environ[var] = str(n)
 
 
 @functools.cache

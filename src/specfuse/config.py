@@ -6,8 +6,8 @@ One `key = value` pair per line; blank lines and lines starting with '#'
 are ignored. Keys are case-sensitive. No sections, no nesting.
 
 `run_shares` is the one share runner: the attention core splits its
-query frames and the fusion its channel blocks through it, `pool_width()`
-shares wide. Callers reach both through this module, so patching
+query frames and the fusion its channel blocks through it, and it alone
+picks the split, `pool_width()` shares wide, so patching
 `config.pool_width` pins the width of every split.
 
 This module loads no numpy, so the CLI can read SPFU_THREADS before the
@@ -58,19 +58,22 @@ def parse_number(value: str, key: str, kind: type = int):
         raise InvalidParameterError(f"{key} must be {noun}, got {value!r}") from None
 
 
-def check_integer(value, name: str, error: type = InvalidParameterError):
-    """`value` if it is an int or a numpy integer (not a bool), else `error` naming `name`."""
+def check_integer(value, name: str, error: type = InvalidParameterError,
+                  minimum: int | None = None) -> int:
+    """`value` as an int if it is an int or a numpy integer (not a bool) of
+    at least `minimum`, else `error` naming `name`: the one integer rule
+    for every count, span, seed and dimension."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise error(f"{name} must be an integer, got {value!r}")
-    return value
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def thread_cap() -> int:
     """SPFU_THREADS as an integer >= 0; 0 when unset, meaning no cap."""
-    n = parse_number(os.environ.get("SPFU_THREADS", "0"), "SPFU_THREADS")
-    if n < 0:
-        raise InvalidParameterError(f"SPFU_THREADS must be >= 0, got {n}")
-    return n
+    return check_integer(parse_number(os.environ.get("SPFU_THREADS", "0"), "SPFU_THREADS"),
+                         "SPFU_THREADS", minimum=0)
 
 
 def pool_width() -> int:
@@ -93,20 +96,22 @@ def pool_width() -> int:
     return max(1, min(cores, cap) if cap > 0 else cores)
 
 
-def run_shares(task, shares) -> None:
-    """Call `task(*share)` for every share, on one thread each.
+def run_shares(task, count: int, scratch) -> None:
+    """Run items 0 .. count-1 (count >= 1) as `task(items, scratch())`, one share per thread.
 
-    The calling thread runs the first share; pool threads, started for
-    the call and joined before it returns (also when a share raises), run
-    the rest. One share starts no thread. Each pool task runs in a copy
-    of the caller's context: NumPy keeps np.errstate in a context
-    variable, so errors and warnings follow the caller's settings on
-    every thread. Memory a pool thread allocates stays cached in its
-    malloc arena after the call and adds to the process's peak RSS, so
-    callers allocate every share's scratch on the calling thread and pass
-    it in the share.
+    The split is `width = min(pool_width(), count)` shares, item i going
+    to share i mod width, so each share's `items` is a range. The calling
+    thread runs share 0; pool threads, started for the call and joined
+    before it returns (also when a share raises), run the rest. One share
+    starts no thread. `scratch()` is called once per share, here on the
+    calling thread: memory a pool thread allocates stays cached in its
+    malloc arena after the call and adds to the process's peak RSS. Each
+    pool task runs in a copy of the caller's context: NumPy keeps
+    np.errstate in a context variable, so errors and warnings follow the
+    caller's settings on every thread.
     """
-    first, *rest = shares
+    width = min(pool_width(), count)
+    first, *rest = [(range(i, count, width), scratch()) for i in range(width)]
     if not rest:
         task(*first)
         return

@@ -62,8 +62,8 @@ def _token_rows(grid: np.ndarray) -> np.ndarray:
 
 
 def _check_spatial(spatial: tuple[int, int], tpf: int) -> tuple[int, int]:
-    h, w = (int(config.check_integer(n, "spatial", ShapeMismatchError)) for n in spatial)
-    if h < 1 or h * w != tpf:
+    h, w = (config.check_integer(n, "spatial", ShapeMismatchError, minimum=1) for n in spatial)
+    if h * w != tpf:
         raise ShapeMismatchError(f"spatial {h}x{w} does not factor {tpf} tokens per frame")
     return h, w
 
@@ -107,8 +107,7 @@ class FusionPlan:
     d0: float = 0.25
 
     def __post_init__(self):
-        if config.check_integer(self.t_alpha, "t_alpha") < 1:
-            raise InvalidParameterError(f"t_alpha must be >= 1, got {self.t_alpha}")
+        config.check_integer(self.t_alpha, "t_alpha", minimum=1)
         alphas = _check_alphas(self.alphas, InvalidPlanError)
         if not isinstance(self.sparse_global, bool):
             raise InvalidParameterError(f"sparse_global must be a bool, got {self.sparse_global!r}")
@@ -242,9 +241,8 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
 
     Streams over the channel blocks: each block's masked sum goes to its
     share's own accumulator and is inverted by `_irfftn_real` straight
-    into the block's channels of the result. Block i runs on share
-    i mod width of `config.run_shares`, `config.pool_width()` wide at
-    most; every share's scratch is allocated on the calling thread. A
+    into the block's channels of the result. `config.run_shares` splits
+    the blocks, each share with its own accumulator and scratch. A
     block whose sum is not finite raises NonFiniteValueError, which
     `config.run_shares` passes on once every share has stopped; after
     every block, the residue is checked once against the largest output
@@ -258,18 +256,17 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
     # Per block: its residue and its largest |output|.
     stats = np.zeros((len(blocks), 2))
 
-    def run(share, acc, scratch):
+    def run(share, buffers):
+        acc, scratch = buffers
         for j in share:
             total = acc[: blocks[j].stop - blocks[j].start]
             _masked_sum(data, weights, axes, blocks[j], total, scratch)
             stats[j] = _irfftn_real(total, axes, n, out[blocks[j]])
 
     block_shape = (blocks[0].stop, *out.shape[1:])
-    width = min(config.pool_width(), len(blocks))
-    config.run_shares(run, [(range(first, len(blocks), width),
-                             np.empty(_half_shape(block_shape, axes), dtype=np.complex128),
-                             _block_scratch(block_shape, axes))
-                            for first in range(width)])
+    config.run_shares(run, len(blocks),
+                      lambda: (np.empty(_half_shape(block_shape, axes), dtype=np.complex128),
+                               _block_scratch(block_shape, axes)))
     _check_residue(stats[:, 0].max(), stats[:, 1].max(), IMAG_RESIDUE_LIMIT)
     return out
 

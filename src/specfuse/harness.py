@@ -49,6 +49,7 @@ class SyntheticScene:
     def __post_init__(self):
         if self.noise_level < 0.0:
             raise InvalidParameterError(f"noise_level must be >= 0, got {self.noise_level}")
+        config.check_integer(self.seed, "seed", minimum=0)
         object.__setattr__(self, "shape", _check_shape4(self.shape))
         object.__setattr__(self, "tones", tuple(self.tones))
 
@@ -102,6 +103,7 @@ def make_scene(scene: SyntheticScene) -> VideoLatent:
 
 def block_weights(d_model: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q/K/V projections scaled by 1/sqrt(d) so logits stay O(1)."""
+    d_model = config.check_integer(d_model, "d_model", minimum=1)
     scale = 1.0 / np.sqrt(d_model)
     return tuple(
         scale * rng.normals(d_model * d_model).reshape(d_model, d_model) for _ in range(3)
@@ -116,8 +118,7 @@ def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
     the banded fusion path. Weight draws come from one stream seeded with
     `seed`, three matrices per block, so the run is reproducible.
     """
-    if config.check_integer(depth, "depth") < 1:
-        raise InvalidParameterError(f"depth must be >= 1, got {depth}")
+    depth = config.check_integer(depth, "depth", minimum=1)
     fuse = spectral_blend_attention if len(plan.alphas) == 2 else multiband_attention
     rng = SeededRng(seed)
     d = tokens.d_model

@@ -48,14 +48,8 @@ class SpecMixParams:
     seed_perm: int = 2
 
     def __post_init__(self):
-        for name in ("frames", "t_alpha"):
-            check_integer(getattr(self, name), name)
-        if self.t_alpha < 1:
-            raise InvalidParameterError(f"t_alpha must be >= 1, got {self.t_alpha}")
-        if self.frames < self.t_alpha:
-            raise InvalidParameterError(
-                f"frames ({self.frames}) must be >= t_alpha ({self.t_alpha})"
-            )
+        t_alpha = check_integer(self.t_alpha, "t_alpha", minimum=1)
+        check_integer(self.frames, "frames", minimum=t_alpha)
 
 
 def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:

@@ -161,9 +161,7 @@ def frequency_grid(shape: tuple[int, int, int], domain_mode: str) -> np.ndarray:
         raise InvalidParameterError(f"unknown domain_mode {domain_mode!r}")
     if len(shape) != 3:
         raise InvalidShapeError(f"grid shape must be (T, H, W), got {tuple(shape)}")
-    t, h, w = shape
-    if min(t, h, w) < 1:
-        raise InvalidShapeError(f"grid axes must be >= 1, got {tuple(shape)}")
+    t, h, w = (check_integer(n, "grid axes", InvalidShapeError, minimum=1) for n in shape)
     wt = axis_frequencies(t)
     if domain_mode == "temporal":
         return np.broadcast_to(wt[:, None, None], (t, h, w)).copy()
@@ -227,11 +225,9 @@ def gaussian_lowpass(
 
 def _check_alphas(alphas, error: type) -> tuple[int, ...]:
     """`alphas` as a non-empty, strictly ascending tuple of ints >= 1, else `error`."""
-    alphas = tuple(int(check_integer(a, "alphas", error)) for a in alphas)
+    alphas = tuple(check_integer(a, "alphas", error, minimum=1) for a in alphas)
     if not alphas:
         raise error("alphas must be non-empty")
-    if alphas[0] < 1:
-        raise error(f"alphas must be >= 1, got {alphas}")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise error(f"alphas must be strictly ascending, got {alphas}")
     return alphas

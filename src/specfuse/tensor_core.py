@@ -40,16 +40,7 @@ _HEADER = struct.Struct("<4sHBB4I")
 def _check_shape4(shape: tuple) -> tuple[int, int, int, int]:
     if len(shape) != 4:
         raise InvalidShapeError(f"expected 4 axes (C, T, H, W), got {len(shape)}")
-    dims = tuple(int(check_integer(n, "shape", InvalidShapeError)) for n in shape)
-    if any(n < 1 for n in dims):
-        raise InvalidShapeError(f"all axes must be >= 1, got {dims}")
-    return dims
-
-
-def _check_count(n) -> int:
-    if check_integer(n, "n") < 0:
-        raise InvalidParameterError(f"n must be >= 0, got {n}")
-    return int(n)
+    return tuple(check_integer(n, "shape", InvalidShapeError, minimum=1) for n in shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,19 +85,19 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        if not 0 <= check_integer(seed, "seed") < 2**64:
+        self.seed = check_integer(seed, "seed", minimum=0)
+        if self.seed >= 2**64:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = int(seed)
         self._bits = np.random.Philox(key=self.seed)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values uniform on the open interval (0, 1)."""
-        raw = self._bits.random_raw(_check_count(n))
+        raw = self._bits.random_raw(check_integer(n, "n", minimum=0))
         return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard-normal values."""
-        n = _check_count(n)
+        n = check_integer(n, "n", minimum=0)
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
         u1, u2 = u[0::2], u[1::2]
@@ -118,7 +109,7 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         """A permutation of range(n) as int64, via Fisher-Yates."""
-        n = _check_count(n)
+        n = check_integer(n, "n", minimum=0)
         perm = np.arange(n, dtype=np.int64)
         if n > 1:
             u = self.uniforms(n - 1)

@@ -123,6 +123,19 @@ class TestRelativeSnr:
         assert np.allclose(report.ratios, 1.0, atol=1e-12)
         assert report.available_count == 16
 
+    @pytest.mark.parametrize("ext_frames, empty_ratio", [(8, 1.0), (32, np.inf)])
+    def test_ratios_match_the_per_band_rule(self, ext_frames, empty_ratio):
+        # 8 frames fill 5 of 16 temporal bands; 32 frames fill all 16.
+        ref = gaussian_latent((2, 8, 4, 4), SeededRng(11))
+        ext = gaussian_latent((2, ext_frames, 4, 4), SeededRng(12))
+        edges = uniform_band_edges(16)
+        r, e = (x / x.sum() for x in (band_energy(ref, edges), band_energy(ext, edges)))
+        expected = [e[i] / r[i] if r[i] > 0.0 else (1.0 if e[i] == 0.0 else np.inf)
+                    for i in range(16)]
+        ratios = relative_snr(ref, ext, edges).ratios
+        assert np.array_equal(ratios, expected)
+        assert (r == 0.0).sum() == 11 and set(ratios[r == 0.0]) == {empty_ratio}
+
     def test_lowpassed_extension_degrades_high_band(self):
         ref = gaussian_latent((2, 8, 8, 8), SeededRng(5))
         ext_raw = gaussian_latent((2, 32, 8, 8), SeededRng(6))

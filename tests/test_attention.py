@@ -1,6 +1,7 @@
 """Attention semantics against the dense O(n^2) oracle in attention_oracle.py."""
 
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -269,6 +270,28 @@ class TestMultiWindowCore:
         monkeypatch.setenv("SPFU_THREADS", value)
         with pytest.raises(InvalidParameterError, match="SPFU_THREADS"):
             config.pool_width()
+
+    @pytest.mark.parametrize("width, shares", [
+        (1, [range(7)]),
+        (3, [range(0, 7, 3), range(1, 7, 3), range(2, 7, 3)]),
+        (9, [range(i, 7, 7) for i in range(7)]),
+    ])
+    def test_run_shares_owns_the_split(self, width, shares):
+        # Item i goes to share i mod min(width, count); each share's scratch
+        # is made once, on the calling thread.
+        made, seen = [], {}
+
+        def scratch():
+            made.append(threading.get_ident())
+            return len(made) - 1
+
+        def task(items, share):
+            seen[share] = items
+
+        with pooled(width):
+            config.run_shares(task, 7, scratch)
+        assert made == [threading.get_ident()] * len(shares)
+        assert seen == dict(enumerate(shares))
 
     @given(st.data())
     def test_frame_set_follows_the_window_rule(self, data):

@@ -332,3 +332,16 @@ class TestProcessLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "1"
+
+    def test_thread_cap_overrides_blas_pools_already_set(self, tmp_path):
+        import os
+
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = dict(os.environ, SPFU_THREADS="1", **dict.fromkeys(blas, "4"))
+        script = ("import os, sys; from specfuse.cli import main; "
+                  "code = main(['specmix', '--frames', '8', '--t-alpha', '8', '--out', sys.argv[1]]); "
+                  f"print(code, *(os.environ[var] for var in {blas!r}))")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "x.spfu")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "1", "1"]

@@ -1,0 +1,95 @@
+"""The one integer rule, `config.check_integer`, at every entry point that takes
+a count, span, seed or dimension.
+
+Each entry point gets the same four inputs: an integral float and a bool,
+which must fail as non-integers, the value one below its lower bound, which
+must fail with the bound in the message, and a numpy integer, which must pass.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from specfuse import (
+    AttentionWindow,
+    FusionPlan,
+    SeededRng,
+    SpecMixParams,
+    SyntheticScene,
+    TokenSequence,
+    aggregate_attention,
+    band_masks,
+    frequency_grid,
+    gaussian_latent,
+    gaussian_lowpass,
+    latent_from_tokens,
+    specmix,
+    uniform_band_edges,
+    uniform_keyframes,
+)
+from specfuse.errors import (InvalidParameterError, InvalidPlanError, InvalidShapeError,
+                             ShapeMismatchError)
+from specfuse.harness import block_weights, run_stack
+
+# Two frames of four tokens, d = 2: the (H, W) factorization and the stack depth.
+TOKENS = TokenSequence(np.arange(16.0).reshape(8, 2) / 16, [0, 0, 0, 0, 1, 1, 1, 1])
+
+# (id, call, error, parameter name, lower bound, a valid value)
+ENTRIES = [
+    ("frequency_grid-temporal", lambda v: frequency_grid((v, 4, 4), "temporal"),
+     InvalidShapeError, "grid axes", 1, 8),
+    ("frequency_grid-radial", lambda v: frequency_grid((8, 4, v), "radial"),
+     InvalidShapeError, "grid axes", 1, 4),
+    ("gaussian_lowpass", lambda v: gaussian_lowpass((v, 4, 4), 0.25, "radial"),
+     InvalidShapeError, "grid axes", 1, 8),
+    ("band_masks-grid", lambda v: band_masks((1, 2), (v, 4, 4), "radial"),
+     InvalidShapeError, "grid axes", 1, 8),
+    ("band_masks-alphas", lambda v: band_masks((v, 8), (8, 4, 4)),
+     InvalidParameterError, "alphas", 1, 2),
+    ("plan-t_alpha", lambda v: FusionPlan(t_alpha=v, alphas=(1, 2)),
+     InvalidParameterError, "t_alpha", 1, 8),
+    ("plan-alphas", lambda v: FusionPlan(t_alpha=8, alphas=(v, 8)),
+     InvalidPlanError, "alphas", 1, 2),
+    ("window-span", lambda v: AttentionWindow(v), InvalidParameterError, "span_frames", 1, 2),
+    ("uniform_keyframes", lambda v: uniform_keyframes(v, 0.5),
+     InvalidParameterError, "num_frames", 1, 4),
+    ("aggregate_attention", lambda v: aggregate_attention([np.eye(4)], v),
+     InvalidParameterError, "num_frames", 1, 2),
+    ("uniform_band_edges", uniform_band_edges, InvalidParameterError, "num_bands", 1, 4),
+    ("spatial", lambda v: latent_from_tokens(TOKENS, (v, 2)), ShapeMismatchError, "spatial", 1, 2),
+    ("run_stack-depth", lambda v: run_stack(TOKENS, FusionPlan(2, (1,)), v, 0, (2, 2)),
+     InvalidParameterError, "depth", 1, 2),
+    ("specmix-t_alpha", lambda v: SpecMixParams(frames=8, t_alpha=v),
+     InvalidParameterError, "t_alpha", 1, 4),
+    ("specmix-frames", lambda v: SpecMixParams(frames=v, t_alpha=2),
+     InvalidParameterError, "frames", 2, 4),
+    ("specmix-chw", lambda v: specmix(SpecMixParams(frames=8, t_alpha=4), (v, 2, 2)),
+     InvalidShapeError, "shape", 1, 2),
+    ("latent-shape", lambda v: gaussian_latent((v, 2, 2, 2), SeededRng(0)),
+     InvalidShapeError, "shape", 1, 2),
+    ("scene-shape", lambda v: SyntheticScene(shape=(2, v, 2, 2)),
+     InvalidShapeError, "shape", 1, 4),
+    ("scene-seed", lambda v: SyntheticScene(shape=(1, 2, 2, 2), seed=v),
+     InvalidParameterError, "seed", 0, 7),
+    ("block_weights", lambda v: block_weights(v, SeededRng(0)),
+     InvalidParameterError, "d_model", 1, 2),
+    ("seed", SeededRng, InvalidParameterError, "seed", 0, 7),
+    ("uniforms", lambda v: SeededRng(0).uniforms(v), InvalidParameterError, "n", 0, 3),
+    ("normals", lambda v: SeededRng(0).normals(v), InvalidParameterError, "n", 0, 3),
+    ("permutation", lambda v: SeededRng(0).permutation(v), InvalidParameterError, "n", 0, 3),
+]
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "below", "numpy"])
+@pytest.mark.parametrize("call, error, name, minimum, valid", [e[1:] for e in ENTRIES],
+                         ids=[e[0] for e in ENTRIES])
+def test_integer_rule(call, error, name, minimum, valid, kind):
+    if kind == "numpy":
+        call(np.int64(valid))
+        return
+    value = {"float": float(valid), "bool": True, "below": minimum - 1}[kind]
+    message = (f"{name} must be >= {minimum}, got {value}" if kind == "below"
+               else f"{name} must be an integer, got {value!r}")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
