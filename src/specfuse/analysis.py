@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_integer
-from .errors import DegenerateInputError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError, NonFiniteValueError
 from .spectral import _half_layout, _rfftn, frequency_grid
 from .tensor_core import VideoLatent
 
@@ -176,6 +176,8 @@ class AttnMap:
         m = np.array(self.matrix, dtype=np.float64, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParameterError(f"map must be square, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteValueError("map entries must be finite")
         if (m < 0).any():
             raise InvalidParameterError("map entries must be non-negative")
         if np.abs(m.sum(axis=1) - 1.0).max() > 1e-6:

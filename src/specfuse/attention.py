@@ -10,12 +10,12 @@ Logits and reductions run in float64.
 One core, `_attend`, serves every variant. It takes several masks at once
 and makes one pass over the query frames, computing the logits of every
 key frame that some mask admits once. Each query row's logits are shifted
-by a static bound instead of by the row's running max (see `_attend`), so
-a key frame's weighted values and row sum simply add up across the frames
-of a set, with no log-sum-exp rescaling (the online softmax of Milakov &
-Gimelshein 2018, with its bookkeeping gone). Nested windows therefore cost
-one pass of the widest, and each set's output equals the same set run
-alone, bit for bit.
+by one max that no set depends on, the max over the row's own frame,
+which every window admits (see `_attend`). So a key frame's weighted
+values and row sum simply add up across the frames of a set, with no
+log-sum-exp rescaling (the online softmax of Milakov & Gimelshein 2018,
+with its bookkeeping gone). Nested windows therefore cost one pass of the
+widest, and each set's output equals the same set run alone, bit for bit.
 
 Query frames are independent, so `_attend` splits them across threads
 through `config.run_shares`, `config.pool_width()` shares wide: the
@@ -60,9 +60,10 @@ _BLOCK_BYTES = 512 << 10
 # across cores would run slower than one thread.
 _SERIAL_GEMM_MACS = 1 << 18
 # A set's row is recomputed with its own true row max when its summed
-# weight under the static shift falls below this, or is not finite: the
-# largest weight then sits near the bottom of float64's exponent range,
-# or the shift lost the row to cancellation or overflow.
+# weight under the own-frame shift falls below this, or is not finite:
+# the set excludes the row's own frame and every weight it admits sits
+# near the bottom of float64's exponent range, or an admitted frame sits
+# so far above the own-frame max that the weights overflow.
 _MIN_ROW_SUM = 1e-290
 
 
@@ -181,9 +182,10 @@ def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray,
 
 
 def _check_qkv(q, k, v, frame_index):
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
+    for name, x in zip("qkv", (q, k, v)):
+        if not np.isfinite(x).all():
+            raise NonFiniteValueError(f"{name} must be finite")
     if not (q.shape[0] == k.shape[0] == v.shape[0]):
         raise ShapeMismatchError("Q, K, V must agree on token count")
     if q.shape[1] != k.shape[1]:
@@ -248,28 +250,20 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _exact_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Attention of query rows q over the (J, tpf, .) key and value blocks
-    k, v, shifted by each row's true max: the static shift's fallback."""
+    k, v, shifted by each row's true max: the own-frame shift's fallback."""
     logits = q @ k.reshape(-1, k.shape[-1]).T
     return _softmax_rows(logits) @ v.reshape(-1, v.shape[-1])
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean row norms, scaled by each row's max |entry| so that no
-    finite row overflows."""
-    scale = np.abs(x).max(axis=1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    return scale[:, 0] * np.sqrt(np.square(x / scale).sum(axis=1))
 
 
 def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
     """`_attend`'s work for the query frames `frame_ids`, in `buffers` of its own.
 
-    q3, k3 and v3 carry the extra column (-c_r, ones, ones); `admitted` is
-    the (sets, T, T) stack of admitted-frame matrices. Writes only
-    those frames' rows of `outs` and calls only numpy, so it can run on a
-    pool thread next to other shares. Floating-point errors are ignored
-    on the shifted path, whose failures the fallback catches, and follow
-    the caller's np.errstate in the fallback.
+    q3, k3 and v3 carry the extra column (shift, ones, ones); `admitted` is
+    the (sets, T, T) stack of admitted-frame matrices. Writes only those
+    frames' rows of `outs` and of q3's shift column, and calls only numpy,
+    so it can run on a pool thread next to other shares. Floating-point
+    errors are ignored on the shifted path, whose failures the fallback
+    catches, and follow the caller's np.errstate in the fallback.
     """
     tpf = q3.shape[1]
     block, partial = buffers
@@ -281,10 +275,13 @@ def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
             sets = [_frame_index(np.flatnonzero(row)) for row in admitted[:, i]]
             for r0 in range(0, tpf, rows):
                 m = min(rows, tpf - r0)
+                chunk = q3[i, r0 : r0 + m]
+                own = np.matmul(chunk[:, :-1], k3[i, :, :-1].T, out=block[0, :m])
+                chunk[:, -1] = -own.max(axis=1)
                 for start in range(0, union.size, group):
                     part = union[start : start + group]
                     keys = _frame_index(part)
-                    weights = np.matmul(q3[i, r0 : r0 + m], k3[keys].transpose(0, 2, 1),
+                    weights = np.matmul(chunk, k3[keys].transpose(0, 2, 1),
                                         out=block[: part.size, :m])
                     np.exp(weights, out=weights)
                     partial[keys, :m] = weights @ v3[keys]
@@ -306,37 +303,27 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     each query frame i, the logits of every key frame in the union of the
     sets' rows i are computed once, as stacked (J, rows, tpf) matmuls over
     groups of frames sized to stay in cache, one chunk of the frame's query
-    rows at a time. The keys are first centred on the mean key of the call:
-    an offset shared by every key adds q_r . o to a whole row, which the
-    softmax cancels, but it would inflate the shift below far past the row's
-    true max. Query row r is shifted by c_r = |q_r| * max_j |k_j|, with the
-    max over every (centred) key token of the call, which bounds every logit
-    of the row. The shift is folded into the logits matmul (a -c_r column of
-    the scaled Q meets a ones column of K) and the row sum into the value
-    matmul (a ones column of V), so key frame j yields
-    p_j = exp(logit - c_r) @ [V_j | 1] after one `exp` pass. A set's rows
-    are sum_j p_j[:, :dv] / sum_j p_j[:, dv] over its own frames, added in
-    ascending frame order; a row whose sum is below `_MIN_ROW_SUM` or not
-    finite is recomputed with the set's own row max. Neither the centring, the shift
-    nor the fallback depends on the other sets, so a set's output is
-    bit-identical to the same set run alone. Query frames are split across
-    `config.pool_width()` threads (see the module docstring) and the output
-    does not depend on the width. The core counts no work (see `MacCounter` for
-    reading counts off the matrices).
+    rows at a time. Query row r is shifted by m_r, the max of its logits
+    over its own frame's keys, which each share computes per chunk before
+    the chunk's other logits. Every window admits the own frame, so a
+    window's row sum is at least about 1. The shift is folded into the
+    logits matmul (a -m_r column of the scaled Q meets a ones column of K)
+    and the row sum into the value matmul (a ones column of V), so key
+    frame j yields p_j = exp(logit - m_r) @ [V_j | 1] after one `exp` pass.
+    A set's rows are sum_j p_j[:, :dv] / sum_j p_j[:, dv] over its own
+    frames, added in ascending frame order; a row whose sum is below
+    `_MIN_ROW_SUM` or not finite is recomputed with the set's own row max.
+    Neither the shift nor the fallback depends on the other sets, so a
+    set's output is bit-identical to the same set run alone. Query frames
+    are split across `config.pool_width()` threads (see the module
+    docstring) and the output does not depend on the width. The core
+    counts no work (see `MacCounter` for reading counts off the matrices).
     """
     t, tpf = _frame_slices(frames)
     d, dv = q.shape[1], v.shape[1]
-    q = q * (1.0 / math.sqrt(d))
-    # Centred in place in the augmented array, so no second copy of the
-    # keys stays alive for the whole pass.
-    k3 = np.column_stack((k, np.ones(len(k))))
-    keys = k3[:, :d]
-    keys -= keys.mean(axis=0)
-    # A shift that overflows only sends its rows to the fallback.
-    with np.errstate(all="ignore"):
-        shift = _row_norms(q) * _row_norms(keys).max()
-    q3 = np.column_stack((q, -shift)).reshape(t, tpf, d + 1)
-    k3 = k3.reshape(t, tpf, d + 1)
+    # Each share writes its own rows' shifts into q3's last column.
+    q3 = np.column_stack((q * (1.0 / math.sqrt(d)), np.empty(len(q)))).reshape(t, tpf, d + 1)
+    k3 = np.column_stack((k, np.ones(len(k)))).reshape(t, tpf, d + 1)
     v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
     admitted = np.stack(frame_sets)

@@ -213,9 +213,10 @@ def check_locality_argmax():
 
 def check_shared_key_offset():
     # One vector added to every key adds q_r . o to a whole logits row, which
-    # the softmax cancels. `_attend` centres the keys, so even an offset 1e3
-    # times the mean key norm keeps the static shift near each row's true
-    # max: no row falls back to `_exact_rows`.
+    # the softmax cancels; q and k scaled by 8 or 10 put logits in the
+    # hundreds. `_attend` shifts each row by the max of its logits over its
+    # own frame, which moves with both, so no row falls back to
+    # `_exact_rows`, though the keys are not centred.
     rows = []
     exact_rows = attention._exact_rows
 
@@ -223,18 +224,23 @@ def check_shared_key_offset():
         rows.append(len(q))
         return exact_rows(q, k, v)
 
+    cases = []
     for t, tpf, d, seed, scale in ((8, 4, 8, 60, 1e3), (5, 7, 4, 61, 250.0)):
         rng = SeededRng(seed)
         q, k, v = (rng.normals(t * tpf * d).reshape(t * tpf, d) for _ in range(3))
         direction = rng.normals(d)
         offset = scale * np.linalg.norm(k, axis=1).mean() * direction / np.linalg.norm(direction)
-        frames = np.repeat(np.arange(t), tpf)
-        masks = [{}, {"window": AttentionWindow.local(3)}, {"keyframes": range(0, t, 2)}]
+        cases.append((q, k + offset, v, k, np.repeat(np.arange(t), tpf)))
+    toks, q, k, v = _rand_qkv(8, 16, 16, 70)
+    cases += [(s * q, s * k, v, s * k, toks.frame_index) for s in (8.0, 10.0)]
+    for q, k, v, k_oracle, frames in cases:
+        t = int(frames[-1]) + 1
+        masks = [{}, {"window": AttentionWindow(3)}, {"keyframes": range(0, t, 2)}]
         with mock.patch.object(attention, "_exact_rows", side_effect=counted):
-            outs = _attend(q, k + offset, v, frames, [_frame_set(t, **m) for m in masks])
+            outs = _attend(q, k, v, frames, [_frame_set(t, **m) for m in masks])
         for out, mask in zip(outs, masks):
-            err = np.abs(out - attention_map(q, k, frames, **mask) @ v).max()
-            assert err <= 1e-12, f"offset keys moved the output by {err}"
+            err = np.abs(out - attention_map(q, k_oracle, frames, **mask) @ v).max()
+            assert err <= 1e-12, f"offset or scaled keys moved the output by {err}"
     assert not rows, f"{sum(rows)} rows fell back to the exact softmax"
 
 

@@ -11,6 +11,7 @@ from specfuse import (
     AttnMap,
     DegenerateInputError,
     InvalidParameterError,
+    NonFiniteValueError,
     SeededRng,
     SnrReport,
     TokenSequence,
@@ -227,6 +228,10 @@ class TestAggregateAttention:
         assert m.flags.writeable
         m[0] = 0.25
         assert np.array_equal(amap.matrix, np.eye(4))
+
+    def test_non_finite_map_rejected(self):
+        with pytest.raises(NonFiniteValueError, match="^map entries must be finite$"):
+            AttnMap([[np.nan, np.nan], [0.5, 0.5]])
 
     def test_empty_collection_rejected(self):
         with pytest.raises(InvalidParameterError):

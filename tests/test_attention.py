@@ -72,6 +72,27 @@ class TestTokenSequence:
             TokenSequence(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
 
 
+# Each entry point with the operands it takes; the map entry points take no values.
+_ENTRY_POINTS = {
+    "frame_attention": ("qk", lambda q, k, v, frames: frame_attention(q, k, frames)),
+    "attention_map": ("qk", lambda q, k, v, frames: attention_map(q, k, frames)),
+    "masked_attention": ("qkv", lambda q, k, v, frames: masked_attention(
+        q, k, v, frames, AttentionWindow(2))),
+    "sparse_attention": ("qkv", lambda q, k, v, frames: sparse_attention(q, k, v, frames, [0, 2])),
+}
+
+
+@pytest.mark.parametrize("entry, operand", [
+    (entry, operand) for entry, (operands, _) in _ENTRY_POINTS.items() for operand in operands])
+def test_non_finite_operand_is_rejected_before_any_work(entry, operand):
+    toks = random_tokens(3, 2, 4, 44)
+    qkv = dict(zip("qkv", project_qkv(toks, random_weights(4, 45))))
+    qkv[operand][3, 1] = {"q": np.nan, "k": np.inf, "v": -np.inf}[operand]
+    with mock.patch.object(attention, "_attend", side_effect=AssertionError("attended")), \
+            pytest.raises(NonFiniteValueError, match=f"^{operand} must be finite$"):
+        _ENTRY_POINTS[entry][1](qkv["q"], qkv["k"], qkv["v"], toks.frame_index)
+
+
 class TestProjectQkv:
     def test_identity_weights(self):
         toks = random_tokens(3, 2, 4, 2)
@@ -359,8 +380,9 @@ class TestMultiWindowCore:
 
     @given(multi_window_cases(), st.floats(-2.0, 3.0))
     def test_scaled_features_match_the_oracle(self, case, exponent):
-        # Features up to 1e3 put logits near 1e6, where the static shift can
-        # sit far enough above a row's true max that the row is recomputed.
+        # Features up to 1e3 put logits near 1e6, where another admitted frame
+        # can sit so far above a row's own-frame max, or a key-frame set so
+        # far below it, that the row is recomputed.
         t, tpf, d, spans, keyframes, seed = case
         toks = random_tokens(t, tpf, d, seed)
         q, k, v = (x * 10.0**exponent
@@ -375,24 +397,46 @@ class TestMultiWindowCore:
             assert np.array_equal(out, _attend(q, k, v, frames, [admitted])[0])
 
     def test_rows_whose_shifted_weights_underflow_are_recomputed(self):
-        # One key at 1000 * e1 sets max |k| to 1000, so every row's shift is
-        # about 21 000 above its true max of 30 / sqrt(2): exp underflows to
-        # 0 for every key, and without the fallback every row would be NaN.
+        # Every row is shifted by the max of its logits over its own frame.
+        # One key at 1000 * e2, orthogonal to every query, is by far the
+        # longest key; each row's own-frame max is still its true max, so no
+        # row falls back. With frame 1's keys at 40 * e1, its logits sit
+        # 30 * 39 / sqrt(2), about 827, above frame 0's own-frame max: frame
+        # 0's rows overflow in the global set. A key-frame set without frame
+        # 1 sits as far below frame 1's own-frame max, so frame 1's rows
+        # underflow to 0 there. Both go to `_exact_rows`.
         q = np.tile([30.0, 0.0], (4, 1))
-        k = np.tile([1.0, 0.0], (4, 1))
-        k[3] = [0.0, 1000.0]
+        spike = np.tile([1.0, 0.0], (4, 1))
+        spike[3] = [0.0, 1000.0]
+        steps = np.repeat([[1.0, 0.0], [40.0, 0.0]], 2, axis=0)
         v = SeededRng(42).normals(8).reshape(4, 2)
         frames = np.repeat(np.arange(2), 2)
-        sets = [_frame_set(2), _frame_set(2, window=AttentionWindow.local(2)),
-                _frame_set(2, keyframes=[1])]
-        for out, admitted in zip(_attend(q, k, v, frames, sets), sets):
-            assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
+        cases = [
+            (spike, [_frame_set(2), _frame_set(2, window=AttentionWindow.local(2)),
+                     _frame_set(2, keyframes=[1])], False),
+            (steps, [_frame_set(2), _frame_set(2, window=AttentionWindow.local(2))], True),
+            (steps, [_frame_set(2, keyframes=[0])], True),
+        ]
+        rows = []
+        exact_rows = attention._exact_rows
+
+        def counted(q_rows, k_blocks, v_blocks):
+            rows.append(len(q_rows))
+            return exact_rows(q_rows, k_blocks, v_blocks)
+
+        for k, sets, falls_back in cases:
+            rows.clear()
+            with mock.patch.object(attention, "_exact_rows", side_effect=counted):
+                outs = _attend(q, k, v, frames, sets)
+            for out, admitted in zip(outs, sets):
+                assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
+            assert bool(rows) == falls_back
 
     @given(multi_window_cases(), st.floats(0.0, 1e3))
     def test_shared_key_offset_needs_no_fallback(self, case, scale):
         # One vector o added to every key adds q_r . o to a whole row, which
-        # the softmax cancels. Uncentred, the static shift |q_r| max |k_j + o|
-        # grows with |o| and rows underflow into `_exact_rows`.
+        # the softmax cancels. The own-frame max moves with it, so no row
+        # falls back to `_exact_rows`.
         t, tpf, d, spans, keyframes, seed = case
         rng = SeededRng(seed)
         q, k, v = (rng.normals(t * tpf * d).reshape(t * tpf, d) for _ in range(3))

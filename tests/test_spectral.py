@@ -192,12 +192,6 @@ class TestGaussianLowpass:
 
 
 class TestBandMasks:
-    test_three_scale_edges = staticmethod(selftest.check_band_partition)
-    test_four_scale_edges = staticmethod(selftest.check_band_partition)
-    test_single_scale_keeps_everything = staticmethod(selftest.check_band_partition)
-    test_masks_are_indicators = staticmethod(selftest.check_band_partition)
-    test_edge_bin_goes_to_coarser_band = staticmethod(selftest.check_band_partition)
-
     @pytest.mark.parametrize("alphas", [[1], [1, 2], [1, 2, 4], [1, 2, 4, 8], [2, 3, 7]])
     @pytest.mark.parametrize("mode", ["temporal", "radial"])
     def test_partition_of_unity(self, alphas, mode):
