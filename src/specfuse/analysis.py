@@ -92,6 +92,8 @@ class SnrReport:
             raise InvalidParameterError("need one more boundary than ratios")
         if (ratios < 0).any():
             raise InvalidParameterError("ratios must be non-negative")
+        if not np.isfinite(self.threshold):
+            raise InvalidParameterError(f"threshold must be finite, got {self.threshold}")
         bounds.flags.writeable = False
         ratios.flags.writeable = False
         object.__setattr__(self, "boundaries", bounds)

@@ -17,16 +17,23 @@ log-sum-exp rescaling (the online softmax of Milakov & Gimelshein 2018,
 with its bookkeeping gone). Nested windows therefore cost one pass of the
 widest, and each set's output equals the same set run alone, bit for bit.
 
+Keys are stored transposed per frame, a (T, d+1, tpf) stack, so the
+logits matmul of every key frame reads one contiguous (d+1, tpf) block.
+
 Query frames are independent, so `_attend` splits them across threads
 through `config.run_shares`, `config.pool_width()` shares wide: the
 number of usable cores, capped by SPFU_THREADS when that is set above 0,
-else by OMP_NUM_THREADS. Each share has its own logits and partial
-buffers and writes only its own frames' output rows. A frame's query
-rows are taken in chunks small enough that every matmul has
+else by OMP_NUM_THREADS. Each share has its own logits, partial and
+total buffers and writes only its own frames' output rows. A frame's
+query rows are taken in chunks small enough that every matmul has
 M*N*K <= 2**18, the size OpenBLAS runs on the calling thread, so the
-threads never queue for OpenBLAS's own pool. Every row is computed by
-the same operations in the same order whichever thread runs it, so
-outputs are bit-identical at every width.
+threads never queue for OpenBLAS's own pool. Each small numpy call hands
+the GIL from one thread to another, so the shares make as few as they
+can: the frame sets are planned once per call on the calling thread
+(`_frame_plans`), and each chunk ends in one divide and one fallback test
+for all sets. Every row is computed by the same operations in the same
+order whichever thread runs it, so outputs are bit-identical at every
+width.
 
 Frame-level attention maps run through the same core: `frame_attention`
 passes a one-hot frame indicator as the values, so each output row is the
@@ -232,12 +239,26 @@ def _frame_index(ids: np.ndarray) -> slice | np.ndarray:
     return slice(lo, hi) if hi - lo == ids.size else ids
 
 
-def _share_buffers(t: int, tpf: int, d: int, dv: int) -> tuple[np.ndarray, np.ndarray]:
-    """One share's scratch: a logits block and every key frame's augmented
-    partial sums, for query-row chunks within `_SERIAL_GEMM_MACS`."""
-    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d + 1, dv + 1))))
-    group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
-    return np.empty((group, rows, tpf)), np.empty((t, rows, dv + 1))
+def _share_buffers(t: int, sets: int, group: int, rows: int, tpf: int,
+                   dv: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One share's scratch for query-row chunks of `rows`: a logits block
+    of `group` key frames, every key frame's augmented partial sums, and
+    each set's summed partials."""
+    return (np.empty((group, rows, tpf)), np.empty((t, rows, dv + 1)),
+            np.empty((sets, rows, dv + 1)))
+
+
+def _frame_plans(admitted: np.ndarray, group: int) -> list[tuple[list, list]]:
+    """For each query frame, the (keys, count) groups of at most `group`
+    key frames that cover the union of the (sets, T, T) stack's rows, and
+    each set's frames; key frames are `_frame_index` values."""
+    plans = []
+    for sets in admitted.transpose(1, 0, 2):
+        union = np.flatnonzero(sets.any(axis=0))
+        groups = [(_frame_index(part), part.size)
+                  for part in (union[s : s + group] for s in range(0, union.size, group))]
+        plans.append((groups, [_frame_index(np.flatnonzero(row)) for row in sets]))
+    return plans
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -255,45 +276,53 @@ def _exact_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _softmax_rows(logits) @ v.reshape(-1, v.shape[-1])
 
 
-def _attend_frames(q3, k3, v3, admitted, outs, frame_ids, buffers) -> None:
+def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
     """`_attend`'s work for the query frames `frame_ids`, in `buffers` of its own.
 
-    q3, k3 and v3 carry the extra column (shift, ones, ones); `admitted` is
-    the (sets, T, T) stack of admitted-frame matrices. Writes only those
+    q3 and v3 carry the extra column (shift, ones) and kt3 the extra row
+    (ones) of `_attend`; `plans` are `_frame_plans`. Writes only those
     frames' rows of `outs` and of q3's shift column, and calls only numpy,
-    so it can run on a pool thread next to other shares. Floating-point
-    errors are ignored on the shifted path, whose failures the fallback
-    catches, and follow the caller's np.errstate in the fallback.
+    so it can run on a pool thread next to other shares. Per query-row
+    chunk it makes one `exp` and two matmuls per key group, one sum per
+    set, and one divide and one fallback test for all sets; only when
+    that test fails does it look for each set's rows to recompute.
+    Floating-point errors are ignored on the shifted path, whose failures
+    the fallback catches, and follow the caller's np.errstate in the
+    fallback.
     """
     tpf = q3.shape[1]
-    block, partial = buffers
-    group, rows = block.shape[:2]
+    block, partial, totals = buffers
+    rows = block.shape[1]
     caller = np.geterr()
     with np.errstate(all="ignore"):
         for i in frame_ids:
-            union = np.flatnonzero(admitted[:, i].any(axis=0))
-            sets = [_frame_index(np.flatnonzero(row)) for row in admitted[:, i]]
+            groups, sets = plans[i]
             for r0 in range(0, tpf, rows):
                 m = min(rows, tpf - r0)
                 chunk = q3[i, r0 : r0 + m]
-                own = np.matmul(chunk[:, :-1], k3[i, :, :-1].T, out=block[0, :m])
+                own = np.matmul(chunk[:, :-1], kt3[i, :-1], out=block[0, :m])
                 chunk[:, -1] = -own.max(axis=1)
-                for start in range(0, union.size, group):
-                    part = union[start : start + group]
-                    keys = _frame_index(part)
-                    weights = np.matmul(chunk, k3[keys].transpose(0, 2, 1),
-                                        out=block[: part.size, :m])
+                for keys, count in groups:
+                    weights = np.matmul(chunk, kt3[keys], out=block[:count, :m])
                     np.exp(weights, out=weights)
-                    partial[keys, :m] = weights @ v3[keys]
-                for out, keys in zip(outs, sets):
-                    total = partial[keys, :m].sum(axis=0)
-                    rows_out = out[i, r0 : r0 + m]
-                    np.divide(total[:, :-1], total[:, -1:], out=rows_out)
+                    if isinstance(keys, slice):
+                        np.matmul(weights, v3[keys], out=partial[keys, :m])
+                    else:
+                        partial[keys, :m] = weights @ v3[keys]
+                for s, keys in enumerate(sets):
+                    np.sum(partial[keys, :m], axis=0, out=totals[s, :m])
+                rows_out = outs[:, i, r0 : r0 + m]
+                np.divide(totals[:, :m, :-1], totals[:, :m, -1:], out=rows_out)
+                if totals[:, :m, -1].min() >= _MIN_ROW_SUM and np.isfinite(totals[:, :m]).all():
+                    continue
+                for s, keys in enumerate(sets):
+                    total = totals[s, :m]
                     lost = ~((total[:, -1] >= _MIN_ROW_SUM) & np.isfinite(total).all(axis=1))
                     if lost.any():
                         with np.errstate(**caller):
-                            rows_out[lost] = _exact_rows(q3[i, r0 + np.flatnonzero(lost), :-1],
-                                                         k3[keys, :, :-1], v3[keys, :, :-1])
+                            rows_out[s, lost] = _exact_rows(
+                                q3[i, r0 + np.flatnonzero(lost), :-1],
+                                kt3[keys, :-1].transpose(0, 2, 1), v3[keys, :, :-1])
 
 
 def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
@@ -303,32 +332,40 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     each query frame i, the logits of every key frame in the union of the
     sets' rows i are computed once, as stacked (J, rows, tpf) matmuls over
     groups of frames sized to stay in cache, one chunk of the frame's query
-    rows at a time. Query row r is shifted by m_r, the max of its logits
-    over its own frame's keys, which each share computes per chunk before
-    the chunk's other logits. Every window admits the own frame, so a
-    window's row sum is at least about 1. The shift is folded into the
-    logits matmul (a -m_r column of the scaled Q meets a ones column of K)
-    and the row sum into the value matmul (a ones column of V), so key
-    frame j yields p_j = exp(logit - m_r) @ [V_j | 1] after one `exp` pass.
-    A set's rows are sum_j p_j[:, :dv] / sum_j p_j[:, dv] over its own
-    frames, added in ascending frame order; a row whose sum is below
-    `_MIN_ROW_SUM` or not finite is recomputed with the set's own row max.
-    Neither the shift nor the fallback depends on the other sets, so a
-    set's output is bit-identical to the same set run alone. Query frames
-    are split across `config.pool_width()` threads (see the module
-    docstring) and the output does not depend on the width. The core
-    counts no work (see `MacCounter` for reading counts off the matrices).
+    rows at a time. Keys are stored transposed per frame, as a (T, d+1,
+    tpf) stack, so each matmul reads a contiguous (d+1, tpf) block per key
+    frame rather than a strided transposed view. Query row r is shifted by
+    m_r, the max of its logits over its own frame's keys, which each share
+    computes per chunk before the chunk's other logits. Every window admits
+    the own frame, so a window's row sum is at least about 1. The shift is
+    folded into the logits matmul (a -m_r column of the scaled Q meets a
+    ones row of the transposed K) and the row sum into the value matmul (a
+    ones column of V), so key frame j yields p_j = exp(logit - m_r) @ [V_j
+    | 1] after one `exp` pass. A set's rows are sum_j p_j[:, :dv] / sum_j
+    p_j[:, dv] over its own frames, added in ascending frame order; a row
+    whose sum is below `_MIN_ROW_SUM` or not finite is recomputed with the
+    set's own row max. Neither the shift nor the fallback depends on the
+    other sets, so a set's output is bit-identical to the same set run
+    alone. The key groups and the sets' frames of every query frame are
+    planned once, on the calling thread (`_frame_plans`). Query frames are
+    split across `config.pool_width()` threads (see the module docstring)
+    and the output does not depend on the width. The core counts no work
+    (see `MacCounter` for reading counts off the matrices).
     """
     t, tpf = _frame_slices(frames)
     d, dv = q.shape[1], v.shape[1]
+    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d + 1, dv + 1))))
+    group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
     # Each share writes its own rows' shifts into q3's last column.
     q3 = np.column_stack((q * (1.0 / math.sqrt(d)), np.empty(len(q)))).reshape(t, tpf, d + 1)
-    k3 = np.column_stack((k, np.ones(len(k)))).reshape(t, tpf, d + 1)
+    kt3 = np.empty((t, d + 1, tpf))
+    kt3[:, :d] = k.reshape(t, tpf, d).transpose(0, 2, 1)
+    kt3[:, d] = 1.0
     v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
-    admitted = np.stack(frame_sets)
-    config.run_shares(functools.partial(_attend_frames, q3, k3, v3, admitted, outs), t,
-                      lambda: _share_buffers(t, tpf, d, dv))
+    plans = _frame_plans(np.stack(frame_sets), group)
+    config.run_shares(functools.partial(_attend_frames, q3, kt3, v3, plans, outs), t,
+                      lambda: _share_buffers(t, len(frame_sets), group, rows, tpf, dv))
     return [out.reshape(t * tpf, dv) for out in outs]
 
 

@@ -33,8 +33,9 @@ class Tone:
             raise InvalidParameterError(f"axis must be one of {AXIS_NAMES}, got {self.axis!r}")
         if not 0.0 <= self.omega <= np.pi:
             raise InvalidParameterError(f"tone frequency must lie in [0, pi], got {self.omega}")
-        if self.amplitude <= 0.0:
-            raise InvalidParameterError(f"amplitude must be positive, got {self.amplitude}")
+        if not 0.0 < self.amplitude < np.inf:
+            raise InvalidParameterError(
+                f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class SyntheticScene:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_level < 0.0:
-            raise InvalidParameterError(f"noise_level must be >= 0, got {self.noise_level}")
+        if not 0.0 <= self.noise_level < np.inf:
+            raise InvalidParameterError(
+                f"noise_level must be finite and >= 0, got {self.noise_level}")
         config.check_integer(self.seed, "seed", minimum=0)
         object.__setattr__(self, "shape", _check_shape4(self.shape))
         object.__setattr__(self, "tones", tuple(self.tones))

@@ -168,6 +168,11 @@ class TestRelativeSnr:
         assert all(len(line.split(",")) == 4 for line in csv_lines)
         assert report.to_text().strip().split("\n")[-1].startswith("available 16/16")
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(InvalidParameterError, match="threshold must be finite"):
+            SnrReport([0.0, 1.0, np.pi], [1.0, 0.5], threshold=threshold)
+
     def test_copies_the_callers_arrays(self):
         bounds = np.array([0.0, 1.0, np.pi])
         ratios = np.array([1.0, 0.5])

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from specfuse import selftest
 from specfuse import (
     AttentionWindow,
     InvalidParameterError,
@@ -125,9 +124,6 @@ class TestProjectQkv:
 
 
 class TestMaskedAttention:
-    test_wide_window_equals_global = staticmethod(selftest.check_wide_window_is_global)
-    test_rows_are_convex_combinations = staticmethod(selftest.check_attention_convexity)
-
     def test_own_frame_only_at_span_two(self):
         toks = random_tokens(6, 2, 4, 7)
         q, k, v = project_qkv(toks, random_weights(4, 8))
@@ -163,8 +159,6 @@ class TestMaskedAttention:
 
 
 class TestSparseAttention:
-    test_all_frames_equals_global_exactly = staticmethod(selftest.check_sparse_all_frames_exact)
-
     def test_matches_column_dropped_oracle(self):
         toks = random_tokens(4, 2, 4, 19)
         q, k, v = project_qkv(toks, random_weights(4, 20))
@@ -218,10 +212,6 @@ class TestUniformKeyframes:
 
     def test_numpy_integer_frame_count_accepted(self):
         assert uniform_keyframes(np.int64(8), 0.5).tolist() == [0, 2, 4, 6]
-
-
-class TestEquivariance:
-    test_within_frame_permutation = staticmethod(selftest.check_frame_permutation_equivariance)
 
 
 class TestMacCounter:
@@ -424,13 +414,24 @@ class TestMultiWindowCore:
             rows.append(len(q_rows))
             return exact_rows(q_rows, k_blocks, v_blocks)
 
-        for k, sets, falls_back in cases:
+        def fallback_rows(k, sets):
             rows.clear()
             with mock.patch.object(attention, "_exact_rows", side_effect=counted):
                 outs = _attend(q, k, v, frames, sets)
+            return outs, sum(rows)
+
+        for k, sets, falls_back in cases:
+            outs, stacked = fallback_rows(k, sets)
+            assert bool(stacked) == falls_back
+            # Only the sets whose rows fail go to the fallback, and each of
+            # them exactly as it does when run alone.
+            alone = 0
             for out, admitted in zip(outs, sets):
                 assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
-            assert bool(rows) == falls_back
+                (single,), count = fallback_rows(k, [admitted])
+                assert np.array_equal(out, single)
+                alone += count
+            assert stacked == alone
 
     @given(multi_window_cases(), st.floats(0.0, 1e3))
     def test_shared_key_offset_needs_no_fallback(self, case, scale):

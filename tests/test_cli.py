@@ -171,6 +171,16 @@ class TestAnalyzeCommand:
         assert all(len(line.split(",")) == 4 for line in lines)
         assert "available 16/16" in text
 
+    def test_non_finite_threshold_is_an_error(self, tmp_path, scene_file, capsys):
+        ref = tmp_path / "r.spfu"
+        run_cli("scene", "--config", str(scene_file), "--out", str(ref))
+        capsys.readouterr()
+        code = main(["analyze", "--ref", str(ref), "--ext", str(ref), "--threshold", "nan",
+                     "--out", str(tmp_path / "rep.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: threshold must be finite")
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_stdout_and_csv_reproducible(self, tmp_path, scene_file):
         ref, ext = tmp_path / "r.spfu", tmp_path / "e.spfu"
         run_cli("scene", "--config", str(scene_file), "--out", str(ref))

@@ -62,6 +62,20 @@ class TestMakeScene:
         with pytest.raises(InvalidParameterError):
             Tone("t", 1.0, 0.0)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(InvalidParameterError, match="amplitude must be positive and finite"):
+            Tone("t", 1.0, amplitude)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_noise_level_rejected(self, level):
+        # NaN would otherwise give a noiseless scene (nan > 0 is false) and
+        # inf would fail late, on the latent's finiteness check.
+        with pytest.raises(InvalidParameterError, match="noise_level must be finite"):
+            SyntheticScene(shape=(1, 2, 2, 2), noise_level=level)
+        with pytest.raises(InvalidParameterError, match="noise_level must be finite"):
+            SyntheticScene.from_text(f"shape = 1,2,2,2\nnoise_level = {level}\n")
+
     def test_noise_is_seeded(self):
         scene = SyntheticScene(shape=(2, 8, 4, 4), noise_level=0.5, seed=13)
         assert np.array_equal(make_scene(scene).data, make_scene(scene).data)
