@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer
+from .config import check_integer, check_real
 from .errors import DegenerateInputError, InvalidParameterError, NonFiniteValueError
 from .spectral import _half_layout, _rfftn, frequency_grid
 from .tensor_core import VideoLatent
@@ -92,8 +92,7 @@ class SnrReport:
             raise InvalidParameterError("need one more boundary than ratios")
         if (ratios < 0).any():
             raise InvalidParameterError("ratios must be non-negative")
-        if not np.isfinite(self.threshold):
-            raise InvalidParameterError(f"threshold must be finite, got {self.threshold}")
+        object.__setattr__(self, "threshold", check_real(self.threshold, "threshold"))
         bounds.flags.writeable = False
         ratios.flags.writeable = False
         object.__setattr__(self, "boundaries", bounds)

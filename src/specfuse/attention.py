@@ -52,7 +52,7 @@ import numpy as np
 
 from . import config
 from .analysis import AttnMap
-from .config import check_integer
+from .config import check_integer, check_real
 from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
 
 # Each thread computes logits in stacks of key-frame blocks of at most
@@ -178,17 +178,20 @@ class MacCounter:
 
 
 def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the three d_model x d_model projections row-wise (y = x @ W)."""
+    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite."""
     w_q, w_k, w_v = (np.asarray(w, dtype=np.float64) for w in weights)
     d = tokens.d_model
     for name, w in (("query", w_q), ("key", w_k), ("value", w_v)):
         if w.shape != (d, d):
             raise ShapeMismatchError(f"{name} weights must be ({d}, {d}), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise NonFiniteValueError(f"{name} weights must be finite")
     feats = tokens.features
     return feats @ w_q, feats @ w_k, feats @ w_v
 
 
 def _check_qkv(q, k, v, frame_index):
+    """The one operand check of every attention entry: finite float64 q, k, v, frame ids, T."""
     q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
     for name, x in zip("qkv", (q, k, v)):
         if not np.isfinite(x).all():
@@ -197,13 +200,8 @@ def _check_qkv(q, k, v, frame_index):
         raise ShapeMismatchError("Q, K, V must agree on token count")
     if q.shape[1] != k.shape[1]:
         raise ShapeMismatchError("Q and K must share the key dimension")
-    return q, k, v, _validate_frames(frame_index, q.shape[0])
-
-
-def _frame_slices(frames: np.ndarray) -> tuple[int, int]:
-    t = int(frames[-1]) + 1
-    tpf = frames.shape[0] // t
-    return t, tpf
+    frames = _validate_frames(frame_index, q.shape[0])
+    return q, k, v, frames, int(frames[-1]) + 1
 
 
 def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None) -> np.ndarray:
@@ -325,10 +323,10 @@ def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
                                 kt3[keys, :-1].transpose(0, 2, 1), v3[keys, :, :-1])
 
 
-def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
+def _attend(q, k, v, frame_sets) -> list[np.ndarray]:
     """One-pass multi-window attention core; one (n, d_v) output per frame set.
 
-    Each frame set is a (T, T) admitted-frame matrix from `_frame_set`. For
+    q, k, v come from `_check_qkv`; each (T, T) frame set from `_frame_set`. For
     each query frame i, the logits of every key frame in the union of the
     sets' rows i are computed once, as stacked (J, rows, tpf) matmuls over
     groups of frames sized to stay in cache, one chunk of the frame's query
@@ -352,7 +350,8 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
     and the output does not depend on the width. The core counts no work
     (see `MacCounter` for reading counts off the matrices).
     """
-    t, tpf = _frame_slices(frames)
+    t = len(frame_sets[0])
+    tpf = len(q) // t
     d, dv = q.shape[1], v.shape[1]
     rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d + 1, dv + 1))))
     group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
@@ -372,12 +371,11 @@ def _attend(q, k, v, frames, frame_sets) -> list[np.ndarray]:
 def _one_set_attention(q, k, v, frame_index, counter: MacCounter | None,
                        **frame_set) -> TokenSequence:
     """Attention under one `_frame_set`; `counter`, if not None, gets its logical MACs."""
-    q, k, v, frames = _check_qkv(q, k, v, frame_index)
-    t, tpf = _frame_slices(frames)
+    q, k, v, frames, t = _check_qkv(q, k, v, frame_index)
     admitted = _frame_set(t, **frame_set)
-    (out,) = _attend(q, k, v, frames, [admitted])
+    (out,) = _attend(q, k, v, [admitted])
     if counter is not None:
-        counter.add(int(admitted.sum()) * tpf * tpf * 2 * q.shape[1])
+        counter.add(int(admitted.sum()) * (len(q) // t) ** 2 * 2 * q.shape[1])
     return TokenSequence(out, frames)
 
 
@@ -393,8 +391,7 @@ def uniform_keyframes(num_frames: int, fraction: float) -> np.ndarray:
     The j-th key frame is ceil(j * T / count); spacing is as even as
     integer indices allow and frame 0 is always included.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise InvalidParameterError(f"fraction must lie in (0, 1], got {fraction}")
+    fraction = check_real(fraction, "fraction", 0, 1, low_open=True)
     num_frames = check_integer(num_frames, "num_frames", minimum=1)
     count = math.ceil(fraction * num_frames)
     return np.array([-(-j * num_frames // count) for j in range(count)], dtype=np.int64)
@@ -419,10 +416,9 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     `frame_attention`: memory is quadratic in the token count (2 GiB at
     16384 tokens), so frame-level maps come from `frame_attention`.
     """
-    q, k, _, frames = _check_qkv(q, k, q, frame_index)
-    t, tpf = _frame_slices(frames)
+    q, k, _, _, t = _check_qkv(q, k, q, frame_index)
     admitted = _frame_set(t, window=window, keyframes=keyframes)
-    d = q.shape[1]
+    tpf, d = len(q) // t, q.shape[1]
     q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
     k3 = k.reshape(t, tpf, d)
     # Query frame i's rows, as (tpf, T, tpf) blocks per key frame.
@@ -445,9 +441,8 @@ def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,
     indicator as the values, so no (n, n) matrix is formed. Exactly one of
     `window` / `keyframes` selects the mask; both None means global.
     """
-    q, k, _, frames = _check_qkv(q, k, q, frame_index)
-    t, tpf = _frame_slices(frames)
+    q, k, _, frames, t = _check_qkv(q, k, q, frame_index)
     onehot = (frames[:, None] == np.arange(t)).astype(np.float64)
-    (mass,) = _attend(q, k, onehot, frames, [_frame_set(t, window=window, keyframes=keyframes)])
-    pooled = mass.reshape(t, tpf, t).mean(axis=1)
+    (mass,) = _attend(q, k, onehot, [_frame_set(t, window=window, keyframes=keyframes)])
+    pooled = mass.reshape(t, -1, t).mean(axis=1)
     return AttnMap(pooled / pooled.sum(axis=1, keepdims=True))

@@ -1,6 +1,6 @@
 """Plain-text key = value config dialect shared by plans and scene specs,
-the SPFU_THREADS environment variable, and the thread pool that splits a
-pass into shares.
+the integer and real-number rules, the SPFU_THREADS environment variable,
+and the thread pool that splits a pass into shares.
 
 One `key = value` pair per line; blank lines and lines starting with '#'
 are ignored. Keys are case-sensitive. No sections, no nesting.
@@ -17,6 +17,8 @@ thread pools start.
 from __future__ import annotations
 
 import contextvars
+import functools
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -58,6 +60,32 @@ def parse_number(value: str, key: str, kind: type = int):
         raise InvalidParameterError(f"{key} must be {noun}, got {value!r}") from None
 
 
+parse_float = functools.partial(parse_number, kind=float)
+
+
+def parse_list(value: str, key: str, item=parse_number) -> list:
+    """Comma-separated `item(text, key)` values: an empty value is [], and an
+    empty item (as in '1,,2' or '1,2,') raises naming `key`."""
+    items = [text.strip() for text in value.split(",")] if value else []
+    if "" in items:
+        raise InvalidParameterError(f"{key} has an empty list item, got {value!r}")
+    return [item(text, key) for text in items]
+
+
+def read_record(text: str, kind: str, parsers: dict, required) -> dict:
+    """The one reader of plan and scene files: the keys a `kind` file sets, each
+    value read by `parsers[key](value, key)`. Unknown keys and missing `required`
+    keys raise; absent keys are left out, so they take the dataclass defaults."""
+    pairs = parse_kv(text)
+    unknown = set(pairs) - set(parsers)
+    if unknown:
+        raise InvalidParameterError(f"unknown {kind} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in pairs]
+    if missing:
+        raise InvalidParameterError(f"{kind} is missing required keys: {missing}")
+    return {key: parsers[key](value, key) for key, value in pairs.items()}
+
+
 def check_integer(value, name: str, error: type = InvalidParameterError,
                   minimum: int | None = None) -> int:
     """`value` as an int if it is an int or a numpy integer (not a bool) of
@@ -68,6 +96,19 @@ def check_integer(value, name: str, error: type = InvalidParameterError,
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
+               low_open: bool = False) -> float:
+    """`value` as a float if it is a finite real (an int, a float or a numpy
+    number, not a bool) in [low, high], or in (low, high] when `low_open`,
+    else InvalidParameterError naming `name`: the one real-number rule."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or not low <= value <= high or (low_open and value == low)):
+        left, right = "(" if low_open or low == -math.inf else "[", ")" if high == math.inf else "]"
+        raise InvalidParameterError(
+            f"{name} must be a finite real number in {left}{low}, {high}{right}, got {value!r}")
+    return float(value)
 
 
 def thread_cap() -> int:

@@ -41,6 +41,7 @@ from .attention import (
     AttentionWindow,
     TokenSequence,
     _attend,
+    _check_qkv,
     _frame_set,
     project_qkv,
     uniform_keyframes,
@@ -111,8 +112,7 @@ class FusionPlan:
         alphas = _check_alphas(self.alphas, InvalidPlanError)
         if not isinstance(self.sparse_global, bool):
             raise InvalidParameterError(f"sparse_global must be a bool, got {self.sparse_global!r}")
-        if not 0.0 < self.d0 <= 1.0:
-            raise InvalidParameterError(f"d0 must lie in (0, 1], got {self.d0}")
+        object.__setattr__(self, "d0", config.check_real(self.d0, "d0", 0, 1, low_open=True))
         if self.domain_mode not in DOMAIN_MODES:
             raise InvalidParameterError(f"unknown domain_mode {self.domain_mode!r}")
         object.__setattr__(self, "alphas", alphas)
@@ -126,25 +126,13 @@ class FusionPlan:
 
     @classmethod
     def from_text(cls, text: str) -> "FusionPlan":
-        pairs = config.parse_kv(text)
-        known = {"t_alpha", "alphas", "sparse_global", "domain_mode", "d0"}
-        unknown = set(pairs) - known
-        if unknown:
-            raise InvalidParameterError(f"unknown plan keys: {sorted(unknown)}")
-        if "t_alpha" not in pairs or "alphas" not in pairs:
-            raise InvalidParameterError("plan needs at least t_alpha and alphas")
-        kwargs = {
-            "t_alpha": config.parse_number(pairs["t_alpha"], "t_alpha"),
-            "alphas": tuple(config.parse_number(a, "alphas")
-                            for a in pairs["alphas"].split(",") if a.strip()),
-        }
-        if "sparse_global" in pairs:
-            kwargs["sparse_global"] = config.parse_bool(pairs["sparse_global"], "sparse_global")
-        if "domain_mode" in pairs:
-            kwargs["domain_mode"] = pairs["domain_mode"]
-        if "d0" in pairs:
-            kwargs["d0"] = config.parse_number(pairs["d0"], "d0", float)
-        return cls(**kwargs)
+        return cls(**config.read_record(text, "plan", {
+            "t_alpha": config.parse_number,
+            "alphas": config.parse_list,
+            "sparse_global": config.parse_bool,
+            "domain_mode": lambda value, key: value,
+            "d0": config.parse_float,
+        }, required=("t_alpha", "alphas")))
 
 
 def _check_same_shape(latents) -> tuple[int, int, int, int]:
@@ -297,22 +285,16 @@ def _branch_sets(plan: FusionPlan, t: int) -> list[np.ndarray]:
     ]
 
 
-def _fusion_grid(tokens: TokenSequence, plan: FusionPlan,
-                 spatial: tuple[int, int]) -> tuple[int, int, int]:
-    """The (T, H, W) grid of `tokens` once `plan` covers it and `spatial` factors it."""
-    plan.validate_for(tokens.num_frames)
-    return (tokens.num_frames, *_check_spatial(spatial, tokens.tokens_per_frame))
-
-
 def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                     spatial: tuple[int, int]) -> list[np.ndarray]:
     """Run every branch of `plan` in one attention pass on shared projections.
 
     Returns one float64 (C, T, H, W) array per branch, in plan order.
     """
-    t = _fusion_grid(tokens, plan, spatial)[0]
-    q, k, v = project_qkv(tokens, qkv_weights)
-    outs = _attend(q, k, v, tokens.frame_index, _branch_sets(plan, t))
+    plan.validate_for(tokens.num_frames)
+    _check_spatial(spatial, tokens.tokens_per_frame)
+    q, k, v, _, t = _check_qkv(*project_qkv(tokens, qkv_weights), tokens.frame_index)
+    outs = _attend(q, k, v, _branch_sets(plan, t))
     return [_latent_grid(out, t, spatial) for out in outs]
 
 

@@ -31,11 +31,17 @@ class Tone:
     def __post_init__(self):
         if self.axis not in AXIS_NAMES:
             raise InvalidParameterError(f"axis must be one of {AXIS_NAMES}, got {self.axis!r}")
-        if not 0.0 <= self.omega <= np.pi:
-            raise InvalidParameterError(f"tone frequency must lie in [0, pi], got {self.omega}")
-        if not 0.0 < self.amplitude < np.inf:
-            raise InvalidParameterError(
-                f"amplitude must be positive and finite, got {self.amplitude}")
+        object.__setattr__(self, "omega", config.check_real(self.omega, "omega", 0, np.pi))
+        object.__setattr__(self, "amplitude",
+                           config.check_real(self.amplitude, "amplitude", 0, low_open=True))
+
+
+def _parse_tone(item: str, key: str) -> Tone:
+    """One `axis:omega:amplitude` item of a scene file's tones list."""
+    parts = item.split(":")
+    if len(parts) != 3:
+        raise InvalidParameterError(f"tone must be axis:omega:amplitude, got {item!r}")
+    return Tone(parts[0].strip(), *(config.parse_float(part, key) for part in parts[1:]))
 
 
 @dataclass(frozen=True)
@@ -48,41 +54,20 @@ class SyntheticScene:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_level < np.inf:
-            raise InvalidParameterError(
-                f"noise_level must be finite and >= 0, got {self.noise_level}")
+        object.__setattr__(self, "noise_level",
+                           config.check_real(self.noise_level, "noise_level", 0))
         config.check_integer(self.seed, "seed", minimum=0)
         object.__setattr__(self, "shape", _check_shape4(self.shape))
         object.__setattr__(self, "tones", tuple(self.tones))
 
     @classmethod
     def from_text(cls, text: str) -> "SyntheticScene":
-        pairs = config.parse_kv(text)
-        known = {"shape", "seed", "noise_level", "tones"}
-        unknown = set(pairs) - known
-        if unknown:
-            raise InvalidParameterError(f"unknown scene keys: {sorted(unknown)}")
-        if "shape" not in pairs:
-            raise InvalidParameterError("scene needs a shape")
-        shape = tuple(config.parse_number(n, "shape") for n in pairs["shape"].split(","))
-        if len(shape) != 4:
-            raise InvalidParameterError("shape must have four axes C,T,H,W")
-        tones = []
-        for item in pairs.get("tones", "").split(","):
-            item = item.strip()
-            if not item:
-                continue
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise InvalidParameterError(f"tone must be axis:omega:amplitude, got {item!r}")
-            tones.append(Tone(parts[0].strip(), config.parse_number(parts[1], "tones", float),
-                              config.parse_number(parts[2], "tones", float)))
-        return cls(
-            shape=shape,
-            tones=tuple(tones),
-            noise_level=config.parse_number(pairs.get("noise_level", "0"), "noise_level", float),
-            seed=config.parse_number(pairs.get("seed", "0"), "seed"),
-        )
+        return cls(**config.read_record(text, "scene", {
+            "shape": config.parse_list,
+            "seed": config.parse_number,
+            "noise_level": config.parse_float,
+            "tones": lambda value, key: config.parse_list(value, key, _parse_tone),
+        }, required=("shape",)))
 
 
 def make_scene(scene: SyntheticScene) -> VideoLatent:

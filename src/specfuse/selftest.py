@@ -237,7 +237,7 @@ def check_shared_key_offset():
         t = int(frames[-1]) + 1
         masks = [{}, {"window": AttentionWindow(3)}, {"keyframes": range(0, t, 2)}]
         with mock.patch.object(attention, "_exact_rows", side_effect=counted):
-            outs = _attend(q, k, v, frames, [_frame_set(t, **m) for m in masks])
+            outs = _attend(q, k, v, [_frame_set(t, **m) for m in masks])
         for out, mask in zip(outs, masks):
             err = np.abs(out - attention_map(q, k_oracle, frames, **mask) @ v).max()
             assert err <= 1e-12, f"offset or scaled keys moved the output by {err}"

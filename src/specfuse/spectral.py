@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer
+from .config import check_integer, check_real
 from .errors import InvalidParameterError, InvalidShapeError, NonFiniteValueError
 from .tensor_core import VideoLatent, _check_shape4
 
@@ -191,7 +191,7 @@ class FrequencyMask:
             raise InvalidParameterError(f"mask must be (T, H, W), got rank {arr.ndim}")
         if arr.size == 0:
             raise InvalidShapeError(f"mask grid must be non-empty, got {arr.shape}")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also NaN
             raise InvalidParameterError("mask weights must lie in [0, 1]")
         flipped = np.roll(arr[::-1, ::-1, ::-1], (1, 1, 1), axis=(0, 1, 2))
         if not np.array_equal(flipped, arr):
@@ -216,8 +216,7 @@ def gaussian_lowpass(
     pi), so d0 is the normalized stop frequency. Weight is 1 at DC and
     monotone non-increasing in d.
     """
-    if not 0.0 < d0 <= 1.0:
-        raise InvalidParameterError(f"d0 must lie in (0, 1], got {d0}")
+    d0 = check_real(d0, "d0", 0, 1, low_open=True)
     d = frequency_grid(shape, domain_mode) / np.pi
     weights = np.exp(-(d**2) / (2.0 * d0**2))
     return FrequencyMask(weights)

@@ -170,7 +170,7 @@ class TestRelativeSnr:
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_threshold_rejected(self, threshold):
-        with pytest.raises(InvalidParameterError, match="threshold must be finite"):
+        with pytest.raises(InvalidParameterError, match="threshold must be a finite real number"):
             SnrReport([0.0, 1.0, np.pi], [1.0, 0.5], threshold=threshold)
 
     def test_copies_the_callers_arrays(self):

@@ -328,7 +328,7 @@ class TestMultiWindowCore:
         alone = [masked_attention(q, k, v, frames, m["window"], c) if "window" in m
                  else sparse_attention(q, k, v, frames, m["keyframes"], c)
                  for m, c in zip(masks, counters)]
-        outs = _attend(q, k, v, frames, [_frame_set(t, **m) for m in masks])
+        outs = _attend(q, k, v, [_frame_set(t, **m) for m in masks])
         assert len(outs) == len(masks)
         for out, single, counter, mask in zip(outs, alone, counters, masks):
             admitted = admitted_by_rule(t, **mask)
@@ -362,7 +362,7 @@ class TestMultiWindowCore:
                 mock.patch.object(attention, "_BLOCK_BYTES", 8 * group * rows * tpf):
             for width in (1, 2, 3):
                 with pooled(width):
-                    outs[width] = _attend(q, k, v, frames, sets)
+                    outs[width] = _attend(q, k, v, sets)
         for width in (2, 3):
             assert all(np.array_equal(a, b) for a, b in zip(outs[1], outs[width]))
         for out, admitted in zip(outs[1], sets):
@@ -381,10 +381,10 @@ class TestMultiWindowCore:
         sets = [_frame_set(t, window=AttentionWindow.for_span(span, t)) for span in spans]
         if keyframes is not None:
             sets.append(_frame_set(t, keyframes=keyframes))
-        outs = _attend(q, k, v, frames, sets)
+        outs = _attend(q, k, v, sets)
         for out, admitted in zip(outs, sets):
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-10
-            assert np.array_equal(out, _attend(q, k, v, frames, [admitted])[0])
+            assert np.array_equal(out, _attend(q, k, v, [admitted])[0])
 
     def test_rows_whose_shifted_weights_underflow_are_recomputed(self):
         # Every row is shifted by the max of its logits over its own frame.
@@ -417,7 +417,7 @@ class TestMultiWindowCore:
         def fallback_rows(k, sets):
             rows.clear()
             with mock.patch.object(attention, "_exact_rows", side_effect=counted):
-                outs = _attend(q, k, v, frames, sets)
+                outs = _attend(q, k, v, sets)
             return outs, sum(rows)
 
         for k, sets, falls_back in cases:
@@ -455,7 +455,7 @@ class TestMultiWindowCore:
             return exact_rows(q_rows, k_blocks, v_blocks)
 
         with mock.patch.object(attention, "_exact_rows", side_effect=counted):
-            outs = _attend(q, k + offset, v, frames, sets)
+            outs = _attend(q, k + offset, v, sets)
         for out, admitted in zip(outs, sets):
             assert np.abs(out - frame_oracle(q, k, v, frames, admitted)).max() <= 1e-12
         assert rows == []
@@ -466,13 +466,13 @@ class TestMultiWindowCore:
         sets = [_frame_set(16, window=AttentionWindow.local(s)) for s in (2, 5, 9)]
         sets.append(_frame_set(16))
         with pooled(1):
-            serial = _attend(q, k, v, toks.frame_index, sets)
+            serial = _attend(q, k, v, sets)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with pooled(8):
                 for _ in range(20):
-                    split = _attend(q, k, v, toks.frame_index, sets)
+                    split = _attend(q, k, v, sets)
                     assert all(np.array_equal(a, b) for a, b in zip(serial, split))
         finally:
             sys.setswitchinterval(interval)
@@ -482,9 +482,8 @@ class TestMultiWindowCore:
         # caller's errstate it yields NaN, not a warning raised on that thread.
         x = np.ones((4, 2))
         x[2:] = 1e200
-        frames = np.repeat(np.arange(2), 2)
         with pooled(2), np.errstate(all="ignore"):
-            (out,) = _attend(x, x, x, frames, [_frame_set(2)])
+            (out,) = _attend(x, x, x, [_frame_set(2)])
         assert np.isfinite(out[:2]).all() and np.isnan(out[2:]).all()
 
 

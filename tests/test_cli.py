@@ -178,7 +178,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--ref", str(ref), "--ext", str(ref), "--threshold", "nan",
                      "--out", str(tmp_path / "rep.csv")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: threshold must be finite")
+        assert capsys.readouterr().err.startswith("error: threshold must be a finite real number")
         assert not (tmp_path / "rep.csv").exists()
 
     def test_stdout_and_csv_reproducible(self, tmp_path, scene_file):

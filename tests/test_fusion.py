@@ -335,7 +335,10 @@ class TestFusionPlan:
         ("t_alpha = x\nalphas = 1,2\n", "t_alpha"),
         ("t_alpha = 8\nalphas = 1,a\n", "alphas"),
         ("t_alpha = 8\nalphas = 1,2\nd0 = zz\n", "d0"),
-    ], ids=["t_alpha", "alphas", "d0"])
+        ("t_alpha = 8\nalphas = 1,,2\n", "^alphas has an empty list item"),
+        ("t_alpha = 8\nalphas = 1,2,\n", "^alphas has an empty list item"),
+        ("t_alpha = 8\nd0 = 0.3\n", r"^plan is missing required keys: \['alphas'\]$"),
+    ], ids=["t_alpha", "alphas", "d0", "empty-alphas-item", "trailing-comma", "missing-key"])
     def test_malformed_number_names_its_key(self, text, key):
         with pytest.raises(InvalidParameterError, match=key):
             FusionPlan.from_text(text)
@@ -383,6 +386,29 @@ class TestFusedAttention:
                     fuse(toks, block_weights(8, SeededRng(21)), plan, spatial)
         with pytest.raises(ShapeMismatchError):
             latent_from_tokens(toks, spatial)
+
+    @pytest.mark.parametrize("fuse", [multiband_attention, spectral_blend_attention])
+    @pytest.mark.parametrize("operand", range(3), ids=["query", "key", "value"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_weights_rejected_before_attention(self, fuse, operand, bad):
+        # Checked before the projection's matmul, so inf warns of nothing.
+        weights = list(block_weights(4, SeededRng(33)))
+        weights[operand][1, 2] = bad
+        name = ["query", "key", "value"][operand]
+        plan = FusionPlan(t_alpha=8, alphas=(1, 2))
+        with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")), \
+                pytest.raises(NonFiniteValueError, match=f"^{name} weights must be finite$"):
+            fuse(random_tokens(16, 4, 4, 32), weights, plan, (2, 2))
+
+    @pytest.mark.parametrize("fuse", [multiband_attention, spectral_blend_attention])
+    def test_overflowing_projection_rejected_before_attention(self, fuse):
+        # Finite weights can still project finite tokens to inf.
+        weights = (np.full((4, 4), 1e308),) + block_weights(4, SeededRng(34))[1:]
+        plan = FusionPlan(t_alpha=8, alphas=(1, 2))
+        with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")), \
+                np.errstate(all="ignore"), \
+                pytest.raises(NonFiniteValueError, match="^q must be finite$"):
+            fuse(random_tokens(16, 4, 4, 35), weights, plan, (2, 2))
 
     def test_single_branch_is_plain_attention(self):
         toks = random_tokens(8, 16, 8, 13)

@@ -1,5 +1,7 @@
 """Scene synthesis and stacked fusion blocks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -64,16 +66,18 @@ class TestMakeScene:
 
     @pytest.mark.parametrize("amplitude", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_amplitude_rejected(self, amplitude):
-        with pytest.raises(InvalidParameterError, match="amplitude must be positive and finite"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"amplitude must be a finite real number in \(0, inf\)"):
             Tone("t", 1.0, amplitude)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_noise_level_rejected(self, level):
         # NaN would otherwise give a noiseless scene (nan > 0 is false) and
         # inf would fail late, on the latent's finiteness check.
-        with pytest.raises(InvalidParameterError, match="noise_level must be finite"):
+        message = r"noise_level must be a finite real number in \[0, inf\)"
+        with pytest.raises(InvalidParameterError, match=message):
             SyntheticScene(shape=(1, 2, 2, 2), noise_level=level)
-        with pytest.raises(InvalidParameterError, match="noise_level must be finite"):
+        with pytest.raises(InvalidParameterError, match=message):
             SyntheticScene.from_text(f"shape = 1,2,2,2\nnoise_level = {level}\n")
 
     def test_noise_is_seeded(self):
@@ -97,6 +101,12 @@ class TestMakeScene:
         with pytest.raises(InvalidShapeError):
             SyntheticScene(shape=shape)
 
+    def test_scene_file_shape_follows_the_constructor_rule(self):
+        with pytest.raises(InvalidShapeError) as constructed:
+            SyntheticScene(shape=(1, 8, 2))
+        with pytest.raises(InvalidShapeError, match=f"^{re.escape(str(constructed.value))}$"):
+            SyntheticScene.from_text("shape = 1,8,2\n")
+
     def test_numpy_integer_shape_accepted(self):
         scene = SyntheticScene(shape=tuple(np.int64(n) for n in (1, 8, 2, 2)))
         assert scene == SyntheticScene(shape=(1, 8, 2, 2))
@@ -111,7 +121,11 @@ class TestMakeScene:
         ("shape = 1,2,2,2\nseed = q\n", "seed"),
         ("shape = 1,2,2,2\nnoise_level = lots\n", "noise_level"),
         ("shape = 1,2,2,2\ntones = t:abc:1\n", "tones"),
-    ], ids=["shape", "seed", "noise_level", "tones"])
+        ("shape = 1,2,2,2\ntones = t:0.5:1,,h:0.2:1\n", "^tones has an empty list item"),
+        ("shape = 1,,2,2,2\n", "^shape has an empty list item"),
+        ("seed = 3\nnoise_level = 0.5\n", r"^scene is missing required keys: \['shape'\]$"),
+    ], ids=["shape", "seed", "noise_level", "tones", "empty-tones-item", "empty-shape-item",
+            "missing-key"])
     def test_malformed_number_names_its_key(self, text, key):
         with pytest.raises(InvalidParameterError, match=key):
             SyntheticScene.from_text(text)

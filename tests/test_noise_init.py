@@ -80,8 +80,6 @@ class TestBaseNoise:
 class TestCenterDistance:
     """The centre distance d behind `_mix_weights`, read through the angle d * pi/2."""
 
-    test_symmetry = staticmethod(selftest.check_specmix_determinism_and_limits)
-
     def test_center_of_odd_sequence(self):
         cos_w, sin_w = _mix_weights(5)
         assert (cos_w[0, 2, 0, 0], sin_w[0, 2, 0, 0]) == (1.0, 0.0)
@@ -104,9 +102,6 @@ class TestCenterDistance:
 
 
 class TestSpecmix:
-    test_deterministic = staticmethod(selftest.check_specmix_determinism_and_limits)
-    test_center_slice_is_base = staticmethod(selftest.check_specmix_determinism_and_limits)
-    test_endpoint_slices_are_residual = staticmethod(selftest.check_specmix_determinism_and_limits)
     test_per_slice_variance = staticmethod(selftest.check_specmix_variance)
 
     def test_spatial_mode_matches_pixel_domain_mix(self):

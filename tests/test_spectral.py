@@ -226,8 +226,10 @@ class TestFrequencyMaskType:
     test_filtered_real_signal_stays_real = staticmethod(selftest.check_mask_symmetry_residue)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            FrequencyMask(np.full((4, 4, 4), 1.5))
+        # NaN compares false both ways, so it must not pass as in range.
+        for weight in (1.5, -0.5, np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match=r"^mask weights must lie in \[0, 1\]$"):
+                FrequencyMask(np.full((4, 4, 4), weight))
 
     def test_copies_the_callers_array(self):
         weights = np.ones((2, 2, 2))
