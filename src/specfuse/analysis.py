@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_integer, check_real
-from .errors import DegenerateInputError, InvalidParameterError, NonFiniteValueError
+from .errors import DegenerateInputError, InvalidParameterError
 from .spectral import _half_layout, _rfftn, frequency_grid
-from .tensor_core import VideoLatent
+from .tensor_core import VideoLatent, check_array
 
 DEFAULT_THRESHOLD = 0.9
 
@@ -78,7 +78,8 @@ class SnrReport:
     """Per-band relative energy ratios plus the availability summary.
 
     Both arrays are read-only float64 copies of the inputs, so the
-    caller's arrays are neither aliased nor frozen.
+    caller's arrays are neither aliased nor frozen. The boundaries pass
+    `check_array`; the ratios are non-negative, +inf included.
     """
 
     boundaries: np.ndarray  # band edges including 0 and pi, length n+1
@@ -86,14 +87,14 @@ class SnrReport:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        bounds = np.array(self.boundaries, dtype=np.float64)
+        bounds = check_array(self.boundaries, "boundaries", 1, copy=True)
         ratios = np.array(self.ratios, dtype=np.float64)
-        if bounds.size != ratios.size + 1:
-            raise InvalidParameterError("need one more boundary than ratios")
-        if (ratios < 0).any():
+        if ratios.shape != (len(bounds) - 1,):
+            raise InvalidParameterError(f"ratios must have shape ({len(bounds) - 1},), "
+                                        f"got {ratios.shape}")
+        if not (ratios >= 0).all():  # also NaN
             raise InvalidParameterError("ratios must be non-negative")
         object.__setattr__(self, "threshold", check_real(self.threshold, "threshold"))
-        bounds.flags.writeable = False
         ratios.flags.writeable = False
         object.__setattr__(self, "boundaries", bounds)
         object.__setattr__(self, "ratios", ratios)
@@ -168,22 +169,19 @@ def relative_snr(reference: VideoLatent, extended: VideoLatent, edges,
 class AttnMap:
     """Frame-level attention map: (T, T), rows summing to 1.
 
-    The matrix is a read-only, C-contiguous float64 copy of the input.
+    The matrix passes `check_array` and is kept as its read-only copy.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64, order="C")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = check_array(self.matrix, "map entries", 2, copy=True)
+        if m.shape[0] != m.shape[1]:
             raise InvalidParameterError(f"map must be square, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NonFiniteValueError("map entries must be finite")
         if (m < 0).any():
             raise InvalidParameterError("map entries must be non-negative")
         if np.abs(m.sum(axis=1) - 1.0).max() > 1e-6:
             raise InvalidParameterError("map rows must sum to 1")
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -204,7 +202,7 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     t = check_integer(num_frames, "num_frames", minimum=1)
     pooled = np.zeros((t, t), dtype=np.float64)
     for m in maps:
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t or m.size == 0:
             raise InvalidParameterError(f"matrix shape {m.shape} does not tile {t} frames")
         n = m.shape[0]
         tpf = n // t

@@ -53,7 +53,8 @@ import numpy as np
 from . import config
 from .analysis import AttnMap
 from .config import check_integer, check_real
-from .errors import InvalidParameterError, NonFiniteValueError, ShapeMismatchError
+from .errors import InvalidParameterError, ShapeMismatchError
+from .tensor_core import check_array
 
 # Each thread computes logits in stacks of key-frame blocks of at most
 # this many bytes, so a stack stays in its core's L2 cache from the logits
@@ -75,12 +76,10 @@ _MIN_ROW_SUM = 1e-290
 
 
 def _validate_frames(frame_index, n_tokens: int) -> np.ndarray:
-    """Canonical token layout: frames 0..T-1, non-decreasing, equal counts."""
-    frames = np.ascontiguousarray(frame_index, dtype=np.int64)
+    """Canonical token layout, as a read-only copy: frames 0..T-1, non-decreasing, equal counts."""
+    frames = check_array(frame_index, "frame_index", 1, np.int64, InvalidParameterError, copy=True)
     if frames.shape != (n_tokens,):
         raise ShapeMismatchError("frame_index length must match token count")
-    if n_tokens == 0:
-        raise InvalidParameterError("token sequence must be non-empty")
     if (np.diff(frames) < 0).any():
         raise InvalidParameterError("frame_index must be non-decreasing")
     if frames[0] != 0:
@@ -95,26 +94,20 @@ def _validate_frames(frame_index, n_tokens: int) -> np.ndarray:
 class TokenSequence:
     """Token features (n_tokens, d_model) plus per-token frame ids.
 
+    Features pass `check_array` as finite reals and frame ids as integers.
     Frame ids are non-decreasing and every frame in [0, T) owns the same
-    number of tokens (the H*W spatial positions of that frame). Features
-    must be finite. Both arrays are read-only, C-contiguous copies of the
-    inputs, so the caller's arrays are neither aliased nor frozen.
+    number of tokens (the H*W spatial positions of that frame). Both arrays
+    are read-only, C-contiguous copies of the inputs, so the caller's arrays
+    are neither aliased nor frozen.
     """
 
     features: np.ndarray
     frame_index: np.ndarray
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, order="C")
-        if feats.ndim != 2:
-            raise InvalidParameterError("features must be (n_tokens, d_model)")
-        if not np.isfinite(feats).all():
-            raise NonFiniteValueError("token features must be finite")
-        frames = _validate_frames(np.array(self.frame_index, dtype=np.int64), feats.shape[0])
-        feats.flags.writeable = False
-        frames.flags.writeable = False
+        feats = check_array(self.features, "token features", 2, copy=True)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "frame_index", frames)
+        object.__setattr__(self, "frame_index", _validate_frames(self.frame_index, len(feats)))
 
     @property
     def num_tokens(self) -> int:
@@ -179,23 +172,19 @@ class MacCounter:
 
 def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite."""
-    w_q, w_k, w_v = (np.asarray(w, dtype=np.float64) for w in weights)
     d = tokens.d_model
+    w_q, w_k, w_v = (check_array(w, f"{name} weights", 2)
+                     for name, w in zip(("query", "key", "value"), weights, strict=True))
     for name, w in (("query", w_q), ("key", w_k), ("value", w_v)):
         if w.shape != (d, d):
             raise ShapeMismatchError(f"{name} weights must be ({d}, {d}), got {w.shape}")
-        if not np.isfinite(w).all():
-            raise NonFiniteValueError(f"{name} weights must be finite")
     feats = tokens.features
     return feats @ w_q, feats @ w_k, feats @ w_v
 
 
 def _check_qkv(q, k, v, frame_index):
     """The one operand check of every attention entry: finite float64 q, k, v, frame ids, T."""
-    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
-    for name, x in zip("qkv", (q, k, v)):
-        if not np.isfinite(x).all():
-            raise NonFiniteValueError(f"{name} must be finite")
+    q, k, v = (check_array(x, name, 2) for name, x in zip("qkv", (q, k, v)))
     if not (q.shape[0] == k.shape[0] == v.shape[0]):
         raise ShapeMismatchError("Q, K, V must agree on token count")
     if q.shape[1] != k.shape[1]:
@@ -215,9 +204,9 @@ def _frame_set(t: int, window: AttentionWindow | None = None, keyframes=None) ->
         raise InvalidParameterError("pass either window or keyframes, not both")
     ids = np.arange(t)
     if keyframes is not None:
-        keys = np.unique(np.asarray(list(keyframes), dtype=np.int64))
-        if keys.size == 0:
-            raise InvalidParameterError("keyframe set must be non-empty")
+        if isinstance(keyframes, (set, frozenset)):  # numpy reads a set as one object
+            keyframes = list(keyframes)
+        keys = np.unique(check_array(keyframes, "keyframes", 1, np.int64, InvalidParameterError))
         if keys[0] < 0 or keys[-1] >= t:
             raise InvalidParameterError(f"keyframes must lie in [0, {t}), got {keys.tolist()}")
         admitted = np.broadcast_to(np.isin(ids, keys), (t, t))

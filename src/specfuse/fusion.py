@@ -50,7 +50,7 @@ from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueErro
                      ShapeMismatchError)
 from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _check_residue, _half_layout,
                        _half_shape, _irfftn_real, _rfftn, band_masks, gaussian_lowpass)
-from .tensor_core import VideoLatent, _check_shape4
+from .tensor_core import VideoLatent, check_array
 
 PARTITION_TOLERANCE = 1e-6
 IMAG_RESIDUE_LIMIT = 1e-5
@@ -135,14 +135,6 @@ class FusionPlan:
         }, required=("t_alpha", "alphas")))
 
 
-def _check_same_shape(latents) -> tuple[int, int, int, int]:
-    shape = latents[0].shape
-    for lat in latents[1:]:
-        if lat.shape != shape:
-            raise ShapeMismatchError(f"latent shapes differ: {lat.shape} vs {shape}")
-    return shape
-
-
 def _check_partition(masks) -> None:
     total = np.zeros(masks[0].shape, dtype=np.float64)
     for mask in masks:
@@ -157,24 +149,27 @@ def _check_partition(masks) -> None:
 def _fusion_operands(branch_outputs, masks):
     """The checked operands of a fusion: branch arrays, half weights, axes, channel blocks.
 
-    Branch outputs are VideoLatents or real (C, T, H, W) arrays, one per
-    mask; the masks must form a partition of unity. Returns the branches'
-    arrays, each mask's weights in the masks' half layout
-    (`spectral._half_layout`), the layout's axes, and the channel blocks
-    as slices: each holds at most `_BLOCK_BYTES` of float64 input, so a
-    block's transforms stay in cache, and never less than one channel.
+    Branch outputs are VideoLatents or (C, T, H, W) arrays that pass
+    `check_array`, uncopied, one per mask, all of one shape; the masks
+    must form a partition of unity. Returns the branches' arrays, each
+    mask's weights in the masks' half layout (`spectral._half_layout`),
+    the layout's axes, and the channel blocks as slices: each holds at
+    most `_BLOCK_BYTES` of float64 input, so a block's transforms stay in
+    cache, and never less than one channel.
     """
     if len(branch_outputs) != len(masks):
         raise InvalidParameterError("need one mask per branch output")
     if not branch_outputs:
         raise InvalidParameterError("need at least one branch")
-    shape = _check_same_shape(branch_outputs)
+    data = [b.data if isinstance(b, VideoLatent) else check_array(b, "branch outputs", 4)
+            for b in branch_outputs]
+    shape = data[0].shape
+    if any(x.shape != shape for x in data):
+        raise ShapeMismatchError(f"latent shapes differ: {[x.shape for x in data]}")
     if masks[0].shape != shape[1:]:
         raise ShapeMismatchError(f"mask shape {masks[0].shape} does not match latent {shape[1:]}")
-    _check_shape4(shape)  # no channels would leave no block
     _check_partition(masks)
     axes, index = _half_layout(*(mask.weights for mask in masks))
-    data = [b.data if isinstance(b, VideoLatent) else np.asarray(b) for b in branch_outputs]
     per = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
     blocks = [slice(lo, min(lo + per, shape[0])) for lo in range(0, shape[0], per)]
     return data, [mask.weights[index] for mask in masks], axes, blocks

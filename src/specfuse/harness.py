@@ -37,11 +37,14 @@ class Tone:
 
 
 def _parse_tone(item: str, key: str) -> Tone:
-    """One `axis:omega:amplitude` item of a scene file's tones list."""
+    """One `axis:omega:amplitude` item of a scene file's tones list; its errors name `key`."""
     parts = item.split(":")
-    if len(parts) != 3:
-        raise InvalidParameterError(f"tone must be axis:omega:amplitude, got {item!r}")
-    return Tone(parts[0].strip(), *(config.parse_float(part, key) for part in parts[1:]))
+    try:
+        if len(parts) != 3:
+            raise InvalidParameterError(f"tone must be axis:omega:amplitude, got {item!r}")
+        return Tone(parts[0].strip(), *map(config.parse_float, parts[1:], ("omega", "amplitude")))
+    except InvalidParameterError as err:
+        raise InvalidParameterError(f"{key}: {err}") from None
 
 
 @dataclass(frozen=True)

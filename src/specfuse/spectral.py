@@ -31,34 +31,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_integer, check_real
-from .errors import InvalidParameterError, InvalidShapeError, NonFiniteValueError
-from .tensor_core import VideoLatent, _check_shape4
+from .errors import InvalidParameterError, InvalidShapeError
+from .tensor_core import VideoLatent, check_array
 
 DOMAIN_MODES = ("temporal", "radial")
-
-
-def _checked_spectrum(arr: np.ndarray) -> np.ndarray:
-    """`arr` if it is (C, T, H, W) and finite, else InvalidShapeError or NonFiniteValueError."""
-    _check_shape4(arr.shape)
-    if not np.isfinite(arr).all():
-        raise NonFiniteValueError("spectrum values must be finite")
-    return arr
 
 
 def fft3(x) -> np.ndarray:
     """Orthonormal 3D FFT over the (T, H, W) axes, per channel, as complex128.
 
     `x` is a VideoLatent or a real (C, T, H, W) array; either is
-    transformed in float64.
+    transformed in float64. Both it and the spectrum pass `check_array`.
     """
-    data = x.data if isinstance(x, VideoLatent) else x
-    return _checked_spectrum(np.fft.fftn(np.asarray(data, dtype=np.float64), axes=(1, 2, 3),
-                                 norm="ortho"))
+    data = check_array(x.data if isinstance(x, VideoLatent) else x, "latent values", 4)
+    return check_array(np.fft.fftn(data, axes=(1, 2, 3), norm="ortho"), "spectrum values", 4,
+                       np.complex128)
 
 
 def ifft3(spectrum) -> VideoLatent:
     """Orthonormal inverse 3D FFT of a complex (C, T, H, W) array; the imaginary part is dropped."""
-    spectrum = _checked_spectrum(np.asarray(spectrum, dtype=np.complex128))
+    spectrum = check_array(spectrum, "spectrum values", 4, np.complex128)
     return VideoLatent(np.fft.ifftn(spectrum, axes=(1, 2, 3), norm="ortho").real)
 
 
@@ -178,6 +170,7 @@ def frequency_grid(shape: tuple[int, int, int], domain_mode: str) -> np.ndarray:
 class FrequencyMask:
     """Real weights in [0, 1] over a (T, H, W) frequency grid.
 
+    The weights pass `check_array` and are kept as its read-only copy.
     Masks are symmetric under frequency negation, which keeps filtered
     real signals real after the inverse transform. They broadcast over
     the channel axis when applied to a spectrum.
@@ -186,17 +179,12 @@ class FrequencyMask:
     weights: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.weights, dtype=np.float64, order="C")
-        if arr.ndim != 3:
-            raise InvalidParameterError(f"mask must be (T, H, W), got rank {arr.ndim}")
-        if arr.size == 0:
-            raise InvalidShapeError(f"mask grid must be non-empty, got {arr.shape}")
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # also NaN
+        arr = check_array(self.weights, "mask weights", 3, copy=True)
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise InvalidParameterError("mask weights must lie in [0, 1]")
         flipped = np.roll(arr[::-1, ::-1, ::-1], (1, 1, 1), axis=(0, 1, 2))
         if not np.array_equal(flipped, arr):
             raise InvalidParameterError("mask is not symmetric under frequency negation")
-        arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
 
     @property

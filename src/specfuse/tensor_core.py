@@ -37,6 +37,30 @@ DTYPE_F32 = 0
 _HEADER = struct.Struct("<4sHBB4I")
 
 
+def check_array(value, name: str, ndim: int, dtype=np.float64, error: type = InvalidShapeError,
+                copy: bool | None = None) -> np.ndarray:
+    """`value` as a `dtype` array of `ndim` axes, none empty: the one array rule.
+
+    Raises `error` for a wrong rank or an empty axis, then `error` for bools
+    or entries not of `dtype`'s kind or a narrower one, then
+    NonFiniteValueError for a NaN or Inf; every message names `name`.
+    `copy=True` gives a new, read-only, C-contiguous array for a value type
+    to keep; `copy=None` returns an array that already has `dtype` as it
+    is, views included."""
+    arr = np.asarray(value)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise error(f"{name} must have {ndim} non-empty axes, got shape {arr.shape}")
+    if arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
+        noun = {"i": "integers", "c": "complex numbers"}.get(np.dtype(dtype).kind, "real numbers")
+        raise error(f"{name} must hold {noun}, got {arr.dtype}")
+    arr = np.array(arr, dtype=dtype, order="C" if copy else "K", copy=copy)
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise NonFiniteValueError(f"{name} must be finite")
+    if copy:
+        arr.flags.writeable = False
+    return arr
+
+
 def _check_shape4(shape: tuple) -> tuple[int, int, int, int]:
     if len(shape) != 4:
         raise InvalidShapeError(f"expected 4 axes (C, T, H, W), got {len(shape)}")
@@ -55,12 +79,8 @@ class VideoLatent:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float32, order="C")
-        _check_shape4(arr.shape)
-        if not np.isfinite(arr).all():
-            raise NonFiniteValueError("latent values must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data",
+                           check_array(self.data, "latent values", 4, np.float32, copy=True))
 
     @property
     def shape(self) -> tuple[int, int, int, int]:

@@ -1,5 +1,6 @@
 """Band energies, relative SNR reports, and attention-map diagnostics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from specfuse import (
     AttnMap,
     DegenerateInputError,
     InvalidParameterError,
+    InvalidShapeError,
     NonFiniteValueError,
     SeededRng,
     SnrReport,
@@ -173,6 +175,18 @@ class TestRelativeSnr:
         with pytest.raises(InvalidParameterError, match="threshold must be a finite real number"):
             SnrReport([0.0, 1.0, np.pi], [1.0, 0.5], threshold=threshold)
 
+    @pytest.mark.parametrize("boundaries, ratios, error, message", [
+        ([0.0, 1.0, np.pi], [np.nan, 1.0], InvalidParameterError, "ratios must be non-negative"),
+        ([0.0, np.nan, np.pi], [1.0, 1.0], NonFiniteValueError, "boundaries must be finite"),
+        ([0.0, 1.0, np.pi], [[1.0, 1.0]], InvalidParameterError,
+         "ratios must have shape (2,), got (1, 2)"),
+        ([[0.0, 1.0, np.pi]], [1.0, 1.0], InvalidShapeError,
+         "boundaries must have 1 non-empty axes, got shape (1, 3)"),
+    ], ids=["nan-ratio", "nan-boundary", "2d-ratios", "2d-boundaries"])
+    def test_malformed_report_rejected(self, boundaries, ratios, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SnrReport(boundaries, ratios)
+
     def test_copies_the_callers_arrays(self):
         bounds = np.array([0.0, 1.0, np.pi])
         ratios = np.array([1.0, 0.5])
@@ -241,6 +255,11 @@ class TestAggregateAttention:
     def test_empty_collection_rejected(self):
         with pytest.raises(InvalidParameterError):
             aggregate_attention([], 4)
+
+    def test_empty_matrix_does_not_tile(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^matrix shape \(0, 0\) does not tile 2 frames$"):
+            aggregate_attention([np.zeros((0, 0))], 2)
 
     def test_non_stochastic_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -124,8 +124,12 @@ class TestMakeScene:
         ("shape = 1,2,2,2\ntones = t:0.5:1,,h:0.2:1\n", "^tones has an empty list item"),
         ("shape = 1,,2,2,2\n", "^shape has an empty list item"),
         ("seed = 3\nnoise_level = 0.5\n", r"^scene is missing required keys: \['shape'\]$"),
+        ("shape = 1,2,2,2\ntones = t:9:1\n", r"^tones: omega must be a finite real number"),
+        ("shape = 1,2,2,2\ntones = x:1:1\n", r"^tones: axis must be one of"),
+        ("shape = 1,2,2,2\ntones = t:1\n", r"^tones: tone must be axis:omega:amplitude"),
+        ("shape = 1,2,2,2\ntones = t:1:0\n", r"^tones: amplitude must be a finite real number"),
     ], ids=["shape", "seed", "noise_level", "tones", "empty-tones-item", "empty-shape-item",
-            "missing-key"])
+            "missing-key", "tone-omega-range", "tone-axis", "tone-arity", "tone-zero-amplitude"])
     def test_malformed_number_names_its_key(self, text, key):
         with pytest.raises(InvalidParameterError, match=key):
             SyntheticScene.from_text(text)

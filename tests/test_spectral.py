@@ -177,9 +177,6 @@ class TestRealInputTransforms:
 
 
 class TestGaussianLowpass:
-    test_dc_weight_is_one = staticmethod(selftest.check_lowpass_shape)
-    test_monotone_in_distance = staticmethod(selftest.check_lowpass_shape)
-
     def test_closed_form_at_stop_frequency(self):
         # Temporal bin k=1 of T=8 sits at distance 0.25 exactly.
         mask = gaussian_lowpass((8, 4, 4), 0.25, "temporal")
@@ -226,9 +223,11 @@ class TestFrequencyMaskType:
     test_filtered_real_signal_stays_real = staticmethod(selftest.check_mask_symmetry_residue)
 
     def test_rejects_out_of_range(self):
-        # NaN compares false both ways, so it must not pass as in range.
-        for weight in (1.5, -0.5, np.nan, np.inf):
+        for weight in (1.5, -0.5):
             with pytest.raises(InvalidParameterError, match=r"^mask weights must lie in \[0, 1\]$"):
+                FrequencyMask(np.full((4, 4, 4), weight))
+        for weight in (np.nan, np.inf):
+            with pytest.raises(NonFiniteValueError, match="^mask weights must be finite$"):
                 FrequencyMask(np.full((4, 4, 4), weight))
 
     def test_copies_the_callers_array(self):
