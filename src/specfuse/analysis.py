@@ -22,7 +22,7 @@ import numpy as np
 from .config import check_integer, check_real
 from .errors import DegenerateInputError, InvalidParameterError
 from .spectral import _half_layout, _rfftn, frequency_grid
-from .tensor_core import VideoLatent, check_array
+from .tensor_core import VideoLatent, _check_kind, check_array
 
 DEFAULT_THRESHOLD = 0.9
 
@@ -79,7 +79,8 @@ class SnrReport:
 
     Both arrays are read-only float64 copies of the inputs, so the
     caller's arrays are neither aliased nor frozen. The boundaries pass
-    `check_array`; the ratios are non-negative, +inf included.
+    `check_array`; the ratios pass its kind step and are non-negative,
+    +inf included.
     """
 
     boundaries: np.ndarray  # band edges including 0 and pi, length n+1
@@ -88,7 +89,9 @@ class SnrReport:
 
     def __post_init__(self):
         bounds = check_array(self.boundaries, "boundaries", 1, copy=True)
-        ratios = np.array(self.ratios, dtype=np.float64)
+        ratios = np.asarray(self.ratios)
+        _check_kind(ratios, "ratios")
+        ratios = np.array(ratios, dtype=np.float64)
         if ratios.shape != (len(bounds) - 1,):
             raise InvalidParameterError(f"ratios must have shape ({len(bounds) - 1},), "
                                         f"got {ratios.shape}")
@@ -192,16 +195,21 @@ class AttnMap:
 def aggregate_attention(maps, num_frames: int) -> AttnMap:
     """Pool token-level weight matrices to one frame-level map.
 
-    Each input is an (n, n) row-stochastic matrix over the same frame
-    grid. Token pairs are mean-pooled within frame pairs, the collection
-    is averaged, and rows are renormalized to sum 1.
+    Each input is an (n, n) row-stochastic matrix of reals over the same
+    frame grid (`check_array`'s kind step; no finiteness pass, which would
+    add a temporary of n * n bytes). Token pairs are mean-pooled within
+    frame pairs, the collection is averaged, and rows are renormalized to
+    sum 1.
     """
-    maps = [np.asarray(m, dtype=np.float64) for m in maps]
+    maps = list(maps)
     if not maps:
         raise InvalidParameterError("need at least one attention matrix")
     t = check_integer(num_frames, "num_frames", minimum=1)
     pooled = np.zeros((t, t), dtype=np.float64)
     for m in maps:
+        m = np.asarray(m)
+        _check_kind(m, "attention matrices")
+        m = m.astype(np.float64, copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t or m.size == 0:
             raise InvalidParameterError(f"matrix shape {m.shape} does not tile {t} frames")
         n = m.shape[0]

@@ -7,21 +7,37 @@ local window of span s, every frame for a global one, the key-frame
 columns for a key-frame set. Masked keys get zero weight exactly.
 Logits and reductions run in float64.
 
-One core, `_attend`, serves every variant. It takes several masks at once
-and makes one pass over the query frames, computing the logits of every
-key frame that some mask admits once. Each query row's logits are shifted
-by one max that no set depends on, the max over the row's own frame,
-which every window admits (see `_attend`). So a key frame's weighted
-values and row sum simply add up across the frames of a set, with no
+One core, `_attend_stacks`, serves every variant. It takes several masks
+at once and makes one pass over the query frames, computing the logits of
+every key frame that some mask admits once. Each query row's logits are
+shifted by one max that no set depends on, the max over the row's own
+frame, which every window admits (see `_attend_stacks`). So a key frame's
+weighted values and row sum simply add up across the frames of a set, with no
 log-sum-exp rescaling (the online softmax of Milakov & Gimelshein 2018,
 with its bookkeeping gone). Nested windows therefore cost one pass of the
 widest, and each set's output equals the same set run alone, bit for bit.
 
-Keys are stored transposed per frame, a (T, d+1, tpf) stack, so the
-logits matmul of every key frame reads one contiguous (d+1, tpf) block.
+The core reads its operands in one layout, built by `_operand_stacks`
+and held once per call: q3 (T, tpf, d+1), the queries scaled by
+1/sqrt(d) beside a shift column; kt3 (T, d+1, tpf), each frame's keys
+transposed over a ones row, so the logits matmul of every key frame reads
+one contiguous (d+1, tpf) block; and v3 (T, tpf, dv+1), the values beside
+a ones column. The fused path (`fusion._branch_latents`) projects the
+token features straight into these stacks (`_projected_stacks`); every
+other entry copies its q, k and v in (`_attend`), and `frame_attention`
+writes its one-hot values into v3. So the fused path holds one copy of
+its operands, and the working set of its pass, in float64 words, is
 
-Query frames are independent, so `_attend` splits them across threads
-through `config.run_shares`, `config.pool_width()` shares wide: the
+    n * (2 * (d + 1) + dv + 1)                   the stacks
+    + sets * n * dv                              the set outputs
+    + width * rows * (group * tpf + (T + sets) * (dv + 1))
+                                                 the share buffers
+
+for n tokens, `sets` frame sets and `width` shares, with `rows` query
+rows per chunk and `group` key frames per logits block (`_attend_stacks`).
+
+Query frames are independent, so `_attend_stacks` splits them across
+threads through `config.run_shares`, `config.pool_width()` shares wide: the
 number of usable cores, capped by SPFU_THREADS when that is set above 0,
 else by OMP_NUM_THREADS. Each share has its own logits, partial and
 total buffers and writes only its own frames' output rows. A frame's
@@ -170,16 +186,94 @@ class MacCounter:
         self.macs += int(n)
 
 
-def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite."""
+def _checked_weights(tokens: TokenSequence, weights) -> tuple[np.ndarray, ...]:
+    """The query, key and value weights, each finite and (d_model, d_model)."""
     d = tokens.d_model
-    w_q, w_k, w_v = (check_array(w, f"{name} weights", 2)
-                     for name, w in zip(("query", "key", "value"), weights, strict=True))
-    for name, w in (("query", w_q), ("key", w_k), ("value", w_v)):
+    checked = tuple(check_array(w, f"{name} weights", 2)
+                    for name, w in zip(("query", "key", "value"), weights, strict=True))
+    for name, w in zip(("query", "key", "value"), checked):
         if w.shape != (d, d):
             raise ShapeMismatchError(f"{name} weights must be ({d}, {d}), got {w.shape}")
+    return checked
+
+
+def _row_blocks(n: int, d: int) -> list[slice]:
+    """The token rows of an (n, d) @ (d, d) projection, in blocks whose
+    gemms do at most `_SERIAL_GEMM_MACS` MACs each, on the calling thread."""
+    rows = max(1, _SERIAL_GEMM_MACS // (d * d))
+    return [slice(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
+
+
+def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite.
+
+    The products run in `_row_blocks`, the blocks the fused path projects
+    into its stacks (`_projected_stacks`), so `masked_attention` on these
+    projections matches a fused branch bit for bit.
+    """
+    weights = _checked_weights(tokens, weights)
     feats = tokens.features
-    return feats @ w_q, feats @ w_k, feats @ w_v
+    qkv = tuple(np.empty(feats.shape) for _ in weights)
+    for rows in _row_blocks(*feats.shape):
+        for y, w in zip(qkv, weights):
+            np.matmul(feats[rows], w, out=y[rows])
+    return qkv
+
+
+def _operand_stacks(t: int, tpf: int, d: int, dv: int, q=None, k=None,
+                    v=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one operand layout of the attention core, with q, k and v copied in if given.
+
+    q3 (T, tpf, d+1) holds the queries scaled by 1/sqrt(d) and a last
+    column each share fills with its rows' shifts; kt3 (T, d+1, tpf) each
+    frame's keys, transposed, over a ones row; v3 (T, tpf, dv+1) the
+    values beside a ones column. The ones are written here; a given (n, .)
+    q, k or v is copied into its stack, the rest is left for the caller.
+    """
+    q3 = np.empty((t, tpf, d + 1))
+    kt3 = np.empty((t, d + 1, tpf))
+    v3 = np.empty((t, tpf, dv + 1))
+    kt3[:, d] = 1.0
+    v3[..., dv] = 1.0
+    if q is not None:
+        np.multiply(q.reshape(t, tpf, d), 1.0 / math.sqrt(d), out=q3[..., :d])
+    if k is not None:
+        kt3[:, :d] = k.reshape(t, tpf, d).transpose(0, 2, 1)
+    if v is not None:
+        v3[..., :dv] = v.reshape(t, tpf, dv)
+    return q3, kt3, v3
+
+
+def _projected_stacks(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_operand_stacks` holding `project_qkv`'s projections, with no (n, d) copy of them.
+
+    Each of `_row_blocks` is projected straight into the stacks: Q and V by
+    matmuls that write into them, Q then scaled in place by 1/sqrt(d) (the
+    arithmetic of `_operand_stacks`), and K through one block of scratch
+    copied in transposed. The projections must be finite, with
+    `_check_qkv`'s messages.
+    """
+    w_q, w_k, w_v = _checked_weights(tokens, weights)
+    feats = tokens.features
+    n, d = feats.shape
+    t = int(_validate_frames(tokens.frame_index, n)[-1]) + 1
+    tpf = n // t
+    q3, kt3, v3 = _operand_stacks(t, tpf, d, d)
+    q, v = (x.reshape(n, d + 1)[:, :d] for x in (q3, v3))
+    blocks = _row_blocks(n, d)
+    scratch = np.empty((blocks[0].stop, d))
+    for rows in blocks:
+        x = feats[rows]
+        q_rows = np.matmul(x, w_q, out=q[rows])
+        q_rows *= 1.0 / math.sqrt(d)
+        k = np.matmul(x, w_k, out=scratch[: len(x)])
+        for f in range(rows.start // tpf, (rows.stop - 1) // tpf + 1):
+            lo, hi = max(rows.start, f * tpf), min(rows.stop, (f + 1) * tpf)
+            kt3[f, :d, lo - f * tpf : hi - f * tpf] = k[lo - rows.start : hi - rows.start].T
+        np.matmul(x, w_v, out=v[rows])
+    for name, x in (("q", q), ("k", kt3[:, :d]), ("v", v)):
+        check_array(x, name, x.ndim)
+    return q3, kt3, v3
 
 
 def _check_qkv(q, k, v, frame_index):
@@ -264,10 +358,10 @@ def _exact_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
-    """`_attend`'s work for the query frames `frame_ids`, in `buffers` of its own.
+    """`_attend_stacks`'s work for the query frames `frame_ids`, in `buffers` of its own.
 
     q3 and v3 carry the extra column (shift, ones) and kt3 the extra row
-    (ones) of `_attend`; `plans` are `_frame_plans`. Writes only those
+    (ones) of `_operand_stacks`; `plans` are `_frame_plans`. Writes only those
     frames' rows of `outs` and of q3's shift column, and calls only numpy,
     so it can run on a pool thread next to other shares. Per query-row
     chunk it makes one `exp` and two matmuls per key group, one sum per
@@ -312,14 +406,14 @@ def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
                                 kt3[keys, :-1].transpose(0, 2, 1), v3[keys, :, :-1])
 
 
-def _attend(q, k, v, frame_sets) -> list[np.ndarray]:
+def _attend_stacks(q3, kt3, v3, frame_sets) -> list[np.ndarray]:
     """One-pass multi-window attention core; one (n, d_v) output per frame set.
 
-    q, k, v come from `_check_qkv`; each (T, T) frame set from `_frame_set`. For
-    each query frame i, the logits of every key frame in the union of the
-    sets' rows i are computed once, as stacked (J, rows, tpf) matmuls over
-    groups of frames sized to stay in cache, one chunk of the frame's query
-    rows at a time. Keys are stored transposed per frame, as a (T, d+1,
+    q3, kt3, v3 come from `_operand_stacks`; each (T, T) frame set from
+    `_frame_set`. For each query frame i, the logits of every key frame in
+    the union of the sets' rows i are computed once, as stacked (J, rows,
+    tpf) matmuls over groups of frames sized to stay in cache, one chunk of
+    the frame's query rows at a time. Keys are stored transposed per frame, as a (T, d+1,
     tpf) stack, so each matmul reads a contiguous (d+1, tpf) block per key
     frame rather than a strided transposed view. Query row r is shifted by
     m_r, the max of its logits over its own frame's keys, which each share
@@ -339,22 +433,22 @@ def _attend(q, k, v, frame_sets) -> list[np.ndarray]:
     and the output does not depend on the width. The core counts no work
     (see `MacCounter` for reading counts off the matrices).
     """
-    t = len(frame_sets[0])
-    tpf = len(q) // t
-    d, dv = q.shape[1], v.shape[1]
-    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d + 1, dv + 1))))
+    t, tpf, d1 = q3.shape
+    dv = v3.shape[2] - 1
+    rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d1, dv + 1))))
     group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
-    # Each share writes its own rows' shifts into q3's last column.
-    q3 = np.column_stack((q * (1.0 / math.sqrt(d)), np.empty(len(q)))).reshape(t, tpf, d + 1)
-    kt3 = np.empty((t, d + 1, tpf))
-    kt3[:, :d] = k.reshape(t, tpf, d).transpose(0, 2, 1)
-    kt3[:, d] = 1.0
-    v3 = np.column_stack((v, np.ones(len(v)))).reshape(t, tpf, dv + 1)
     outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
     plans = _frame_plans(np.stack(frame_sets), group)
     config.run_shares(functools.partial(_attend_frames, q3, kt3, v3, plans, outs), t,
                       lambda: _share_buffers(t, len(frame_sets), group, rows, tpf, dv))
     return [out.reshape(t * tpf, dv) for out in outs]
+
+
+def _attend(q, k, v, frame_sets) -> list[np.ndarray]:
+    """`_attend_stacks` on q, k, v from `_check_qkv`, copied into `_operand_stacks`."""
+    t = len(frame_sets[0])
+    return _attend_stacks(*_operand_stacks(t, len(q) // t, q.shape[1], v.shape[1], q, k, v),
+                          frame_sets)
 
 
 def _one_set_attention(q, k, v, frame_index, counter: MacCounter | None,
@@ -426,12 +520,15 @@ def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,
     Entry (i, j) is the mean over frame i's query rows of the weight mass
     each row puts on key frame j, rows renormalized to sum 1: the map
     `aggregate_attention([attention_map(...)], T)` pools from the dense
-    weights, to rounding. `_attend` computes it with a one-hot frame
-    indicator as the values, so no (n, n) matrix is formed. Exactly one of
+    weights, to rounding. `_attend_stacks` computes it with a one-hot frame
+    indicator written straight into its value stack as the values, so no
+    (n, n) matrix is formed. Exactly one of
     `window` / `keyframes` selects the mask; both None means global.
     """
-    q, k, _, frames, t = _check_qkv(q, k, q, frame_index)
-    onehot = (frames[:, None] == np.arange(t)).astype(np.float64)
-    (mass,) = _attend(q, k, onehot, [_frame_set(t, window=window, keyframes=keyframes)])
+    q, k, _, _, t = _check_qkv(q, k, q, frame_index)
+    admitted = _frame_set(t, window=window, keyframes=keyframes)
+    q3, kt3, v3 = _operand_stacks(t, len(q) // t, q.shape[1], t, q, k)
+    v3[..., :t] = np.eye(t)[:, None]  # frame i's tokens hold the indicator of frame i
+    (mass,) = _attend_stacks(q3, kt3, v3, [admitted])
     pooled = mass.reshape(t, -1, t).mean(axis=1)
     return AttnMap(pooled / pooled.sum(axis=1, keepdims=True))

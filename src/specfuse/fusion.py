@@ -3,7 +3,9 @@
 The `FusionPlan` alone describes the branches: branch i runs at scale
 plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
 path: every branch comes from one pass of the multi-window attention core
-on shared Q, K, V, and `_masked_sum` sums the branches' mask-weighted
+on shared Q, K, V, projected straight into the core's operand stacks and
+held once (see `attention`'s docstring for the layout and the pass's
+working set), and `_masked_sum` sums the branches' mask-weighted
 spectra in float64 (the masks must form a partition of unity). Branches
 are real, so the sum is kept in the masks' real-input half layout
 (`spectral._half_layout`): transformed only along the axes the masks vary
@@ -40,10 +42,9 @@ from .attention import (
     _BLOCK_BYTES,
     AttentionWindow,
     TokenSequence,
-    _attend,
-    _check_qkv,
+    _attend_stacks,
     _frame_set,
-    project_qkv,
+    _projected_stacks,
     uniform_keyframes,
 )
 from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
@@ -284,12 +285,14 @@ def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                     spatial: tuple[int, int]) -> list[np.ndarray]:
     """Run every branch of `plan` in one attention pass on shared projections.
 
-    Returns one float64 (C, T, H, W) array per branch, in plan order.
+    The token features are projected straight into the attention core's
+    operand stacks (`attention._projected_stacks`), so Q, K and V are held
+    once. Returns one float64 (C, T, H, W) array per branch, in plan order.
     """
     plan.validate_for(tokens.num_frames)
     _check_spatial(spatial, tokens.tokens_per_frame)
-    q, k, v, _, t = _check_qkv(*project_qkv(tokens, qkv_weights), tokens.frame_index)
-    outs = _attend(q, k, v, _branch_sets(plan, t))
+    t = tokens.num_frames
+    outs = _attend_stacks(*_projected_stacks(tokens, qkv_weights), _branch_sets(plan, t))
     return [_latent_grid(out, t, spatial) for out in outs]
 
 

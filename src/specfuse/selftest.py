@@ -214,7 +214,7 @@ def check_locality_argmax():
 def check_shared_key_offset():
     # One vector added to every key adds q_r . o to a whole logits row, which
     # the softmax cancels; q and k scaled by 8 or 10 put logits in the
-    # hundreds. `_attend` shifts each row by the max of its logits over its
+    # hundreds. `_attend_stacks` shifts each row by the max of its logits over its
     # own frame, which moves with both, so no row falls back to
     # `_exact_rows`, though the keys are not centred.
     rows = []

@@ -37,6 +37,15 @@ DTYPE_F32 = 0
 _HEADER = struct.Struct("<4sHBB4I")
 
 
+def _check_kind(arr: np.ndarray, name: str, dtype=np.float64,
+                error: type = InvalidShapeError) -> None:
+    """`check_array`'s kind step: raise `error` unless `arr` holds numbers of
+    `dtype`'s kind or a narrower one, and no bools."""
+    if arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
+        noun = {"i": "integers", "c": "complex numbers"}.get(np.dtype(dtype).kind, "real numbers")
+        raise error(f"{name} must hold {noun}, got {arr.dtype}")
+
+
 def check_array(value, name: str, ndim: int, dtype=np.float64, error: type = InvalidShapeError,
                 copy: bool | None = None) -> np.ndarray:
     """`value` as a `dtype` array of `ndim` axes, none empty: the one array rule.
@@ -50,9 +59,7 @@ def check_array(value, name: str, ndim: int, dtype=np.float64, error: type = Inv
     arr = np.asarray(value)
     if arr.ndim != ndim or 0 in arr.shape:
         raise error(f"{name} must have {ndim} non-empty axes, got shape {arr.shape}")
-    if arr.dtype == bool or not np.can_cast(arr.dtype, dtype, "same_kind"):
-        noun = {"i": "integers", "c": "complex numbers"}.get(np.dtype(dtype).kind, "real numbers")
-        raise error(f"{name} must hold {noun}, got {arr.dtype}")
+    _check_kind(arr, name, dtype, error)
     arr = np.array(arr, dtype=dtype, order="C" if copy else "K", copy=copy)
     if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
         raise NonFiniteValueError(f"{name} must be finite")

@@ -182,7 +182,11 @@ class TestRelativeSnr:
          "ratios must have shape (2,), got (1, 2)"),
         ([[0.0, 1.0, np.pi]], [1.0, 1.0], InvalidShapeError,
          "boundaries must have 1 non-empty axes, got shape (1, 3)"),
-    ], ids=["nan-ratio", "nan-boundary", "2d-ratios", "2d-boundaries"])
+        ([0, 1, 3], [1 + 1j, 1], InvalidShapeError, "ratios must hold real numbers, got complex128"),
+        ([0, 1, 3], np.array([1 + 1j, 1]), InvalidShapeError,
+         "ratios must hold real numbers, got complex128"),
+    ], ids=["nan-ratio", "nan-boundary", "2d-ratios", "2d-boundaries", "complex-ratio-list",
+            "complex-ratio-array"])
     def test_malformed_report_rejected(self, boundaries, ratios, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SnrReport(boundaries, ratios)
@@ -260,6 +264,12 @@ class TestAggregateAttention:
         with pytest.raises(InvalidParameterError,
                            match=r"^matrix shape \(0, 0\) does not tile 2 frames$"):
             aggregate_attention([np.zeros((0, 0))], 2)
+
+    def test_complex_map_rejected(self):
+        # Not converted with its imaginary part dropped (a ComplexWarning).
+        with pytest.raises(InvalidShapeError,
+                           match="^attention matrices must hold real numbers, got complex128$"):
+            aggregate_attention([np.eye(2) + 0j], 2)
 
     def test_non_stochastic_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -87,7 +87,7 @@ def test_non_finite_operand_is_rejected_before_any_work(entry, operand):
     toks = random_tokens(3, 2, 4, 44)
     qkv = dict(zip("qkv", project_qkv(toks, random_weights(4, 45))))
     qkv[operand][3, 1] = {"q": np.nan, "k": np.inf, "v": -np.inf}[operand]
-    with mock.patch.object(attention, "_attend", side_effect=AssertionError("attended")), \
+    with mock.patch.object(attention, "_attend_stacks", side_effect=AssertionError("attended")), \
             pytest.raises(NonFiniteValueError, match=f"^{operand} must be finite$"):
         _ENTRY_POINTS[entry][1](qkv["q"], qkv["k"], qkv["v"], toks.frame_index)
 

@@ -363,6 +363,40 @@ class TestFusedAttention:
         for branch, out in zip(branches, alone):
             assert np.array_equal(branch.transpose(1, 2, 3, 0).reshape(-1, 8), out.features)
 
+    def test_branch_latents_equal_single_branch_attention_at_d17(self):
+        # At d = 17 and 3072 tokens, one threaded (n, d) @ (d, d) gemm and
+        # the same product in serial row blocks differ in the last bits, so
+        # the fused path and `project_qkv` must project in the same blocks.
+        toks = random_tokens(16, 192, 17, 36)
+        weights = block_weights(17, SeededRng(37))
+        plan = FusionPlan(t_alpha=4, alphas=(1, 2, 4), sparse_global=True)
+        q, k, v = project_qkv(toks, weights)
+        alone = [masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(a * 4, 16))
+                 for a in plan.alphas[:-1]]
+        alone.append(sparse_attention(q, k, v, toks.frame_index, uniform_keyframes(16, 0.5)))
+        branches = fusion._branch_latents(toks, weights, plan, (12, 16))
+        for branch, out in zip(branches, alone, strict=True):
+            assert np.array_equal(branch.transpose(1, 2, 3, 0).reshape(-1, 17), out.features)
+
+    def test_attention_working_set(self):
+        # 8192 tokens (T = 32, 16x16), d = 16, three frame sets, two shares.
+        # In float64: the operand stacks n * (2 * 17 + 17) = 3.19 MiB, the
+        # set outputs 3 * n * 16 = 3 MiB, and the share buffers 2 * 60 *
+        # (4 * 256 + 35 * 17) = 1.48 MiB (60 query rows per chunk, 4 key
+        # frames per logits block). A second copy of Q, K and V adds 3 MiB.
+        toks = random_tokens(32, 256, 16, 38)
+        weights = block_weights(16, SeededRng(39))
+        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4))
+        tracemalloc.start()
+        try:
+            with mock.patch.object(config, "pool_width", return_value=2):
+                multiband_attention(toks, weights, plan, (16, 16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (3.19 + 3 + 1.48 + 1) * 2**20  # 1 MiB of slack
+        assert peak < bound, f"multiband_attention peaked at {peak / 2**20:.2f} MiB"
+
     def test_gaussian_pair_builds_no_band_masks(self):
         toks = random_tokens(16, 16, 8, 17)
         weights = block_weights(8, SeededRng(18))
@@ -380,7 +414,7 @@ class TestFusedAttention:
     def test_bad_spatial_rejected_before_attention(self, spatial):
         toks = random_tokens(16, 16, 8, 20)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
-        with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")):
+        with mock.patch.object(fusion, "_attend_stacks", side_effect=AssertionError("attended")):
             for fuse in (multiband_attention, spectral_blend_attention):
                 with pytest.raises(ShapeMismatchError):
                     fuse(toks, block_weights(8, SeededRng(21)), plan, spatial)
@@ -396,7 +430,7 @@ class TestFusedAttention:
         weights[operand][1, 2] = bad
         name = ["query", "key", "value"][operand]
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
-        with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")), \
+        with mock.patch.object(fusion, "_attend_stacks", side_effect=AssertionError("attended")), \
                 pytest.raises(NonFiniteValueError, match=f"^{name} weights must be finite$"):
             fuse(random_tokens(16, 4, 4, 32), weights, plan, (2, 2))
 
@@ -405,7 +439,7 @@ class TestFusedAttention:
         # Finite weights can still project finite tokens to inf.
         weights = (np.full((4, 4), 1e308),) + block_weights(4, SeededRng(34))[1:]
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))
-        with mock.patch.object(fusion, "_attend", side_effect=AssertionError("_attend ran")), \
+        with mock.patch.object(fusion, "_attend_stacks", side_effect=AssertionError("attended")), \
                 np.errstate(all="ignore"), \
                 pytest.raises(NonFiniteValueError, match="^q must be finite$"):
             fuse(random_tokens(16, 4, 4, 35), weights, plan, (2, 2))
