@@ -17,16 +17,16 @@ log-sum-exp rescaling (the online softmax of Milakov & Gimelshein 2018,
 with its bookkeeping gone). Nested windows therefore cost one pass of the
 widest, and each set's output equals the same set run alone, bit for bit.
 
-The core reads its operands in one layout, built by `_operand_stacks`
-and held once per call: q3 (T, tpf, d+1), the queries scaled by
-1/sqrt(d) beside a shift column; kt3 (T, d+1, tpf), each frame's keys
-transposed over a ones row, so the logits matmul of every key frame reads
-one contiguous (d+1, tpf) block; and v3 (T, tpf, dv+1), the values beside
-a ones column. The fused path (`fusion._branch_latents`) projects the
-token features straight into these stacks (`_projected_stacks`); every
-other entry copies its q, k and v in (`_attend`), and `frame_attention`
-writes its one-hot values into v3. So the fused path holds one copy of
-its operands, and the working set of its pass, in float64 words, is
+The core reads its operands in one layout, built by `_operand_stacks`:
+q3 (T, tpf, d+1), the queries scaled by 1/sqrt(d) beside a shift column;
+kt3 (T, d+1, tpf), each frame's keys transposed over a ones row, so the
+logits matmul of every key frame reads one contiguous (d+1, tpf) block;
+and v3 (T, tpf, dv+1), the values beside a ones column. The fused path
+(`fusion._branch_latents`) projects Q and V straight into these stacks
+and K through one temporary (`_projected_stacks`); every other entry
+copies its q, k and v in (`_attend`), and `frame_attention` writes its
+one-hot values into v3. So the fused path holds one copy of its
+operands, and the working set of its pass, in float64 words, is
 
     n * (2 * (d + 1) + dv + 1)                   the stacks
     + sets * n * dv                              the set outputs
@@ -197,27 +197,11 @@ def _checked_weights(tokens: TokenSequence, weights) -> tuple[np.ndarray, ...]:
     return checked
 
 
-def _row_blocks(n: int, d: int) -> list[slice]:
-    """The token rows of an (n, d) @ (d, d) projection, in blocks whose
-    gemms do at most `_SERIAL_GEMM_MACS` MACs each, on the calling thread."""
-    rows = max(1, _SERIAL_GEMM_MACS // (d * d))
-    return [slice(r0, min(r0 + rows, n)) for r0 in range(0, n, rows)]
-
-
 def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite.
-
-    The products run in `_row_blocks`, the blocks the fused path projects
-    into its stacks (`_projected_stacks`), so `masked_attention` on these
-    projections matches a fused branch bit for bit.
-    """
-    weights = _checked_weights(tokens, weights)
+    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite."""
+    w_q, w_k, w_v = _checked_weights(tokens, weights)
     feats = tokens.features
-    qkv = tuple(np.empty(feats.shape) for _ in weights)
-    for rows in _row_blocks(*feats.shape):
-        for y, w in zip(qkv, weights):
-            np.matmul(feats[rows], w, out=y[rows])
-    return qkv
+    return feats @ w_q, feats @ w_k, feats @ w_v
 
 
 def _operand_stacks(t: int, tpf: int, d: int, dv: int, q=None, k=None,
@@ -228,7 +212,7 @@ def _operand_stacks(t: int, tpf: int, d: int, dv: int, q=None, k=None,
     column each share fills with its rows' shifts; kt3 (T, d+1, tpf) each
     frame's keys, transposed, over a ones row; v3 (T, tpf, dv+1) the
     values beside a ones column. The ones are written here; a given (n, .)
-    q, k or v is copied into its stack, the rest is left for the caller.
+    q, k or v is copied into its stack, the rest is left to the caller.
     """
     q3 = np.empty((t, tpf, d + 1))
     kt3 = np.empty((t, d + 1, tpf))
@@ -245,34 +229,22 @@ def _operand_stacks(t: int, tpf: int, d: int, dv: int, q=None, k=None,
 
 
 def _projected_stacks(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_operand_stacks` holding `project_qkv`'s projections, with no (n, d) copy of them.
+    """`_operand_stacks` holding `project_qkv`'s projections, with no (n, d) copy of Q or V.
 
-    Each of `_row_blocks` is projected straight into the stacks: Q and V by
-    matmuls that write into them, Q then scaled in place by 1/sqrt(d) (the
-    arithmetic of `_operand_stacks`), and K through one block of scratch
-    copied in transposed. The projections must be finite, with
-    `_check_qkv`'s messages.
+    Q and V are projected by one matmul each straight into their stacks, Q
+    then scaled in place by 1/sqrt(d) (the arithmetic of `_operand_stacks`);
+    K, which its stack holds transposed, goes through one (n, d) temporary.
+    Each projection must be finite, checked in `_check_qkv`'s order and
+    with its messages.
     """
     w_q, w_k, w_v = _checked_weights(tokens, weights)
     feats = tokens.features
-    n, d = feats.shape
-    t = int(_validate_frames(tokens.frame_index, n)[-1]) + 1
-    tpf = n // t
+    t, tpf, d = tokens.num_frames, tokens.tokens_per_frame, tokens.d_model
     q3, kt3, v3 = _operand_stacks(t, tpf, d, d)
-    q, v = (x.reshape(n, d + 1)[:, :d] for x in (q3, v3))
-    blocks = _row_blocks(n, d)
-    scratch = np.empty((blocks[0].stop, d))
-    for rows in blocks:
-        x = feats[rows]
-        q_rows = np.matmul(x, w_q, out=q[rows])
-        q_rows *= 1.0 / math.sqrt(d)
-        k = np.matmul(x, w_k, out=scratch[: len(x)])
-        for f in range(rows.start // tpf, (rows.stop - 1) // tpf + 1):
-            lo, hi = max(rows.start, f * tpf), min(rows.stop, (f + 1) * tpf)
-            kt3[f, :d, lo - f * tpf : hi - f * tpf] = k[lo - rows.start : hi - rows.start].T
-        np.matmul(x, w_v, out=v[rows])
-    for name, x in (("q", q), ("k", kt3[:, :d]), ("v", v)):
-        check_array(x, name, x.ndim)
+    q = check_array(np.matmul(feats, w_q, out=q3.reshape(-1, d + 1)[:, :d]), "q", 2)
+    q *= 1.0 / math.sqrt(d)
+    kt3[:, :d] = check_array(feats @ w_k, "k", 2).reshape(t, tpf, d).transpose(0, 2, 1)
+    check_array(np.matmul(feats, w_v, out=v3.reshape(-1, d + 1)[:, :d]), "v", 2)
     return q3, kt3, v3
 
 
@@ -413,12 +385,13 @@ def _attend_stacks(q3, kt3, v3, frame_sets) -> list[np.ndarray]:
     `_frame_set`. For each query frame i, the logits of every key frame in
     the union of the sets' rows i are computed once, as stacked (J, rows,
     tpf) matmuls over groups of frames sized to stay in cache, one chunk of
-    the frame's query rows at a time. Keys are stored transposed per frame, as a (T, d+1,
-    tpf) stack, so each matmul reads a contiguous (d+1, tpf) block per key
-    frame rather than a strided transposed view. Query row r is shifted by
-    m_r, the max of its logits over its own frame's keys, which each share
-    computes per chunk before the chunk's other logits. Every window admits
-    the own frame, so a window's row sum is at least about 1. The shift is
+    the frame's query rows at a time. Keys are stored transposed per
+    frame, as a (T, d+1, tpf) stack, so each matmul reads a contiguous
+    (d+1, tpf) block per key frame rather than a strided transposed view.
+    Query row r is shifted by m_r, the max of its logits over its own
+    frame's keys, which each share computes per chunk before the chunk's
+    other logits. Every window admits the own frame, so a window's row sum
+    is at least about 1. The shift is
     folded into the logits matmul (a -m_r column of the scaled Q meets a
     ones row of the transposed K) and the row sum into the value matmul (a
     ones column of V), so key frame j yields p_j = exp(logit - m_r) @ [V_j
@@ -522,8 +495,8 @@ def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,
     `aggregate_attention([attention_map(...)], T)` pools from the dense
     weights, to rounding. `_attend_stacks` computes it with a one-hot frame
     indicator written straight into its value stack as the values, so no
-    (n, n) matrix is formed. Exactly one of
-    `window` / `keyframes` selects the mask; both None means global.
+    (n, n) matrix is formed. Exactly one of `window` / `keyframes` selects
+    the mask; both None means global.
     """
     q, k, _, _, t = _check_qkv(q, k, q, frame_index)
     admitted = _frame_set(t, window=window, keyframes=keyframes)

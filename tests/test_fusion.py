@@ -350,33 +350,28 @@ class TestFusedAttention:
     test_band_ownership = staticmethod(selftest.check_band_ownership)
     test_sparse_substitution_stays_in_coarse_band = staticmethod(selftest.check_sparse_substitution)
 
-    def test_branch_latents_equal_single_branch_attention(self):
-        toks = random_tokens(32, 16, 8, 15)
-        weights = block_weights(8, SeededRng(16))
-        plan = FusionPlan(t_alpha=8, alphas=(1, 2, 4), sparse_global=True)
+    @staticmethod
+    def assert_branches_equal_attention(t, tpf, d, seed, t_alpha, spatial):
+        toks = random_tokens(t, tpf, d, seed)
+        weights = block_weights(d, SeededRng(seed + 1))
+        plan = FusionPlan(t_alpha=t_alpha, alphas=(1, 2, 4), sparse_global=True)
         q, k, v = project_qkv(toks, weights)
-        alone = [masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(a * 8, 32))
+        frames = toks.frame_index
+        alone = [masked_attention(q, k, v, frames, AttentionWindow.for_span(a * t_alpha, t))
                  for a in plan.alphas[:-1]]
-        alone.append(sparse_attention(q, k, v, toks.frame_index, uniform_keyframes(32, 0.5)))
-        branches = fusion._branch_latents(toks, weights, plan, (4, 4))
-        assert len(branches) == len(alone)
-        for branch, out in zip(branches, alone):
-            assert np.array_equal(branch.transpose(1, 2, 3, 0).reshape(-1, 8), out.features)
+        alone.append(sparse_attention(q, k, v, frames, uniform_keyframes(t, 0.5)))
+        branches = fusion._branch_latents(toks, weights, plan, spatial)
+        for branch, out in zip(branches, alone, strict=True):
+            assert np.array_equal(branch.transpose(1, 2, 3, 0).reshape(-1, d), out.features)
+
+    def test_branch_latents_equal_single_branch_attention(self):
+        self.assert_branches_equal_attention(32, 16, 8, 15, 8, (4, 4))
 
     def test_branch_latents_equal_single_branch_attention_at_d17(self):
-        # At d = 17 and 3072 tokens, one threaded (n, d) @ (d, d) gemm and
-        # the same product in serial row blocks differ in the last bits, so
-        # the fused path and `project_qkv` must project in the same blocks.
-        toks = random_tokens(16, 192, 17, 36)
-        weights = block_weights(17, SeededRng(37))
-        plan = FusionPlan(t_alpha=4, alphas=(1, 2, 4), sparse_global=True)
-        q, k, v = project_qkv(toks, weights)
-        alone = [masked_attention(q, k, v, toks.frame_index, AttentionWindow.for_span(a * 4, 16))
-                 for a in plan.alphas[:-1]]
-        alone.append(sparse_attention(q, k, v, toks.frame_index, uniform_keyframes(16, 0.5)))
-        branches = fusion._branch_latents(toks, weights, plan, (12, 16))
-        for branch, out in zip(branches, alone, strict=True):
-            assert np.array_equal(branch.transpose(1, 2, 3, 0).reshape(-1, 17), out.features)
+        # `project_qkv`'s matmuls write (n, d) arrays, the fused path's write
+        # strided views of its stacks. At d = 17 and 3072 tokens OpenBLAS
+        # threads the product, and the two must still agree bit for bit.
+        self.assert_branches_equal_attention(16, 192, 17, 36, 4, (12, 16))
 
     def test_attention_working_set(self):
         # 8192 tokens (T = 32, 16x16), d = 16, three frame sets, two shares.
