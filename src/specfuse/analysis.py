@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer, check_real
+from .config import check_integer, check_real, check_sequence
 from .errors import DegenerateInputError, InvalidParameterError
 from .spectral import _half_layout, _rfftn, frequency_grid
 from .tensor_core import VideoLatent, _check_kind, check_array
@@ -34,29 +34,25 @@ def uniform_band_edges(num_bands: int) -> np.ndarray:
 
 
 def _check_edges(edges) -> np.ndarray:
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1:
-        raise InvalidParameterError("edges must be a flat list")
-    if not np.isfinite(edges).all():
-        raise InvalidParameterError("edges must be finite")
-    if edges.size and ((np.diff(edges) <= 0).any() or edges[0] < 0 or edges[-1] > np.pi):
+    edges = check_sequence(edges, "edges", item=lambda e, name, _: check_real(e, name, 0, np.pi))
+    if any(b <= a for a, b in zip(edges, edges[1:])):
         raise InvalidParameterError("edges must be strictly ascending within [0, pi]")
-    return edges
+    return np.array(edges, dtype=np.float64)
 
 
 def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndarray:
     """Spectral energy per band; bands tile [0, pi] between the edges.
 
-    A bin exactly on an edge counts toward the lower band, matching the
-    band-mask convention, so the energies always sum to the total. Each
-    channel is transformed by `_rfftn` in the grid's half layout
-    (`spectral._half_layout`): only along the axes the frequency grid
+    Edges not a strictly ascending sequence of reals in [0, pi] raise
+    InvalidParameterError. A bin exactly on an edge counts toward the lower
+    band, matching the band-mask convention, so the energies always sum to
+    the total. Each channel is transformed by `_rfftn` in the grid's half
+    layout (`spectral._half_layout`): only along the axes the frequency grid
     varies on, T alone in "temporal" mode, (T, H, W) in "radial" mode. By
-    Parseval, summing the energy over the other axes leaves each bin's
-    energy unchanged. The latent is real, so the last transformed axis
-    keeps its half spectrum: bins 1 .. (n-1)//2 stand for their conjugate
-    mirrors too and count twice, and the frequency grid is symmetric, so
-    a mirror falls in the same band.
+    Parseval, summing the energy over the other axes leaves each bin's energy
+    unchanged. The latent is real, so the last transformed axis keeps its
+    half spectrum: bins 1 .. (n-1)//2 stand for their conjugate mirrors too
+    and count twice, and the grid is symmetric, so a mirror is in its band.
     """
     edges = _check_edges(edges)
     grid = frequency_grid(x.shape[1:], domain_mode)
@@ -145,8 +141,8 @@ def relative_snr(reference: VideoLatent, extended: VideoLatent, edges,
     """Band-wise normalized-energy ratio of an extended sequence vs a reference.
 
     Temporal axes (and shapes generally) may differ; normalization by each
-    input's total energy makes the ratios scale-free. A ratio of 1 means
-    the band holds the same share of the spectrum in both inputs.
+    input's total energy makes the ratios scale-free. A ratio of 1 means the
+    band holds the same share of the spectrum in both inputs. Edges as in `band_energy`.
     """
     edges = _check_edges(edges)
     ref_e = band_energy(reference, edges, domain_mode)
@@ -199,9 +195,9 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     frame grid (`check_array`'s kind step; no finiteness pass, which would
     add a temporary of n * n bytes). Token pairs are mean-pooled within
     frame pairs, the collection is averaged, and rows are renormalized to
-    sum 1.
+    sum 1. `maps` that are not a sequence raise InvalidParameterError.
     """
-    maps = list(maps)
+    maps = check_sequence(maps, "attention matrices")
     if not maps:
         raise InvalidParameterError("need at least one attention matrix")
     t = check_integer(num_frames, "num_frames", minimum=1)

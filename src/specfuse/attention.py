@@ -187,10 +187,11 @@ class MacCounter:
 
 
 def _checked_weights(tokens: TokenSequence, weights) -> tuple[np.ndarray, ...]:
-    """The query, key and value weights, each finite and (d_model, d_model)."""
+    """The query, key and value weights: three, each finite and (d_model, d_model)."""
     d = tokens.d_model
+    weights = config.check_sequence(weights, "Q/K/V weights", length=3)
     checked = tuple(check_array(w, f"{name} weights", 2)
-                    for name, w in zip(("query", "key", "value"), weights, strict=True))
+                    for name, w in zip(("query", "key", "value"), weights))
     for name, w in zip(("query", "key", "value"), checked):
         if w.shape != (d, d):
             raise ShapeMismatchError(f"{name} weights must be ({d}, {d}), got {w.shape}")
@@ -198,7 +199,8 @@ def _checked_weights(tokens: TokenSequence, weights) -> tuple[np.ndarray, ...]:
 
 
 def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be finite."""
+    """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be
+    finite, and `weights` not three of them raise InvalidParameterError."""
     w_q, w_k, w_v = _checked_weights(tokens, weights)
     feats = tokens.features
     return feats @ w_q, feats @ w_k, feats @ w_v

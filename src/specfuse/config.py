@@ -1,5 +1,5 @@
 """Plain-text key = value config dialect shared by plans and scene specs,
-the integer and real-number rules, the SPFU_THREADS environment variable,
+the integer, real-number and sequence rules, the SPFU_THREADS environment variable,
 and the thread pool that splits a pass into shares.
 
 One `key = value` pair per line; blank lines and lines starting with '#'
@@ -109,6 +109,24 @@ def check_real(value, name: str, low: float = -math.inf, high: float = math.inf,
         raise InvalidParameterError(
             f"{name} must be a finite real number in {left}{low}, {high}{right}, got {value!r}")
     return float(value)
+
+
+def check_sequence(value, name: str, error: type = InvalidParameterError,
+                   length: int | None = None, item=None) -> tuple:
+    """`value`'s items as a tuple, each read by `item(x, name, error)` if given:
+    the one sequence rule. Any iterable but a str or bytes is a sequence, a
+    generator too; anything else (a scalar, None, a 0-d array), or a length
+    other than `length` when given, raises `error` naming `name`."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__") \
+            or getattr(value, "ndim", None) == 0:
+        raise error(f"{name} must be a sequence, got {value!r}")
+    items = tuple(value)
+    if length is not None and len(items) != length:
+        raise error(f"{name} must have {length} items, got {len(items)}")
+    return items if item is None else tuple(item(x, name, error) for x in items)
+
+
+check_size = functools.partial(check_integer, minimum=1)
 
 
 def thread_cap() -> int:

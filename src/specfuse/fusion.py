@@ -64,7 +64,7 @@ def _token_rows(grid: np.ndarray) -> np.ndarray:
 
 
 def _check_spatial(spatial: tuple[int, int], tpf: int) -> tuple[int, int]:
-    h, w = (config.check_integer(n, "spatial", ShapeMismatchError, minimum=1) for n in spatial)
+    h, w = config.check_sequence(spatial, "spatial", ShapeMismatchError, 2, config.check_size)
     if h * w != tpf:
         raise ShapeMismatchError(f"spatial {h}x{w} does not factor {tpf} tokens per frame")
     return h, w
@@ -84,7 +84,7 @@ def tokens_from_latent(latent: VideoLatent) -> TokenSequence:
 
 
 def latent_from_tokens(tokens: TokenSequence, spatial: tuple[int, int]) -> VideoLatent:
-    """Inverse of tokens_from_latent; needs the (H, W) factorization."""
+    """Inverse of tokens_from_latent; a `spatial` not the (H, W) of a frame: ShapeMismatchError."""
     return VideoLatent(_latent_grid(tokens.features, tokens.num_frames, spatial))
 
 
@@ -150,16 +150,17 @@ def _check_partition(masks) -> None:
 def _fusion_operands(branch_outputs, masks):
     """The checked operands of a fusion: branch arrays, half weights, axes, channel blocks.
 
-    Branch outputs are VideoLatents or (C, T, H, W) arrays that pass
-    `check_array`, uncopied, one per mask, all of one shape; the masks
-    must form a partition of unity. Returns the branches' arrays, each
+    Branch outputs are a sequence (else InvalidParameterError) of
+    VideoLatents or (C, T, H, W) arrays that pass `check_array`, uncopied,
+    all of one shape; the masks, a sequence of one per branch output, must
+    form a partition of unity. Returns the branches' arrays, each
     mask's weights in the masks' half layout (`spectral._half_layout`),
     the layout's axes, and the channel blocks as slices: each holds at
     most `_BLOCK_BYTES` of float64 input, so a block's transforms stay in
     cache, and never less than one channel.
     """
-    if len(branch_outputs) != len(masks):
-        raise InvalidParameterError("need one mask per branch output")
+    branch_outputs = config.check_sequence(branch_outputs, "branch outputs")
+    masks = config.check_sequence(masks, "masks", length=len(branch_outputs))
     if not branch_outputs:
         raise InvalidParameterError("need at least one branch")
     data = [b.data if isinstance(b, VideoLatent) else check_array(b, "branch outputs", 4)
@@ -210,7 +211,7 @@ def fused_spectrum(branch_outputs, masks) -> np.ndarray:
 
     The sum is in the masks' half layout (`spectral._half_layout`),
     computed one channel block at a time by `_masked_sum`. Raises
-    NonFiniteValueError if it is not finite.
+    NonFiniteValueError if it is not finite; see `_fusion_operands` for the operands.
     """
     data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
     total = np.empty(_half_shape(data[0].shape, axes), dtype=np.complex128)
@@ -235,7 +236,7 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
     either.
     """
     data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
-    n = masks[0].shape[axes[-1]]
+    n = data[0].shape[1 + axes[-1]]
     out = np.empty(data[0].shape)
     # Per block: its residue and its largest |output|.
     stats = np.zeros((len(blocks), 2))
@@ -256,7 +257,7 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
 
 
 def multiband_fuse(branch_outputs, masks) -> VideoLatent:
-    """Inverse transform of the mask-weighted spectrum sum."""
+    """Inverse transform of the mask-weighted spectrum sum; operands as in `_fusion_operands`."""
     return VideoLatent(_fuse(branch_outputs, masks))
 
 
@@ -290,7 +291,7 @@ def _branch_latents(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
     once. Returns one float64 (C, T, H, W) array per branch, in plan order.
     """
     plan.validate_for(tokens.num_frames)
-    _check_spatial(spatial, tokens.tokens_per_frame)
+    spatial = _check_spatial(spatial, tokens.tokens_per_frame)
     t = tokens.num_frames
     outs = _attend_stacks(*_projected_stacks(tokens, qkv_weights), _branch_sets(plan, t))
     return [_latent_grid(out, t, spatial) for out in outs]
@@ -317,7 +318,7 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
     coarser branch runs globally (its window covers the sequence by the
     plan invariant) and contributes the low band. This is the fusion of
     `multiband_attention` with the masks [1 - P, P] of the plan's
-    low-pass filter P in place of the hard bands.
+    low-pass filter P in place of the hard bands; its errors are `multiband_attention`'s.
     """
     if len(plan.alphas) != 2 or plan.alphas[0] != 1:
         raise InvalidPlanError(f"blend plan needs alphas (1, global), got {plan.alphas}")
@@ -331,6 +332,7 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
 
 def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                         spatial: tuple[int, int]) -> TokenSequence:
-    """Per-scale windowed attention fused band-by-band (`band_masks`)."""
+    """Per-scale windowed attention fused band-by-band (`band_masks`). Before the pass,
+    not three `qkv_weights` raise InvalidParameterError, a bad `spatial` ShapeMismatchError."""
     return _fused_attention(tokens, qkv_weights, plan, spatial,
                             lambda grid: band_masks(plan.alphas, grid, plan.domain_mode))

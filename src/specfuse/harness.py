@@ -13,9 +13,9 @@ import numpy as np
 
 from . import config
 from .attention import TokenSequence
-from .errors import InvalidParameterError
-from .fusion import FusionPlan, multiband_attention, spectral_blend_attention
-from .tensor_core import SeededRng, VideoLatent, _check_shape4, gaussian_latent
+from .errors import InvalidParameterError, InvalidShapeError
+from .fusion import FusionPlan, _check_spatial, multiband_attention, spectral_blend_attention
+from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
 AXIS_NAMES = ("t", "h", "w")
 
@@ -49,7 +49,8 @@ def _parse_tone(item: str, key: str) -> Tone:
 
 @dataclass(frozen=True)
 class SyntheticScene:
-    """Recipe for a test latent: tones plus noise at a given shape."""
+    """Recipe for a test latent: tones plus noise at a given shape (four ints
+    >= 1, else InvalidShapeError); non-sequence tones raise InvalidParameterError."""
 
     shape: tuple[int, int, int, int]
     tones: tuple[Tone, ...] = ()
@@ -60,8 +61,9 @@ class SyntheticScene:
         object.__setattr__(self, "noise_level",
                            config.check_real(self.noise_level, "noise_level", 0))
         config.check_integer(self.seed, "seed", minimum=0)
-        object.__setattr__(self, "shape", _check_shape4(self.shape))
-        object.__setattr__(self, "tones", tuple(self.tones))
+        object.__setattr__(self, "shape", config.check_sequence(
+            self.shape, "shape", InvalidShapeError, 4, config.check_size))
+        object.__setattr__(self, "tones", config.check_sequence(self.tones, "tones"))
 
     @classmethod
     def from_text(cls, text: str) -> "SyntheticScene":
@@ -75,16 +77,12 @@ class SyntheticScene:
 
 def make_scene(scene: SyntheticScene) -> VideoLatent:
     """Materialize a scene. Tones broadcast over every other axis."""
-    c, t, h, w = scene.shape
-    data = np.zeros((c, t, h, w), dtype=np.float64)
-    lengths = {"t": t, "h": h, "w": w}
-    axis_of = {"t": 1, "h": 2, "w": 3}
+    data = np.zeros(scene.shape, dtype=np.float64)
     for tone in scene.tones:
-        n = lengths[tone.axis]
-        wave = tone.amplitude * np.cos(tone.omega * np.arange(n))
+        axis = 1 + AXIS_NAMES.index(tone.axis)
         shape = [1, 1, 1, 1]
-        shape[axis_of[tone.axis]] = n
-        data += wave.reshape(shape)
+        shape[axis] = scene.shape[axis]
+        data += (tone.amplitude * np.cos(tone.omega * np.arange(shape[axis]))).reshape(shape)
     if scene.noise_level > 0.0:
         noise = gaussian_latent(scene.shape, SeededRng(scene.seed)).data
         data += scene.noise_level * noise
@@ -106,9 +104,11 @@ def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
 
     Plans with two scales run the low-pass blend path; longer plans run
     the banded fusion path. Weight draws come from one stream seeded with
-    `seed`, three matrices per block, so the run is reproducible.
+    `seed`, three matrices per block, so the run is reproducible. A bad
+    `spatial` raises ShapeMismatchError before the first block.
     """
     depth = config.check_integer(depth, "depth", minimum=1)
+    spatial = _check_spatial(spatial, tokens.tokens_per_frame)
     fuse = spectral_blend_attention if len(plan.alphas) == 2 else multiband_attention
     rng = SeededRng(seed)
     d = tokens.d_model

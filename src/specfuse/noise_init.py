@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer
-from .errors import InvalidParameterError
+from .config import check_integer, check_sequence, check_size
+from .errors import InvalidParameterError, InvalidShapeError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
 MIX_DOMAINS = ("spatial", "full3d")
@@ -58,8 +58,9 @@ def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     Frames [0, t_alpha) are fresh Gaussian. Each later window of t_alpha
     frames is a fresh seeded permutation of the first window; a trailing
     partial window takes the first (frames mod t_alpha) entries of one.
+    A `chw` not three ints >= 1 raises InvalidShapeError naming "shape".
     """
-    c, h, w = chw
+    c, h, w = check_sequence(chw, "shape", InvalidShapeError, 3, check_size)
     t, ta = params.frames, params.t_alpha
     first = gaussian_latent((c, ta, h, w), SeededRng(params.seed_base)).data
     out = np.empty((c, t, h, w), dtype=np.float32)
@@ -95,14 +96,12 @@ def specmix(params: SpecMixParams, chw: tuple[int, int, int],
 
     "spatial" mixes frame by frame in float64; "full3d" mixes the
     temporal FFT bins and keeps the real part of the inverse. See the
-    module docstring. Deterministic given the three seeds.
+    module docstring. Deterministic given the three seeds. `chw` as in `base_noise`.
     """
     if mix_domain not in MIX_DOMAINS:
         raise InvalidParameterError(f"unknown mix_domain {mix_domain!r}")
-    c, h, w = chw
     base = base_noise(params, chw).data.astype(np.float64)
-    res = gaussian_latent((c, params.frames, h, w), SeededRng(params.seed_res)).data
-    res = res.astype(np.float64)
+    res = gaussian_latent(base.shape, SeededRng(params.seed_res)).data.astype(np.float64)
     cos_w, sin_w = _mix_weights(params.frames)
     if mix_domain == "spatial":
         return VideoLatent(cos_w * base + sin_w * res)

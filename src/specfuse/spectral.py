@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer, check_real
+from .config import check_real, check_sequence, check_size
 from .errors import InvalidParameterError, InvalidShapeError
 from .tensor_core import VideoLatent, check_array
 
@@ -147,13 +147,12 @@ def frequency_grid(shape: tuple[int, int, int], domain_mode: str) -> np.ndarray:
     In "temporal" mode this is the temporal-axis frequency broadcast over
     space; in "radial" mode it is pi times the clamped Euclidean norm of
     the per-axis frequencies scaled to [0, 1]. Either way values lie in
-    [0, pi] and are symmetric under per-axis frequency negation.
+    [0, pi] and are symmetric under per-axis frequency negation. A `shape`
+    not three ints >= 1 raises InvalidShapeError naming "grid axes".
     """
     if domain_mode not in DOMAIN_MODES:
         raise InvalidParameterError(f"unknown domain_mode {domain_mode!r}")
-    if len(shape) != 3:
-        raise InvalidShapeError(f"grid shape must be (T, H, W), got {tuple(shape)}")
-    t, h, w = (check_integer(n, "grid axes", InvalidShapeError, minimum=1) for n in shape)
+    t, h, w = check_sequence(shape, "grid axes", InvalidShapeError, 3, check_size)
     wt = axis_frequencies(t)
     if domain_mode == "temporal":
         return np.broadcast_to(wt[:, None, None], (t, h, w)).copy()
@@ -202,7 +201,7 @@ def gaussian_lowpass(
 
     d is the normalized frequency distance in [0, 1] (grid frequency over
     pi), so d0 is the normalized stop frequency. Weight is 1 at DC and
-    monotone non-increasing in d.
+    monotone non-increasing in d. `shape` as in `frequency_grid`.
     """
     d0 = check_real(d0, "d0", 0, 1, low_open=True)
     d = frequency_grid(shape, domain_mode) / np.pi
@@ -212,7 +211,7 @@ def gaussian_lowpass(
 
 def _check_alphas(alphas, error: type) -> tuple[int, ...]:
     """`alphas` as a non-empty, strictly ascending tuple of ints >= 1, else `error`."""
-    alphas = tuple(check_integer(a, "alphas", error, minimum=1) for a in alphas)
+    alphas = check_sequence(alphas, "alphas", error, item=check_size)
     if not alphas:
         raise error("alphas must be non-empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
@@ -232,7 +231,8 @@ def band_masks(
     finest scale runs up to pi instead of pi/2, so the bands tile the
     whole spectrum and a lone scale keeps everything. A bin exactly on a
     band edge belongs to the coarser band, so every bin is claimed exactly
-    once and the masks sum to 1 everywhere.
+    once and the masks sum to 1 everywhere. Malformed `alphas` raise
+    InvalidParameterError; `shape` is as in `frequency_grid`.
     """
     alphas = _check_alphas(alphas, InvalidParameterError)
     grid = frequency_grid(shape, domain_mode)

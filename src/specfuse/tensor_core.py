@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer
+from .config import check_integer, check_sequence, check_size
 from .errors import (
     BadMagicError,
     InvalidParameterError,
@@ -66,12 +66,6 @@ def check_array(value, name: str, ndim: int, dtype=np.float64, error: type = Inv
     if copy:
         arr.flags.writeable = False
     return arr
-
-
-def _check_shape4(shape: tuple) -> tuple[int, int, int, int]:
-    if len(shape) != 4:
-        raise InvalidShapeError(f"expected 4 axes (C, T, H, W), got {len(shape)}")
-    return tuple(check_integer(n, "shape", InvalidShapeError, minimum=1) for n in shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +143,10 @@ class SeededRng:
 def gaussian_latent(shape: tuple, rng: SeededRng) -> VideoLatent:
     """Sample a latent of i.i.d. standard-normal entries.
 
-    Deterministic given the rng state; consumes ceil(n/2)*2 stream values.
+    A `shape` not four ints >= 1 raises InvalidShapeError. Deterministic
+    given the rng state; consumes ceil(n/2)*2 stream values.
     """
-    dims = _check_shape4(shape)
+    dims = check_sequence(shape, "shape", InvalidShapeError, 4, check_size)
     n = int(np.prod(dims))
     return VideoLatent(rng.normals(n).reshape(dims))
 
@@ -185,7 +180,7 @@ def read_tensor(path) -> VideoLatent:
         raise UnsupportedFormatError(f"unsupported dtype code {dtype}")
     if rank != 4:
         raise UnsupportedFormatError(f"unsupported rank {rank}")
-    dims = _check_shape4((c, t, h, w))
+    dims = check_sequence((c, t, h, w), "shape", InvalidShapeError, 4, check_size)
     expected = 4 * int(np.prod(dims))
     size = len(blob) - _HEADER.size
     if size < expected:

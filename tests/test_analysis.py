@@ -162,6 +162,16 @@ class TestRelativeSnr:
         with pytest.raises(InvalidParameterError, match="finite"):
             relative_snr(lat, lat, edges)
 
+    @pytest.mark.parametrize("edges", ["ab", np.array([1 + 0j]), np.array([True])],
+                             ids=["str", "complex", "bool"])
+    def test_edges_that_are_not_reals_rejected(self, edges):
+        lat = gaussian_latent((1, 8, 4, 4), SeededRng(8))
+        message = (f"edges must be a sequence, got {edges!r}" if isinstance(edges, str) else
+                   f"edges must be a finite real number in [0, {np.pi}], got {edges[0]!r}")
+        for call in (band_energy, lambda x, e: relative_snr(x, x, e)):
+            with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+                call(lat, edges)
+
     def test_csv_and_text_shapes(self):
         lat = gaussian_latent((1, 16, 4, 4), SeededRng(10))
         report = relative_snr(lat, lat, uniform_band_edges(16))

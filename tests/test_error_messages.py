@@ -1,0 +1,108 @@
+"""Library errors that no other test raises, each with its type and message.
+
+One row per raise statement: frame ids and attention operands, the zero-energy
+extended input of `relative_snr`, `AttnMap`'s invariants, the config dialect,
+fusion operands, `frequency_grid`'s domain mode, the seed range and the
+`.spfu` header.
+"""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+
+from specfuse import (
+    AttentionWindow,
+    AttnMap,
+    FrequencyMask,
+    FusionPlan,
+    SeededRng,
+    SyntheticScene,
+    TokenSequence,
+    VideoLatent,
+    band_masks,
+    frequency_grid,
+    gaussian_latent,
+    masked_attention,
+    multiband_fuse,
+    read_tensor,
+    relative_snr,
+)
+from specfuse.errors import (DegenerateInputError, InvalidParameterError, InvalidShapeError,
+                             ShapeMismatchError, TruncatedPayloadError, UnsupportedFormatError)
+
+FRAMES = [0, 0, 1, 1]
+OPERAND = np.arange(8.0).reshape(4, 2) / 8
+LATENT = gaussian_latent((1, 4, 2, 2), SeededRng(0))
+MASKS = band_masks((1, 2), (4, 2, 2))
+SMALL_MASK = FrequencyMask(np.ones((2, 2, 2)))
+
+
+def spfu_file(path, dtype=0, rank=4, dims=(1, 1, 1, 1), size=None):
+    """A .spfu file of ones with the given header fields, cut to `size` bytes if given."""
+    blob = struct.pack("<4sHBB4I", b"SPFU", 1, dtype, rank, *dims)
+    blob += np.ones(int(np.prod(dims)), dtype="<f4").tobytes()
+    path.write_bytes(blob[:size])
+    return path
+
+
+# (id, call(tmp_path), error, exact message)
+ERRORS = [
+    ("frame_index-length", lambda p: TokenSequence(OPERAND, [0, 0, 1]),
+     ShapeMismatchError, "frame_index length must match token count"),
+    ("frame_index-start", lambda p: TokenSequence(OPERAND, [1, 1, 2, 2]),
+     InvalidParameterError, "frame ids must start at 0"),
+    ("qkv-token-count", lambda p: masked_attention(OPERAND, OPERAND[:2], OPERAND, FRAMES,
+                                                   AttentionWindow(2)),
+     ShapeMismatchError, "Q, K, V must agree on token count"),
+    ("qk-key-dimension", lambda p: masked_attention(OPERAND, np.ones((4, 3)), OPERAND, FRAMES,
+                                                    AttentionWindow(2)),
+     ShapeMismatchError, "Q and K must share the key dimension"),
+    ("global-window-span", lambda p: masked_attention(OPERAND, OPERAND, OPERAND, FRAMES,
+                                                      AttentionWindow(1, "global")),
+     InvalidParameterError, "global window must span the whole sequence"),
+    ("snr-zero-extended", lambda p: relative_snr(LATENT, VideoLatent(np.zeros((1, 4, 2, 2))),
+                                                 [0.5]),
+     DegenerateInputError, "extended input has zero total spectral energy"),
+    ("map-square", lambda p: AttnMap(np.full((2, 3), 1 / 3)),
+     InvalidParameterError, "map must be square, got (2, 3)"),
+    ("map-negative", lambda p: AttnMap([[1.5, -0.5], [0.5, 0.5]]),
+     InvalidParameterError, "map entries must be non-negative"),
+    ("map-rows", lambda p: AttnMap([[0.5, 0.4], [0.5, 0.5]]),
+     InvalidParameterError, "map rows must sum to 1"),
+    ("config-no-equals", lambda p: FusionPlan.from_text("t_alpha = 8\nalphas\n"),
+     InvalidParameterError, "line 2: expected 'key = value', got 'alphas'"),
+    ("config-empty-key", lambda p: SyntheticScene.from_text(" = 1\n"),
+     InvalidParameterError, "line 1: empty key"),
+    ("config-duplicate-key", lambda p: FusionPlan.from_text("t_alpha = 8\nt_alpha = 4\n"),
+     InvalidParameterError, "line 2: duplicate key 't_alpha'"),
+    ("config-bool", lambda p: FusionPlan.from_text("t_alpha = 8\nalphas = 1\nsparse_global = 1\n"),
+     InvalidParameterError, "sparse_global must be 'true' or 'false', got '1'"),
+    ("fuse-mask-shapes", lambda p: multiband_fuse([LATENT, LATENT], [MASKS[0], SMALL_MASK]),
+     ShapeMismatchError, "mask shapes differ"),
+    ("fuse-no-branch", lambda p: multiband_fuse([], []),
+     InvalidParameterError, "need at least one branch"),
+    ("fuse-mask-latent", lambda p: multiband_fuse([LATENT], [SMALL_MASK]),
+     ShapeMismatchError, "mask shape (2, 2, 2) does not match latent (4, 2, 2)"),
+    ("frequency_grid-domain", lambda p: frequency_grid((4, 2, 2), "polar"),
+     InvalidParameterError, "unknown domain_mode 'polar'"),
+    ("seed-64-bit", lambda p: SeededRng(2**64),
+     InvalidParameterError, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ("spfu-header", lambda p: read_tensor(spfu_file(p / "t.spfu", size=10)),
+     TruncatedPayloadError, "header truncated at 10 bytes"),
+    ("spfu-dtype", lambda p: read_tensor(spfu_file(p / "t.spfu", dtype=1)),
+     UnsupportedFormatError, "unsupported dtype code 1"),
+    ("spfu-rank", lambda p: read_tensor(spfu_file(p / "t.spfu", rank=3)),
+     UnsupportedFormatError, "unsupported rank 3"),
+    ("spfu-zero-axis", lambda p: read_tensor(spfu_file(p / "t.spfu", dims=(1, 0, 2, 2))),
+     InvalidShapeError, "shape must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [e[1:] for e in ERRORS],
+                         ids=[e[0] for e in ERRORS])
+def test_error_type_and_message(call, error, message, tmp_path):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call(tmp_path)
+    assert type(info.value) is error

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specfuse import config, fusion, selftest
+from specfuse import config, fusion
 from specfuse import (
     AttentionWindow,
     FrequencyMask,
@@ -345,11 +345,6 @@ class TestFusionPlan:
 
 
 class TestFusedAttention:
-    test_short_input_reduction_chain = staticmethod(selftest.check_short_input_idempotence)
-    test_two_branch_paths_agree_with_shared_masks = staticmethod(selftest.check_blend_reduction)
-    test_band_ownership = staticmethod(selftest.check_band_ownership)
-    test_sparse_substitution_stays_in_coarse_band = staticmethod(selftest.check_sparse_substitution)
-
     @staticmethod
     def assert_branches_equal_attention(t, tpf, d, seed, t_alpha, spatial):
         toks = random_tokens(t, tpf, d, seed)

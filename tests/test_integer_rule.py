@@ -1,9 +1,10 @@
 """The one integer rule, `config.check_integer`, at every entry point that takes
 a count, span, seed or dimension.
 
-Each entry point gets the same four inputs: an integral float and a bool,
-which must fail as non-integers, the value one below its lower bound, which
-must fail with the bound in the message, and a numpy integer, which must pass.
+Each entry point gets the same five inputs: an integral float, a fraction
+(a valid value plus 0.5) and a bool, which must fail as non-integers, the value
+one below its lower bound, which must fail with the bound in the message, and a
+numpy integer, which must pass.
 """
 
 import re
@@ -20,6 +21,7 @@ from specfuse import (
     TokenSequence,
     aggregate_attention,
     band_masks,
+    base_noise,
     frequency_grid,
     gaussian_latent,
     gaussian_lowpass,
@@ -66,6 +68,8 @@ ENTRIES = [
      InvalidParameterError, "frames", 2, 4),
     ("specmix-chw", lambda v: specmix(SpecMixParams(frames=8, t_alpha=4), (v, 2, 2)),
      InvalidShapeError, "shape", 1, 2),
+    ("base_noise-chw", lambda v: base_noise(SpecMixParams(frames=8, t_alpha=4), (2, 2, v)),
+     InvalidShapeError, "shape", 1, 2),
     ("latent-shape", lambda v: gaussian_latent((v, 2, 2, 2), SeededRng(0)),
      InvalidShapeError, "shape", 1, 2),
     ("scene-shape", lambda v: SyntheticScene(shape=(2, v, 2, 2)),
@@ -81,14 +85,15 @@ ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("kind", ["float", "bool", "below", "numpy"])
+@pytest.mark.parametrize("kind", ["float", "fraction", "bool", "below", "numpy"])
 @pytest.mark.parametrize("call, error, name, minimum, valid", [e[1:] for e in ENTRIES],
                          ids=[e[0] for e in ENTRIES])
 def test_integer_rule(call, error, name, minimum, valid, kind):
     if kind == "numpy":
         call(np.int64(valid))
         return
-    value = {"float": float(valid), "bool": True, "below": minimum - 1}[kind]
+    value = {"float": float(valid), "fraction": valid + 0.5, "bool": True,
+             "below": minimum - 1}[kind]
     message = (f"{name} must be >= {minimum}, got {value}" if kind == "below"
                else f"{name} must be an integer, got {value!r}")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

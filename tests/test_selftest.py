@@ -1,8 +1,9 @@
 """Every registry check is its own tier-1 case, every check is registered,
 and the `specfuse selftest` transcript is byte-stable with one line per check.
 
-Tests in other modules that assert a registry invariant are aliases of its
-check (`test_x = staticmethod(selftest.check_y)`), kept under their names.
+Tests in other modules do not restate a check: `test_check[<name>]` runs each
+one. A few aliases (`test_x = staticmethod(selftest.check_y)`) still re-run a
+check under another name; they are redundant with `test_check`.
 """
 
 import inspect

@@ -249,10 +249,11 @@ class TestFrequencyMaskType:
 
     @pytest.mark.parametrize("shape", [(4, 4), (4,), (2, 4, 4, 4)])
     def test_grid_of_wrong_rank_rejected(self, shape):
+        message = f"^grid axes must have 3 items, got {len(shape)}$"
         for mode in ("temporal", "radial"):
-            with pytest.raises(InvalidShapeError, match="must be \\(T, H, W\\)"):
+            with pytest.raises(InvalidShapeError, match=message):
                 gaussian_lowpass(shape, 0.25, mode)
-            with pytest.raises(InvalidShapeError, match="must be \\(T, H, W\\)"):
+            with pytest.raises(InvalidShapeError, match=message):
                 band_masks((1, 2), shape, mode)
 
     def test_rejects_asymmetric(self):
