@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer, check_real, check_sequence
+from .config import check_instance, check_integer, check_real, check_sequence
 from .errors import DegenerateInputError, InvalidParameterError
 from .spectral import _half_layout, _rfftn, frequency_grid
 from .tensor_core import VideoLatent, _check_kind, check_array
@@ -53,7 +53,9 @@ def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndar
     unchanged. The latent is real, so the last transformed axis keeps its
     half spectrum: bins 1 .. (n-1)//2 stand for their conjugate mirrors too
     and count twice, and the grid is symmetric, so a mirror is in its band.
+    An `x` that is not a VideoLatent raises InvalidParameterError.
     """
+    check_instance(x, "x", kind=VideoLatent)
     edges = _check_edges(edges)
     grid = frequency_grid(x.shape[1:], domain_mode)
     axes, index = _half_layout(grid)
@@ -142,8 +144,11 @@ def relative_snr(reference: VideoLatent, extended: VideoLatent, edges,
 
     Temporal axes (and shapes generally) may differ; normalization by each
     input's total energy makes the ratios scale-free. A ratio of 1 means the
-    band holds the same share of the spectrum in both inputs. Edges as in `band_energy`.
+    band holds the same share of the spectrum in both inputs. Edges as in
+    `band_energy`; inputs that are not VideoLatents raise InvalidParameterError.
     """
+    check_instance(reference, "reference", kind=VideoLatent)
+    check_instance(extended, "extended", kind=VideoLatent)
     edges = _check_edges(edges)
     ref_e = band_energy(reference, edges, domain_mode)
     ext_e = band_energy(extended, edges, domain_mode)
@@ -222,8 +227,9 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
 
 
 def diagonality(attn: AttnMap) -> float:
-    """Fraction of attention mass within |i - j| <= max(1, T // 16)."""
-    t = attn.frames
+    """Fraction of attention mass within |i - j| <= max(1, T // 16); an `attn`
+    that is not an AttnMap raises InvalidParameterError."""
+    t = check_instance(attn, "attn", kind=AttnMap).frames
     radius = max(1, t // 16)
     i = np.arange(t)
     band = np.abs(i[:, None] - i[None, :]) <= radius

@@ -129,6 +129,14 @@ def check_sequence(value, name: str, error: type = InvalidParameterError,
 check_size = functools.partial(check_integer, minimum=1)
 
 
+def check_instance(value, name: str, error: type = InvalidParameterError, *, kind: type):
+    """`value` if it is a `kind`, else `error` naming `name`: the class rule for
+    typed parameters, and with `kind` bound, an item reader for `check_sequence`."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def thread_cap() -> int:
     """SPFU_THREADS as an integer >= 0; 0 when unset, meaning no cap."""
     return check_integer(parse_number(os.environ.get("SPFU_THREADS", "0"), "SPFU_THREADS"),

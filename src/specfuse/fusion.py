@@ -32,6 +32,7 @@ short inputs unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,7 +161,8 @@ def _fusion_operands(branch_outputs, masks):
     cache, and never less than one channel.
     """
     branch_outputs = config.check_sequence(branch_outputs, "branch outputs")
-    masks = config.check_sequence(masks, "masks", length=len(branch_outputs))
+    masks = config.check_sequence(masks, "masks", length=len(branch_outputs),
+                                  item=functools.partial(config.check_instance, kind=FrequencyMask))
     if not branch_outputs:
         raise InvalidParameterError("need at least one branch")
     data = [b.data if isinstance(b, VideoLatent) else check_array(b, "branch outputs", 4)
@@ -267,7 +269,9 @@ def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
 
     The two-band case of multiband_fuse, with masks [1 - P, P] over
     [z_local, z_global]: ifft3(fft3(z_local) * (1 - P) + fft3(z_global) * P).
+    An `lpf` that is not a FrequencyMask raises InvalidParameterError.
     """
+    config.check_instance(lpf, "lpf", kind=FrequencyMask)
     return multiband_fuse([z_local, z_global], [lpf.complement(), lpf])
 
 

@@ -7,6 +7,7 @@ the energy lands. Desk-scale defaults keep brute-force oracles tractable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,8 @@ def _parse_tone(item: str, key: str) -> Tone:
 @dataclass(frozen=True)
 class SyntheticScene:
     """Recipe for a test latent: tones plus noise at a given shape (four ints
-    >= 1, else InvalidShapeError); non-sequence tones raise InvalidParameterError."""
+    >= 1, else InvalidShapeError); tones not a sequence of Tones raise
+    InvalidParameterError."""
 
     shape: tuple[int, int, int, int]
     tones: tuple[Tone, ...] = ()
@@ -63,7 +65,8 @@ class SyntheticScene:
         config.check_integer(self.seed, "seed", minimum=0)
         object.__setattr__(self, "shape", config.check_sequence(
             self.shape, "shape", InvalidShapeError, 4, config.check_size))
-        object.__setattr__(self, "tones", config.check_sequence(self.tones, "tones"))
+        object.__setattr__(self, "tones", config.check_sequence(
+            self.tones, "tones", item=functools.partial(config.check_instance, kind=Tone)))
 
     @classmethod
     def from_text(cls, text: str) -> "SyntheticScene":

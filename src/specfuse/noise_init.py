@@ -14,7 +14,10 @@ keeps the variance at 1 in expectation. Mixing domains ("mix_domain"):
 
 * "spatial" (default): a direct per-frame mix,
   cos_w[t] * base[t] + sin_w[t] * residual[t]. Weights at the extreme
-  frames are clamped to exact 0/1.
+  frames are clamped to exact 0/1. The residual stream is written
+  straight into the float32 output and mixed in place, one window and
+  channel block at a time in float64 scratch; each window's base frames
+  are read from the first window, so the base is never built.
 * "full3d": the index is the temporal-frequency bin; both inputs are
   transformed along T, mixed bin by bin, and transformed back, keeping
   the real part of the inverse.
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor_core
 from .config import check_integer, check_sequence, check_size
 from .errors import InvalidParameterError, InvalidShapeError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
@@ -52,6 +56,18 @@ class SpecMixParams:
         check_integer(self.frames, "frames", minimum=t_alpha)
 
 
+def _windows(params: SpecMixParams):
+    """(frames, base) per window of t_alpha frames, in order: the window's
+    slice of the T axis and the indices of its base frames in the first
+    window, from the seed_perm stream."""
+    t, ta = params.frames, params.t_alpha
+    yield slice(0, ta), np.arange(ta)
+    perm_rng = SeededRng(params.seed_perm)
+    for start in range(ta, t, ta):
+        length = min(ta, t - start)
+        yield slice(start, start + length), perm_rng.permutation(ta)[:length]
+
+
 def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     """Window-shuffled consistency noise of shape (C, frames, H, W).
 
@@ -61,16 +77,11 @@ def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     A `chw` not three ints >= 1 raises InvalidShapeError naming "shape".
     """
     c, h, w = check_sequence(chw, "shape", InvalidShapeError, 3, check_size)
-    t, ta = params.frames, params.t_alpha
-    first = gaussian_latent((c, ta, h, w), SeededRng(params.seed_base)).data
-    out = np.empty((c, t, h, w), dtype=np.float32)
-    out[:, :ta] = first
-    perm_rng = SeededRng(params.seed_perm)
-    for start in range(ta, t, ta):
-        length = min(ta, t - start)
-        perm = perm_rng.permutation(ta)
-        out[:, start : start + length] = first[:, perm[:length]]
-    return VideoLatent(out)
+    first = gaussian_latent((c, params.t_alpha, h, w), SeededRng(params.seed_base)).data
+    out = np.empty((c, params.frames, h, w), dtype=np.float32)
+    for frames, base in _windows(params):
+        np.take(first, base, axis=1, out=out[:, frames])
+    return VideoLatent._adopt(out)
 
 
 def _mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,16 +105,40 @@ def specmix(params: SpecMixParams, chw: tuple[int, int, int],
             mix_domain: str = "spatial") -> VideoLatent:
     """Center-weighted mix of base and residual noise, (C, frames, H, W).
 
-    "spatial" mixes frame by frame in float64; "full3d" mixes the
-    temporal FFT bins and keeps the real part of the inverse. See the
-    module docstring. Deterministic given the three seeds. `chw` as in `base_noise`.
+    "spatial" mixes frame by frame in float64, in place in the float32
+    output one window and channel block at a time, and rounds each value
+    once; it never holds the whole base or a float64 latent. "full3d"
+    mixes the temporal FFT bins and keeps the real part of the inverse.
+    See the module docstring. Deterministic given the three seeds. `chw`
+    as in `base_noise`.
     """
     if mix_domain not in MIX_DOMAINS:
         raise InvalidParameterError(f"unknown mix_domain {mix_domain!r}")
-    base = base_noise(params, chw).data.astype(np.float64)
-    res = gaussian_latent(base.shape, SeededRng(params.seed_res)).data.astype(np.float64)
+    if mix_domain == "full3d":
+        base = base_noise(params, chw).data.astype(np.float64)
+        res = gaussian_latent(base.shape, SeededRng(params.seed_res)).data.astype(np.float64)
+        cos_w, sin_w = _mix_weights(params.frames)
+        mixed = cos_w * np.fft.fft(base, axis=1) + sin_w * np.fft.fft(res, axis=1)
+        return VideoLatent(np.fft.ifft(mixed, axis=1).real)
+    c, h, w = check_sequence(chw, "shape", InvalidShapeError, 3, check_size)
+    ta = params.t_alpha
+    first = gaussian_latent((c, ta, h, w), SeededRng(params.seed_base)).data
+    out = np.empty((c, params.frames, h, w), dtype=np.float32)
+    SeededRng(params.seed_res)._normals_into(out.reshape(-1))
     cos_w, sin_w = _mix_weights(params.frames)
-    if mix_domain == "spatial":
-        return VideoLatent(cos_w * base + sin_w * res)
-    mixed = cos_w * np.fft.fft(base, axis=1) + sin_w * np.fft.fft(res, axis=1)
-    return VideoLatent(np.fft.ifft(mixed, axis=1).real)
+    # A mix block is `per` channels of one window, about as many values as
+    # a block of the stream: (cos_w * base) + (sin_w * res) in float64
+    # scratch, rounded once into `out`.
+    per = max(1, 2 * tensor_core._BLOCK_PAIRS // (ta * h * w))
+    gathered = np.empty((min(per, c), ta, h, w), dtype=np.float32)
+    cos_term, sin_term = np.empty(gathered.shape), np.empty(gathered.shape)
+    for frames, base in _windows(params):
+        for lo in range(0, c, per):
+            res = out[lo : lo + per, frames]
+            n = res.shape[0]
+            g, a, b = (buf[:n, : len(base)] for buf in (gathered, cos_term, sin_term))
+            np.take(first[lo : lo + n], base, axis=1, out=g)
+            np.multiply(cos_w[:, frames], g, out=a)
+            np.multiply(sin_w[:, frames], res, out=b)
+            np.add(a, b, out=res)
+    return VideoLatent._adopt(out)

@@ -35,6 +35,9 @@ MAGIC = b"SPFU"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
 _HEADER = struct.Struct("<4sHBB4I")
+# Normal pairs per block of the stream: a block's Philox words, uniforms and
+# Box-Muller terms (56 bytes a pair, 448 KiB) stay in L2.
+_BLOCK_PAIRS = 2**13
 
 
 def _check_kind(arr: np.ndarray, name: str, dtype=np.float64,
@@ -83,6 +86,16 @@ class VideoLatent:
         object.__setattr__(self, "data",
                            check_array(self.data, "latent values", 4, np.float32, copy=True))
 
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> "VideoLatent":
+        """A latent that takes `data`, a new float32 (C, T, H, W) C-contiguous
+        array of finite values that no one else holds, without the copy and
+        the finiteness pass."""
+        data.flags.writeable = False
+        latent = cls.__new__(cls)
+        object.__setattr__(latent, "data", data)
+        return latent
+
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
@@ -103,6 +116,11 @@ class SeededRng:
     Same seed gives a bit-identical stream across runs; transcendental
     calls (log, cos, sin) bind the normal stream to the platform libm.
     Instances are stateful and single-owner: do not share across threads.
+
+    Normals are made in blocks of `_BLOCK_PAIRS` pairs: each block's words,
+    uniforms and Box-Muller terms live in scratch reused from block to
+    block, and only the caller's array, in the caller's dtype, is written
+    at full size. The blocks change no value and no stream position.
     """
 
     def __init__(self, seed: int):
@@ -111,22 +129,53 @@ class SeededRng:
             raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self._bits = np.random.Philox(key=self.seed)
 
+    def _uniforms_into(self, u: np.ndarray) -> None:
+        """Fill the float64 1-D array `u` with the next u.size uniforms."""
+        raw = self._bits.random_raw(u.size)
+        np.right_shift(raw, 11, out=raw)
+        u[...] = raw
+        u += 0.5
+        u *= 2.0**-53
+
+    def _normals_into(self, out: np.ndarray) -> None:
+        """Fill the 1-D float array `out` with the next out.size normals, rounded
+        once to its dtype; consumes ceil(out.size/2)*2 stream values.
+
+        The one normal path. Each block of pairs runs the Box-Muller
+        formula in float64 scratch, in the order of the spec, then writes
+        its z0 and z1 interleaved into `out`. An odd size drops the last
+        pair's z1, as a pair-buffered stream does.
+        """
+        n = out.size
+        pairs = (n + 1) // 2
+        step = max(1, min(pairs, _BLOCK_PAIRS))
+        u, r, cos, sin = np.empty(2 * step), np.empty(step), np.empty(step), np.empty(step)
+        for first in range(0, pairs, step):
+            m = min(step, pairs - first)
+            lo, hi = 2 * first, min(2 * (first + m), n)
+            u_, r_, cos_, sin_ = u[: 2 * m], r[:m], cos[:m], sin[:m]
+            self._uniforms_into(u_)
+            np.log(u_[0::2], out=r_)
+            r_ *= -2.0
+            np.sqrt(r_, out=r_)
+            np.multiply(u_[1::2], 2.0 * np.pi, out=sin_)
+            np.cos(sin_, out=cos_)
+            np.sin(sin_, out=sin_)
+            np.multiply(r_, cos_, out=out[lo:hi:2])
+            odd = (hi - lo) // 2
+            np.multiply(r_[:odd], sin_[:odd], out=out[lo + 1 : hi : 2])
+
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 values uniform on the open interval (0, 1)."""
-        raw = self._bits.random_raw(check_integer(n, "n", minimum=0))
-        return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        u = np.empty(check_integer(n, "n", minimum=0))
+        self._uniforms_into(u)
+        return u
 
     def normals(self, n: int) -> np.ndarray:
         """n float64 standard-normal values."""
-        n = check_integer(n, "n", minimum=0)
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u1, u2 = u[0::2], u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return out[:n]
+        out = np.empty(check_integer(n, "n", minimum=0))
+        self._normals_into(out)
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """A permutation of range(n) as int64, via Fisher-Yates."""
@@ -144,11 +193,14 @@ def gaussian_latent(shape: tuple, rng: SeededRng) -> VideoLatent:
     """Sample a latent of i.i.d. standard-normal entries.
 
     A `shape` not four ints >= 1 raises InvalidShapeError. Deterministic
-    given the rng state; consumes ceil(n/2)*2 stream values.
+    given the rng state; consumes ceil(n/2)*2 stream values. The stream is
+    written straight into the float32 data, each value rounded once from
+    its float64 normal, so no float64 array of the latent's size exists.
     """
     dims = check_sequence(shape, "shape", InvalidShapeError, 4, check_size)
-    n = int(np.prod(dims))
-    return VideoLatent(rng.normals(n).reshape(dims))
+    data = np.empty(dims, dtype=np.float32)
+    rng._normals_into(data.reshape(-1))
+    return VideoLatent._adopt(data)
 
 
 def write_tensor(path, latent: VideoLatent) -> None:

@@ -3,7 +3,7 @@
 One row per raise statement: frame ids and attention operands, the zero-energy
 extended input of `relative_snr`, `AttnMap`'s invariants, the config dialect,
 fusion operands, `frequency_grid`'s domain mode, the seed range and the
-`.spfu` header.
+`.spfu` header; and every typed parameter given an object of another class.
 """
 
 import re
@@ -21,13 +21,16 @@ from specfuse import (
     SyntheticScene,
     TokenSequence,
     VideoLatent,
+    band_energy,
     band_masks,
+    diagonality,
     frequency_grid,
     gaussian_latent,
     masked_attention,
     multiband_fuse,
     read_tensor,
     relative_snr,
+    spectral_blend,
 )
 from specfuse.errors import (DegenerateInputError, InvalidParameterError, InvalidShapeError,
                              ShapeMismatchError, TruncatedPayloadError, UnsupportedFormatError)
@@ -106,3 +109,37 @@ def test_error_type_and_message(call, error, message, tmp_path):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+ARRAY = np.ones((1, 4, 2, 2))
+# (id, call, exact message): a typed parameter given a plain array or a str
+# raises InvalidParameterError naming it, before any transform runs.
+WRONG_CLASS = [
+    ("fuse-mask-weights", lambda: multiband_fuse([LATENT, LATENT], [m.weights for m in MASKS]),
+     "masks must be of type FrequencyMask, got ndarray"),
+    ("blend-lpf-array", lambda: spectral_blend(LATENT, LATENT, np.ones((4, 2, 2))),
+     "lpf must be of type FrequencyMask, got ndarray"),
+    ("diagonality-array", lambda: diagonality(np.eye(3)),
+     "attn must be of type AttnMap, got ndarray"),
+    ("snr-reference-array", lambda: relative_snr(ARRAY, LATENT, [1.0]),
+     "reference must be of type VideoLatent, got ndarray"),
+    ("snr-extended-array", lambda: relative_snr(LATENT, ARRAY, [1.0]),
+     "extended must be of type VideoLatent, got ndarray"),
+    ("band-energy-array", lambda: band_energy(ARRAY, [1.0]),
+     "x must be of type VideoLatent, got ndarray"),
+    ("scene-tone-str", lambda: SyntheticScene(shape=(1, 4, 2, 2), tones=("t",)),
+     "tones must be of type Tone, got str"),
+]
+
+
+@pytest.mark.parametrize("call, message", [e[1:] for e in WRONG_CLASS],
+                         ids=[e[0] for e in WRONG_CLASS])
+def test_wrong_class_rejected_before_any_transform(call, message, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the class check")
+
+    for name in ("fftn", "ifftn", "rfftn", "irfft"):
+        monkeypatch.setattr(np.fft, name, no_transform)
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is InvalidParameterError

@@ -1,11 +1,15 @@
 """Shuffled base noise, mixing weights, and the noise mixer."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from specfuse import selftest
+from noise_oracle import base_data, mix_inputs, mix_weights, spatial_mix
+from specfuse import tensor_core
 from specfuse import (
     InvalidParameterError,
     InvalidShapeError,
@@ -18,33 +22,17 @@ from specfuse import (
 from specfuse.noise_init import _mix_weights
 
 
+# (frames, t_alpha, (C, H, W)): odd H * W, frames not a multiple of t_alpha,
+# t_alpha == frames, C = 1, one frame, and 16 windows.
+MIX_CASES = [(12, 4, (2, 3, 5)), (17, 8, (3, 4, 4)), (8, 8, (2, 3, 3)), (21, 4, (1, 5, 3)),
+             (1, 1, (2, 3, 4)), (256, 16, (2, 4, 4))]
+
+
 def frame_digest(data: np.ndarray, t: int) -> str:
     return hashlib.sha256(data[:, t].tobytes()).hexdigest()
 
 
-def mix_inputs(params: SpecMixParams, chw) -> tuple[np.ndarray, np.ndarray]:
-    """The base and residual noise specmix mixes, in float64."""
-    c, h, w = chw
-    res = gaussian_latent((c, params.frames, h, w), SeededRng(params.seed_res))
-    return base_noise(params, chw).data.astype(np.float64), res.data.astype(np.float64)
-
-
-def mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of d * pi/2 per temporal index, the extreme indices exactly 0/1.
-
-    d = |t - c| / c is index t's distance to the centre c = (frames - 1) / 2.
-    """
-    centre = (frames - 1) / 2
-    theta = np.array([abs(t - centre) / centre for t in range(frames)]) * np.pi / 2
-    cos_w, sin_w = np.cos(theta), np.sin(theta)
-    cos_w[-1] = cos_w[0] = 0.0
-    sin_w[-1] = sin_w[0] = 1.0
-    return cos_w[None, :, None, None], sin_w[None, :, None, None]
-
-
 class TestBaseNoise:
-    test_second_window_is_permutation = staticmethod(selftest.check_base_noise_multiset)
-
     def test_native_length_is_plain_gaussian(self):
         params = SpecMixParams(frames=8, t_alpha=8, seed_base=3, seed_res=4, seed_perm=5)
         noise = base_noise(params, (2, 4, 4))
@@ -102,19 +90,39 @@ class TestCenterDistance:
 
 
 class TestSpecmix:
-    test_per_slice_variance = staticmethod(selftest.check_specmix_variance)
+    def test_spatial_mode_matches_pixel_domain_mix(self, monkeypatch):
+        # Spatial mode is the per-frame mix itself, cos_w * base + sin_w *
+        # residual over whole float64 copies, stored once in float32, and
+        # the base is the whole shuffled base, at every block size.
+        for block in (1, 3, 16, tensor_core._BLOCK_PAIRS):
+            monkeypatch.setattr(tensor_core, "_BLOCK_PAIRS", block)
+            for frames, t_alpha, chw in MIX_CASES:
+                params = SpecMixParams(frames, t_alpha, seed_base=7, seed_res=8, seed_perm=9)
+                assert specmix(params, chw).data.tobytes() == spatial_mix(params, chw).tobytes()
+                assert base_noise(params, chw).data.tobytes() == base_data(params, chw).tobytes()
 
-    def test_spatial_mode_matches_pixel_domain_mix(self):
-        # Spatial mode is the per-frame mix itself, computed in float64
-        # and stored once in float32.
-        for frames, t_alpha in ((12, 4), (17, 8), (256, 16)):
-            params = SpecMixParams(frames=frames, t_alpha=t_alpha, seed_base=7, seed_res=8,
-                                   seed_perm=9)
-            out = specmix(params, (2, 4, 4)).data
-            base, res = mix_inputs(params, (2, 4, 4))
-            cos_w, sin_w = mix_weights(frames)
-            direct = cos_w * base + sin_w * res
-            assert np.array_equal(out, direct.astype(np.float32))
+    @given(c=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+           t_alpha=st.integers(1, 6), extra=st.integers(0, 13), block=st.integers(1, 48),
+           seed=st.integers(0, 2**32))
+    def test_drawn_shapes_and_blocks_match_the_whole_array_mix(self, c, h, w, t_alpha, extra,
+                                                               block, seed):
+        params = SpecMixParams(t_alpha + extra, t_alpha, seed, seed + 1, seed + 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_core, "_BLOCK_PAIRS", block)
+            out = specmix(params, (c, h, w)).data
+        assert out.tobytes() == spatial_mix(params, (c, h, w)).tobytes()
+
+    def test_working_set(self):
+        # signal-diag's noise: the float32 output (4 MiB), the first window
+        # and one block's scratch. The whole-array mix held 36 MiB.
+        params = SpecMixParams(frames=256, t_alpha=16, seed_base=1, seed_res=2, seed_perm=3)
+        tracemalloc.start()
+        try:
+            specmix(params, (16, 16, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
     @pytest.mark.parametrize("mode, axes", [("spatial", (2, 3)), ("full3d", (1, 2, 3))])
     def test_matches_the_spectral_formulation(self, mode, axes):
@@ -165,3 +173,4 @@ class TestSpecmix:
         chw = tuple(np.int64(n) for n in (2, 4, 3))
         for make in (base_noise, specmix):
             assert make(params, chw).data.tobytes() == make(params, (2, 4, 3)).data.tobytes()
+

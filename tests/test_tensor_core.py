@@ -1,9 +1,14 @@
 """Tensor construction, seeded sampling, and the .spfu file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from specfuse import selftest
+from noise_oracle import OracleRng
+from specfuse import tensor_core
 from specfuse import (
     BadMagicError,
     InvalidParameterError,
@@ -63,6 +68,69 @@ class TestSeededRng:
             SeededRng(seed)
 
 
+def stream_lengths(block: int) -> list[int]:
+    """Normal counts around the block edges: 0, 1, 2, B-1, B, B+1 and 2B+3
+    pairs, each as 2p and, for p >= 1, the odd 2p - 1 values."""
+    pairs = sorted({0, 1, 2, block - 1, block, block + 1, 2 * block + 3})
+    return sorted({n for p in pairs for n in (2 * p, 2 * p - 1) if n >= 0})
+
+
+class TestBlockedStream:
+    """The blocked normal stream against the one-shot Box-Muller formula."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8])
+    def test_normals_match_the_one_shot_formula(self, block, monkeypatch):
+        monkeypatch.setattr(tensor_core, "_BLOCK_PAIRS", block)
+        for n in stream_lengths(block):
+            rng, oracle = SeededRng(11), OracleRng(11)
+            assert rng.normals(n).tobytes() == oracle.normals(n).tobytes(), n
+            # The stream position: the next draws of either kind agree too.
+            assert rng.uniforms(3).tobytes() == oracle.uniforms(3).tobytes(), n
+            assert rng.permutation(6).tobytes() == oracle.permutation(6).tobytes(), n
+            assert rng.normals(5).tobytes() == oracle.normals(5).tobytes(), n
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8])
+    def test_float32_latent_rounds_the_one_shot_formula_once(self, block, monkeypatch):
+        monkeypatch.setattr(tensor_core, "_BLOCK_PAIRS", block)
+        for n in stream_lengths(block)[1:]:
+            rng, oracle = SeededRng(12), OracleRng(12)
+            lat = gaussian_latent((1, n, 1, 1), rng)
+            assert lat.data.dtype == np.float32
+            assert lat.data.tobytes() == oracle.normals(n).astype(np.float32).tobytes(), n
+            assert rng.uniforms(3).tobytes() == oracle.uniforms(3).tobytes(), n
+
+    def test_default_block_at_its_edges(self):
+        block = tensor_core._BLOCK_PAIRS
+        for n in (2 * block - 1, 2 * block, 2 * block + 1, 4 * block + 3):
+            assert SeededRng(13).normals(n).tobytes() == OracleRng(13).normals(n).tobytes()
+
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 200), block=st.integers(1, 40),
+           float32=st.booleans())
+    def test_drawn_lengths_and_blocks(self, seed, n, block, float32):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_core, "_BLOCK_PAIRS", block)
+            rng, oracle = SeededRng(seed), OracleRng(seed)
+            want = oracle.normals(n)
+            if float32 and n:
+                got = gaussian_latent((1, 1, 1, n), rng).data.ravel()
+                want = want.astype(np.float32)
+            else:
+                got = rng.normals(n)
+            assert got.tobytes() == want.tobytes()
+            assert rng.uniforms(2).tobytes() == oracle.uniforms(2).tobytes()
+
+    def test_latent_working_set(self):
+        # 2**20 values: the float32 data (4 MiB) and one block's scratch; the
+        # one-shot formula held 28 MiB of float64 and uint64 temporaries.
+        tracemalloc.start()
+        try:
+            gaussian_latent((16, 256, 16, 16), SeededRng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
+
 class TestGaussianLatent:
     def test_sample_statistics(self):
         # N = 4096: mean inside 0.05 of 0, variance inside 0.1 of 1.
@@ -120,8 +188,6 @@ class TestVideoLatent:
 
 
 class TestFileFormat:
-    test_value_roundtrip = staticmethod(selftest.check_file_roundtrip)
-
     def test_byte_roundtrip(self, tmp_path):
         lat = gaussian_latent((3, 2, 2, 2), SeededRng(12))
         p1, p2 = tmp_path / "a.spfu", tmp_path / "b.spfu"
