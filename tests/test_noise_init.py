@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from noise_oracle import base_data, mix_inputs, mix_weights, spatial_mix
-from specfuse import tensor_core
+from specfuse import selftest, tensor_core
 from specfuse import (
     InvalidParameterError,
     InvalidShapeError,
@@ -33,6 +33,8 @@ def frame_digest(data: np.ndarray, t: int) -> str:
 
 
 class TestBaseNoise:
+    test_second_window_is_permutation = staticmethod(selftest.check_base_noise_multiset)
+
     def test_native_length_is_plain_gaussian(self):
         params = SpecMixParams(frames=8, t_alpha=8, seed_base=3, seed_res=4, seed_perm=5)
         noise = base_noise(params, (2, 4, 4))
@@ -90,6 +92,8 @@ class TestCenterDistance:
 
 
 class TestSpecmix:
+    test_per_slice_variance = staticmethod(selftest.check_specmix_variance)
+
     def test_spatial_mode_matches_pixel_domain_mix(self, monkeypatch):
         # Spatial mode is the per-frame mix itself, cos_w * base + sin_w *
         # residual over whole float64 copies, stored once in float32, and

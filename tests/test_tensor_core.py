@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from noise_oracle import OracleRng
-from specfuse import tensor_core
+from specfuse import selftest, tensor_core
 from specfuse import (
     BadMagicError,
     InvalidParameterError,
@@ -188,6 +188,8 @@ class TestVideoLatent:
 
 
 class TestFileFormat:
+    test_value_roundtrip = staticmethod(selftest.check_file_roundtrip)
+
     def test_byte_roundtrip(self, tmp_path):
         lat = gaussian_latent((3, 2, 2, 2), SeededRng(12))
         p1, p2 = tmp_path / "a.spfu", tmp_path / "b.spfu"
