@@ -154,8 +154,7 @@ class AttentionWindow:
 
     def __post_init__(self):
         check_integer(self.span_frames, "span_frames", minimum=1)
-        if self.kind not in ("local", "global"):
-            raise InvalidParameterError(f"unknown window kind {self.kind!r}")
+        config.check_choice(self.kind, "kind", ("local", "global"))
 
     @classmethod
     def local(cls, span_frames: int) -> "AttentionWindow":
@@ -251,9 +250,11 @@ def _projected_stacks(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.nd
 
 
 def _check_qkv(q, k, v, frame_index):
-    """The one operand check of every attention entry: finite float64 q, k, v, frame ids, T."""
-    q, k, v = (check_array(x, name, 2) for name, x in zip("qkv", (q, k, v)))
-    if not (q.shape[0] == k.shape[0] == v.shape[0]):
+    """The one operand check of every attention entry: finite float64 q, k, v
+    (None for the maps, which take no values), frame ids, T."""
+    q, k = check_array(q, "q", 2), check_array(k, "k", 2)
+    v = None if v is None else check_array(v, "v", 2)
+    if k.shape[0] != q.shape[0] or v is not None and v.shape[0] != q.shape[0]:
         raise ShapeMismatchError("Q, K, V must agree on token count")
     if q.shape[1] != k.shape[1]:
         raise ShapeMismatchError("Q and K must share the key dimension")
@@ -474,7 +475,7 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     `frame_attention`: memory is quadratic in the token count (2 GiB at
     16384 tokens), so frame-level maps come from `frame_attention`.
     """
-    q, k, _, _, t = _check_qkv(q, k, q, frame_index)
+    q, k, _, _, t = _check_qkv(q, k, None, frame_index)
     admitted = _frame_set(t, window=window, keyframes=keyframes)
     tpf, d = len(q) // t, q.shape[1]
     q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
@@ -500,7 +501,7 @@ def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,
     (n, n) matrix is formed. Exactly one of `window` / `keyframes` selects
     the mask; both None means global.
     """
-    q, k, _, _, t = _check_qkv(q, k, q, frame_index)
+    q, k, _, _, t = _check_qkv(q, k, None, frame_index)
     admitted = _frame_set(t, window=window, keyframes=keyframes)
     q3, kt3, v3 = _operand_stacks(t, len(q) // t, q.shape[1], t, q, k)
     v3[..., :t] = np.eye(t)[:, None]  # frame i's tokens hold the indicator of frame i

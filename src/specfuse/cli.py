@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 
-from .config import thread_cap
+from .config import DOMAIN_MODES, MIX_DOMAINS, thread_cap
 from .errors import InvalidParameterError
 
 
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", dest="local_path", required=True,
                    help="latent carrying the high band (.spfu)")
     p.add_argument("--d0", type=float, default=0.25, help="low-pass stop frequency")
-    p.add_argument("--domain", choices=("radial", "temporal"), default="radial",
+    p.add_argument("--domain", choices=DOMAIN_MODES, default="radial",
                    help="frequency distance mode for the low-pass filter")
     p.add_argument("--out", required=True)
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--width", type=int, default=8)
-    p.add_argument("--mix-domain", choices=("spatial", "full3d"), default="spatial")
+    p.add_argument("--mix-domain", choices=MIX_DOMAINS, default="spatial")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("analyze", help="band-wise relative SNR of extended vs reference")
@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ext", required=True, help="extended latent (.spfu)")
     p.add_argument("--bands", type=int, default=16)
     p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument("--domain", choices=("temporal", "radial"), default="temporal")
+    p.add_argument("--domain", choices=DOMAIN_MODES, default="temporal")
     p.add_argument("--out", required=True, help="CSV path (band_lo,band_hi,ratio,available)")
 
     p = sub.add_parser("attnmap", help="frame-level attention map and diagonality score")

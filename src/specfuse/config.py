@@ -1,6 +1,7 @@
 """Plain-text key = value config dialect shared by plans and scene specs,
-the integer, real-number and sequence rules, the SPFU_THREADS environment variable,
-and the thread pool that splits a pass into shares.
+the integer, real-number, sequence and choice rules, the mode vocabularies,
+the SPFU_THREADS environment variable, and the thread pool that splits a pass
+into shares.
 
 One `key = value` pair per line; blank lines and lines starting with '#'
 are ignored. Keys are case-sensitive. No sections, no nesting.
@@ -24,6 +25,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameterError
+
+# The mode vocabularies, defined here so the library's checks and the CLI's
+# choices read the same tuples without loading numpy.
+DOMAIN_MODES = ("temporal", "radial")
+MIX_DOMAINS = ("spatial", "full3d")
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -131,9 +137,20 @@ check_size = functools.partial(check_integer, minimum=1)
 
 def check_instance(value, name: str, error: type = InvalidParameterError, *, kind: type):
     """`value` if it is a `kind`, else `error` naming `name`: the class rule for
-    typed parameters, and with `kind` bound, an item reader for `check_sequence`."""
+    typed parameters, and with `kind` bound, an item reader for `check_sequence`.
+    A class of the same name as `kind` is shown with its module: numpy.bool."""
     if not isinstance(value, kind):
-        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+        got = type(value)
+        got = f"{got.__module__}.{got.__name__}" if got.__name__ == kind.__name__ else got.__name__
+        raise error(f"{name} must be of type {kind.__name__}, got {got}")
+    return value
+
+
+def check_choice(value, name: str, choices: tuple, error: type = InvalidParameterError) -> str:
+    """`value` if it is a str (a subclass too, such as numpy's) among `choices`,
+    else `error` naming `name`: the one rule for every mode, kind and axis name."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"{name} must be one of {choices}, got {value!r}")
     return value
 
 

@@ -50,7 +50,7 @@ from .attention import (
 )
 from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueError,
                      ShapeMismatchError)
-from .spectral import (DOMAIN_MODES, FrequencyMask, _check_alphas, _check_residue, _half_layout,
+from .spectral import (FrequencyMask, _check_alphas, _check_residue, _half_layout,
                        _half_shape, _irfftn_real, _rfftn, band_masks, gaussian_lowpass)
 from .tensor_core import VideoLatent, check_array
 
@@ -112,11 +112,9 @@ class FusionPlan:
     def __post_init__(self):
         config.check_integer(self.t_alpha, "t_alpha", minimum=1)
         alphas = _check_alphas(self.alphas, InvalidPlanError)
-        if not isinstance(self.sparse_global, bool):
-            raise InvalidParameterError(f"sparse_global must be a bool, got {self.sparse_global!r}")
+        config.check_instance(self.sparse_global, "sparse_global", kind=bool)
         object.__setattr__(self, "d0", config.check_real(self.d0, "d0", 0, 1, low_open=True))
-        if self.domain_mode not in DOMAIN_MODES:
-            raise InvalidParameterError(f"unknown domain_mode {self.domain_mode!r}")
+        config.check_choice(self.domain_mode, "domain_mode", config.DOMAIN_MODES)
         object.__setattr__(self, "alphas", alphas)
 
     def validate_for(self, num_frames: int) -> None:

@@ -30,8 +30,7 @@ class Tone:
     amplitude: float
 
     def __post_init__(self):
-        if self.axis not in AXIS_NAMES:
-            raise InvalidParameterError(f"axis must be one of {AXIS_NAMES}, got {self.axis!r}")
+        config.check_choice(self.axis, "axis", AXIS_NAMES)
         object.__setattr__(self, "omega", config.check_real(self.omega, "omega", 0, np.pi))
         object.__setattr__(self, "amplitude",
                            config.check_real(self.amplitude, "amplitude", 0, low_open=True))

@@ -34,11 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core
-from .config import check_integer, check_sequence, check_size
-from .errors import InvalidParameterError, InvalidShapeError
+from .config import MIX_DOMAINS, check_choice, check_integer, check_sequence, check_size
+from .errors import InvalidShapeError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
-
-MIX_DOMAINS = ("spatial", "full3d")
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,7 @@ def specmix(params: SpecMixParams, chw: tuple[int, int, int],
     See the module docstring. Deterministic given the three seeds. `chw`
     as in `base_noise`.
     """
-    if mix_domain not in MIX_DOMAINS:
-        raise InvalidParameterError(f"unknown mix_domain {mix_domain!r}")
+    check_choice(mix_domain, "mix_domain", MIX_DOMAINS)
     if mix_domain == "full3d":
         base = base_noise(params, chw).data.astype(np.float64)
         res = gaussian_latent(base.shape, SeededRng(params.seed_res)).data.astype(np.float64)

@@ -30,11 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_real, check_sequence, check_size
+from .config import DOMAIN_MODES, check_choice, check_real, check_sequence, check_size
 from .errors import InvalidParameterError, InvalidShapeError
 from .tensor_core import VideoLatent, check_array
-
-DOMAIN_MODES = ("temporal", "radial")
 
 
 def fft3(x) -> np.ndarray:
@@ -150,8 +148,7 @@ def frequency_grid(shape: tuple[int, int, int], domain_mode: str) -> np.ndarray:
     [0, pi] and are symmetric under per-axis frequency negation. A `shape`
     not three ints >= 1 raises InvalidShapeError naming "grid axes".
     """
-    if domain_mode not in DOMAIN_MODES:
-        raise InvalidParameterError(f"unknown domain_mode {domain_mode!r}")
+    check_choice(domain_mode, "domain_mode", DOMAIN_MODES)
     t, h, w = check_sequence(shape, "grid axes", InvalidShapeError, 3, check_size)
     wt = axis_frequencies(t)
     if domain_mode == "temporal":

@@ -508,6 +508,15 @@ class TestAttentionMap:
         assert (weights[:, ~outside] > 0.0).all()
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("entry", [attention_map, frame_attention])
+    def test_map_entries_check_q_and_k_once(self, entry):
+        # The maps take no values: q is checked once, not again as "v".
+        toks = random_tokens(3, 2, 4, 54)
+        q, k, _ = project_qkv(toks, random_weights(4, 55))
+        with mock.patch.object(attention, "check_array", wraps=attention.check_array) as check:
+            entry(q, k, toks.frame_index)
+        assert [call.args[1] for call in check.call_args_list] == ["q", "k", "frame_index"]
+
 
 class TestFrameAttention:
     @given(multi_window_cases())

@@ -257,6 +257,33 @@ class TestParser:
     def test_built_once_per_process(self):
         assert _build_parser() is _build_parser()
 
+    def test_choices_are_the_library_vocabularies(self):
+        commands = next(a for a in _build_parser()._actions if a.choices).choices
+        found = [(command, action.dest, action.choices) for command, sub in commands.items()
+                 for action in sub._actions if action.choices]
+        vocabularies = [config.DOMAIN_MODES, config.MIX_DOMAINS, config.DOMAIN_MODES]
+        assert [f[:2] for f in found] == [("blend", "domain"), ("specmix", "mix_domain"),
+                                          ("analyze", "domain")]
+        assert all(f[2] is vocabulary for f, vocabulary in zip(found, vocabularies))
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("blend", "--domain", "polar"), ("analyze", "--domain", "Temporal"),
+        ("specmix", "--mix-domain", "bogus")])
+    def test_bad_choice_is_a_usage_error(self, tmp_path, scene_file, command, flag, value):
+        lat = tmp_path / "x.spfu"
+        run_cli("scene", "--config", str(scene_file), "--out", str(lat))
+        out = tmp_path / "out"
+        argv = {"blend": ["--global", str(lat), "--local", str(lat)],
+                "analyze": ["--ref", str(lat), "--ext", str(lat)],
+                "specmix": ["--frames", "8", "--t-alpha", "4"]}[command]
+        stderr = io.StringIO()
+        with pytest.raises(SystemExit) as exc, redirect_stderr(stderr):
+            main([command, *argv, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert stderr.getvalue().startswith("usage: specfuse " + command)
+        assert f"argument {flag}: invalid choice: '{value}'" in stderr.getvalue()
+        assert not out.exists()
+
     def test_usage_error_then_fuse_matches_a_lone_fuse(self, tmp_path, scene_file, plan_file):
         lat = tmp_path / "x.spfu"
         run_cli("scene", "--config", str(scene_file), "--out", str(lat))

@@ -89,7 +89,7 @@ ERRORS = [
     ("fuse-mask-latent", lambda p: multiband_fuse([LATENT], [SMALL_MASK]),
      ShapeMismatchError, "mask shape (2, 2, 2) does not match latent (4, 2, 2)"),
     ("frequency_grid-domain", lambda p: frequency_grid((4, 2, 2), "polar"),
-     InvalidParameterError, "unknown domain_mode 'polar'"),
+     InvalidParameterError, "domain_mode must be one of ('temporal', 'radial'), got 'polar'"),
     ("seed-64-bit", lambda p: SeededRng(2**64),
      InvalidParameterError, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
     ("spfu-header", lambda p: read_tensor(spfu_file(p / "t.spfu", size=10)),

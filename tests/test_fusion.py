@@ -310,7 +310,7 @@ class TestFusionPlan:
 
     @pytest.mark.parametrize("flag", ["false", 0, 1, None])
     def test_non_bool_sparse_global_rejected(self, flag):
-        with pytest.raises(InvalidParameterError, match="sparse_global must be a bool"):
+        with pytest.raises(InvalidParameterError, match="sparse_global must be of type bool"):
             FusionPlan(t_alpha=8, alphas=(1, 2), sparse_global=flag)
 
     def test_non_integer_alpha_rejected(self):

@@ -5,7 +5,6 @@ import re
 import numpy as np
 import pytest
 
-from specfuse import selftest
 from specfuse import (
     AttentionWindow,
     FusionPlan,
@@ -30,8 +29,6 @@ def noisy_scene_tokens(shape, seed):
 
 
 class TestMakeScene:
-    test_peak_bin_placement = staticmethod(selftest.check_scene_placement)
-
     def test_single_tone_band_placement(self):
         scene = SyntheticScene(shape=(1, 32, 4, 4), tones=(Tone("t", np.pi / 8, 1.0),))
         energies = band_energy(make_scene(scene), [np.pi / 8, np.pi / 4])
@@ -136,8 +133,6 @@ class TestMakeScene:
 
 
 class TestRunStack:
-    test_three_scale_stack_reproducible = staticmethod(selftest.check_stack_determinism)
-
     def test_depth_one_is_single_call(self):
         toks = noisy_scene_tokens((8, 16, 4, 4), 1)
         plan = FusionPlan(t_alpha=8, alphas=(1, 2))

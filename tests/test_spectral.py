@@ -220,8 +220,6 @@ class TestApplyMask:
 
 
 class TestFrequencyMaskType:
-    test_filtered_real_signal_stays_real = staticmethod(selftest.check_mask_symmetry_residue)
-
     def test_rejects_out_of_range(self):
         for weight in (1.5, -0.5):
             with pytest.raises(InvalidParameterError, match=r"^mask weights must lie in \[0, 1\]$"):
