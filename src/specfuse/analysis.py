@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_instance, check_integer, check_real, check_sequence
-from .errors import DegenerateInputError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError, InvalidShapeError
 from .spectral import _half_layout, _rfftn, frequency_grid
-from .tensor_core import VideoLatent, _check_kind, check_array
+from .tensor_core import VideoLatent, _check_kind, check_array, check_shape
 
 DEFAULT_THRESHOLD = 0.9
 
@@ -77,8 +77,8 @@ class SnrReport:
 
     Both arrays are read-only float64 copies of the inputs, so the
     caller's arrays are neither aliased nor frozen. The boundaries pass
-    `check_array`; the ratios pass its kind step and are non-negative,
-    +inf included.
+    `check_array`; the ratios pass its kind step, one per band, and are
+    non-negative, +inf included.
     """
 
     boundaries: np.ndarray  # band edges including 0 and pi, length n+1
@@ -89,10 +89,7 @@ class SnrReport:
         bounds = check_array(self.boundaries, "boundaries", 1, copy=True)
         ratios = np.asarray(self.ratios)
         _check_kind(ratios, "ratios")
-        ratios = np.array(ratios, dtype=np.float64)
-        if ratios.shape != (len(bounds) - 1,):
-            raise InvalidParameterError(f"ratios must have shape ({len(bounds) - 1},), "
-                                        f"got {ratios.shape}")
+        ratios = check_shape(np.array(ratios, dtype=np.float64), "ratios", (len(bounds) - 1,))
         if not (ratios >= 0).all():  # also NaN
             raise InvalidParameterError("ratios must be non-negative")
         object.__setattr__(self, "threshold", check_real(self.threshold, "threshold"))
@@ -180,8 +177,7 @@ class AttnMap:
 
     def __post_init__(self):
         m = check_array(self.matrix, "map entries", 2, copy=True)
-        if m.shape[0] != m.shape[1]:
-            raise InvalidParameterError(f"map must be square, got {m.shape}")
+        check_shape(m, "map entries", (len(m), len(m)), InvalidShapeError)
         if (m < 0).any():
             raise InvalidParameterError("map entries must be non-negative")
         if np.abs(m.sum(axis=1) - 1.0).max() > 1e-6:

@@ -69,8 +69,8 @@ import numpy as np
 from . import config
 from .analysis import AttnMap
 from .config import check_integer, check_real
-from .errors import InvalidParameterError, ShapeMismatchError
-from .tensor_core import check_array
+from .errors import InvalidParameterError
+from .tensor_core import check_array, check_shape
 
 # Each thread computes logits in stacks of key-frame blocks of at most
 # this many bytes, so a stack stays in its core's L2 cache from the logits
@@ -94,8 +94,7 @@ _MIN_ROW_SUM = 1e-290
 def _validate_frames(frame_index, n_tokens: int) -> np.ndarray:
     """Canonical token layout, as a read-only copy: frames 0..T-1, non-decreasing, equal counts."""
     frames = check_array(frame_index, "frame_index", 1, np.int64, InvalidParameterError, copy=True)
-    if frames.shape != (n_tokens,):
-        raise ShapeMismatchError("frame_index length must match token count")
+    check_shape(frames, "frame_index", (n_tokens,))
     if (np.diff(frames) < 0).any():
         raise InvalidParameterError("frame_index must be non-decreasing")
     if frames[0] != 0:
@@ -163,6 +162,8 @@ class AttentionWindow:
     @classmethod
     def for_span(cls, span_frames: int, num_frames: int) -> "AttentionWindow":
         """Local window, saturating to global once the span covers the sequence."""
+        span_frames = check_integer(span_frames, "span_frames", minimum=1)
+        num_frames = check_integer(num_frames, "num_frames", minimum=1)
         if span_frames >= num_frames:
             return cls(span_frames=num_frames, kind="global")
         return cls.local(span_frames)
@@ -189,17 +190,14 @@ def _checked_weights(tokens: TokenSequence, weights) -> tuple[np.ndarray, ...]:
     """The query, key and value weights: three, each finite and (d_model, d_model)."""
     d = tokens.d_model
     weights = config.check_sequence(weights, "Q/K/V weights", length=3)
-    checked = tuple(check_array(w, f"{name} weights", 2)
-                    for name, w in zip(("query", "key", "value"), weights))
-    for name, w in zip(("query", "key", "value"), checked):
-        if w.shape != (d, d):
-            raise ShapeMismatchError(f"{name} weights must be ({d}, {d}), got {w.shape}")
-    return checked
+    return tuple(check_shape(check_array(w, f"{name} weights", 2), f"{name} weights", (d, d))
+                 for name, w in zip(("query", "key", "value"), weights))
 
 
 def project_qkv(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Apply the three d_model x d_model projections row-wise (y = x @ W); each must be
     finite, and `weights` not three of them raise InvalidParameterError."""
+    config.check_instance(tokens, "tokens", kind=TokenSequence)
     w_q, w_k, w_v = _checked_weights(tokens, weights)
     feats = tokens.features
     return feats @ w_q, feats @ w_k, feats @ w_v
@@ -250,14 +248,13 @@ def _projected_stacks(tokens: TokenSequence, weights) -> tuple[np.ndarray, np.nd
 
 
 def _check_qkv(q, k, v, frame_index):
-    """The one operand check of every attention entry: finite float64 q, k, v
-    (None for the maps, which take no values), frame ids, T."""
-    q, k = check_array(q, "q", 2), check_array(k, "k", 2)
-    v = None if v is None else check_array(v, "v", 2)
-    if k.shape[0] != q.shape[0] or v is not None and v.shape[0] != q.shape[0]:
-        raise ShapeMismatchError("Q, K, V must agree on token count")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeMismatchError("Q and K must share the key dimension")
+    """The one operand check of every attention entry: finite float64 q, k of q's
+    shape and v of q's token count (None for the maps), frame ids, T."""
+    q = check_array(q, "q", 2)
+    k = check_shape(check_array(k, "k", 2), "k", q.shape)
+    if v is not None:
+        v = check_array(v, "v", 2)
+        check_shape(v, "v", (len(q), v.shape[1]))
     frames = _validate_frames(frame_index, q.shape[0])
     return q, k, v, frames, int(frames[-1]) + 1
 

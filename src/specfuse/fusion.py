@@ -52,7 +52,7 @@ from .errors import (InvalidParameterError, InvalidPlanError, NonFiniteValueErro
                      ShapeMismatchError)
 from .spectral import (FrequencyMask, _check_alphas, _check_residue, _half_layout,
                        _half_shape, _irfftn_real, _rfftn, band_masks, gaussian_lowpass)
-from .tensor_core import VideoLatent, check_array
+from .tensor_core import VideoLatent, check_array, check_shape
 
 PARTITION_TOLERANCE = 1e-6
 IMAG_RESIDUE_LIMIT = 1e-5
@@ -79,13 +79,14 @@ def _latent_grid(features: np.ndarray, t: int, spatial: tuple[int, int]) -> np.n
 
 def tokens_from_latent(latent: VideoLatent) -> TokenSequence:
     """Flatten a (C, T, H, W) latent to tokens in the canonical order."""
-    t, h, w = latent.shape[1:]
+    t, h, w = config.check_instance(latent, "latent", kind=VideoLatent).shape[1:]
     frames = np.repeat(np.arange(t, dtype=np.int64), h * w)
-    return TokenSequence(_token_rows(latent.data.astype(np.float64)), frames)
+    return TokenSequence(_token_rows(latent.data), frames)
 
 
 def latent_from_tokens(tokens: TokenSequence, spatial: tuple[int, int]) -> VideoLatent:
     """Inverse of tokens_from_latent; a `spatial` not the (H, W) of a frame: ShapeMismatchError."""
+    config.check_instance(tokens, "tokens", kind=TokenSequence)
     return VideoLatent(_latent_grid(tokens.features, tokens.num_frames, spatial))
 
 
@@ -118,6 +119,7 @@ class FusionPlan:
         object.__setattr__(self, "alphas", alphas)
 
     def validate_for(self, num_frames: int) -> None:
+        num_frames = config.check_integer(num_frames, "num_frames", minimum=1)
         if self.alphas[-1] * self.t_alpha < num_frames:
             raise InvalidPlanError(
                 f"largest window {self.alphas[-1]}*{self.t_alpha} does not cover "
@@ -138,8 +140,6 @@ class FusionPlan:
 def _check_partition(masks) -> None:
     total = np.zeros(masks[0].shape, dtype=np.float64)
     for mask in masks:
-        if mask.shape != masks[0].shape:
-            raise ShapeMismatchError("mask shapes differ")
         total += mask.weights
     err = float(np.abs(total - 1.0).max())
     if err > PARTITION_TOLERANCE:
@@ -151,12 +151,12 @@ def _fusion_operands(branch_outputs, masks):
 
     Branch outputs are a sequence (else InvalidParameterError) of
     VideoLatents or (C, T, H, W) arrays that pass `check_array`, uncopied,
-    all of one shape; the masks, a sequence of one per branch output, must
-    form a partition of unity. Returns the branches' arrays, each
-    mask's weights in the masks' half layout (`spectral._half_layout`),
-    the layout's axes, and the channel blocks as slices: each holds at
-    most `_BLOCK_BYTES` of float64 input, so a block's transforms stay in
-    cache, and never less than one channel.
+    all of one shape; the masks, one per branch output and each of the
+    branches' (T, H, W), must form a partition of unity. Returns the
+    branches' arrays, each mask's weights in the masks' half layout
+    (`spectral._half_layout`), the layout's axes, and the channel blocks
+    as slices: each holds at most `_BLOCK_BYTES` of float64 input, so a
+    block's transforms stay in cache, and never less than one channel.
     """
     branch_outputs = config.check_sequence(branch_outputs, "branch outputs")
     masks = config.check_sequence(masks, "masks", length=len(branch_outputs),
@@ -166,10 +166,9 @@ def _fusion_operands(branch_outputs, masks):
     data = [b.data if isinstance(b, VideoLatent) else check_array(b, "branch outputs", 4)
             for b in branch_outputs]
     shape = data[0].shape
-    if any(x.shape != shape for x in data):
-        raise ShapeMismatchError(f"latent shapes differ: {[x.shape for x in data]}")
-    if masks[0].shape != shape[1:]:
-        raise ShapeMismatchError(f"mask shape {masks[0].shape} does not match latent {shape[1:]}")
+    for x, mask in zip(data, masks):
+        check_shape(x, "branch outputs", shape)
+        check_shape(mask.weights, "masks", shape[1:])
     _check_partition(masks)
     axes, index = _half_layout(*(mask.weights for mask in masks))
     per = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
@@ -322,6 +321,8 @@ def spectral_blend_attention(tokens: TokenSequence, qkv_weights, plan: FusionPla
     `multiband_attention` with the masks [1 - P, P] of the plan's
     low-pass filter P in place of the hard bands; its errors are `multiband_attention`'s.
     """
+    config.check_instance(tokens, "tokens", kind=TokenSequence)
+    config.check_instance(plan, "plan", kind=FusionPlan)
     if len(plan.alphas) != 2 or plan.alphas[0] != 1:
         raise InvalidPlanError(f"blend plan needs alphas (1, global), got {plan.alphas}")
 
@@ -336,5 +337,7 @@ def multiband_attention(tokens: TokenSequence, qkv_weights, plan: FusionPlan,
                         spatial: tuple[int, int]) -> TokenSequence:
     """Per-scale windowed attention fused band-by-band (`band_masks`). Before the pass,
     not three `qkv_weights` raise InvalidParameterError, a bad `spatial` ShapeMismatchError."""
+    config.check_instance(tokens, "tokens", kind=TokenSequence)
+    config.check_instance(plan, "plan", kind=FusionPlan)
     return _fused_attention(tokens, qkv_weights, plan, spatial,
                             lambda grid: band_masks(plan.alphas, grid, plan.domain_mode))

@@ -79,6 +79,7 @@ class SyntheticScene:
 
 def make_scene(scene: SyntheticScene) -> VideoLatent:
     """Materialize a scene. Tones broadcast over every other axis."""
+    config.check_instance(scene, "scene", kind=SyntheticScene)
     data = np.zeros(scene.shape, dtype=np.float64)
     for tone in scene.tones:
         axis = 1 + AXIS_NAMES.index(tone.axis)
@@ -94,6 +95,7 @@ def make_scene(scene: SyntheticScene) -> VideoLatent:
 def block_weights(d_model: int, rng: SeededRng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Q/K/V projections scaled by 1/sqrt(d) so logits stay O(1)."""
     d_model = config.check_integer(d_model, "d_model", minimum=1)
+    config.check_instance(rng, "rng", kind=SeededRng)
     scale = 1.0 / np.sqrt(d_model)
     return tuple(
         scale * rng.normals(d_model * d_model).reshape(d_model, d_model) for _ in range(3)
@@ -109,6 +111,8 @@ def run_stack(tokens: TokenSequence, plan: FusionPlan, depth: int, seed: int,
     `seed`, three matrices per block, so the run is reproducible. A bad
     `spatial` raises ShapeMismatchError before the first block.
     """
+    config.check_instance(tokens, "tokens", kind=TokenSequence)
+    config.check_instance(plan, "plan", kind=FusionPlan)
     depth = config.check_integer(depth, "depth", minimum=1)
     spatial = _check_spatial(spatial, tokens.tokens_per_frame)
     fuse = spectral_blend_attention if len(plan.alphas) == 2 else multiband_attention

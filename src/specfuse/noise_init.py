@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core
-from .config import MIX_DOMAINS, check_choice, check_integer, check_sequence, check_size
+from .config import (MIX_DOMAINS, check_choice, check_instance, check_integer, check_sequence,
+                     check_size)
 from .errors import InvalidShapeError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
@@ -74,6 +75,7 @@ def base_noise(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     partial window takes the first (frames mod t_alpha) entries of one.
     A `chw` not three ints >= 1 raises InvalidShapeError naming "shape".
     """
+    check_instance(params, "params", kind=SpecMixParams)
     c, h, w = check_sequence(chw, "shape", InvalidShapeError, 3, check_size)
     first = gaussian_latent((c, params.t_alpha, h, w), SeededRng(params.seed_base)).data
     out = np.empty((c, params.frames, h, w), dtype=np.float32)
@@ -110,6 +112,7 @@ def specmix(params: SpecMixParams, chw: tuple[int, int, int],
     See the module docstring. Deterministic given the three seeds. `chw`
     as in `base_noise`.
     """
+    check_instance(params, "params", kind=SpecMixParams)
     check_choice(mix_domain, "mix_domain", MIX_DOMAINS)
     if mix_domain == "full3d":
         base = base_noise(params, chw).data.astype(np.float64)

@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_integer, check_sequence, check_size
+from .config import check_instance, check_integer, check_sequence, check_size
 from .errors import (
     BadMagicError,
     InvalidParameterError,
     InvalidShapeError,
     NonFiniteValueError,
+    ShapeMismatchError,
     TruncatedPayloadError,
     UnsupportedFormatError,
 )
@@ -68,6 +69,14 @@ def check_array(value, name: str, ndim: int, dtype=np.float64, error: type = Inv
         raise NonFiniteValueError(f"{name} must be finite")
     if copy:
         arr.flags.writeable = False
+    return arr
+
+
+def check_shape(arr: np.ndarray, name: str, shape, error: type = ShapeMismatchError) -> np.ndarray:
+    """`arr` if its shape is `shape`, else `error` naming `name`: the one shape rule
+    for every operand whose shape another operand fixes."""
+    if arr.shape != tuple(shape):
+        raise error(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
     return arr
 
 
@@ -198,6 +207,7 @@ def gaussian_latent(shape: tuple, rng: SeededRng) -> VideoLatent:
     its float64 normal, so no float64 array of the latent's size exists.
     """
     dims = check_sequence(shape, "shape", InvalidShapeError, 4, check_size)
+    check_instance(rng, "rng", kind=SeededRng)
     data = np.empty(dims, dtype=np.float32)
     rng._normals_into(data.reshape(-1))
     return VideoLatent._adopt(data)
@@ -205,7 +215,7 @@ def gaussian_latent(shape: tuple, rng: SeededRng) -> VideoLatent:
 
 def write_tensor(path, latent: VideoLatent) -> None:
     """Write a latent to `path` in the .spfu format."""
-    c, t, h, w = latent.shape
+    c, t, h, w = check_instance(latent, "latent", kind=VideoLatent).shape
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_F32, 4, c, t, h, w)
     payload = latent.data.astype("<f4", copy=False)
     with open(path, "wb") as fh:

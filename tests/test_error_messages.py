@@ -6,6 +6,7 @@ fusion operands, `frequency_grid`'s domain mode, the seed range and the
 `.spfu` header; and every typed parameter given an object of another class.
 """
 
+import os
 import re
 import struct
 
@@ -18,22 +19,32 @@ from specfuse import (
     FrequencyMask,
     FusionPlan,
     SeededRng,
+    SpecMixParams,
     SyntheticScene,
     TokenSequence,
     VideoLatent,
     band_energy,
     band_masks,
+    base_noise,
     diagonality,
     frequency_grid,
     gaussian_latent,
+    latent_from_tokens,
     masked_attention,
+    multiband_attention,
     multiband_fuse,
+    project_qkv,
     read_tensor,
     relative_snr,
     spectral_blend,
+    spectral_blend_attention,
+    specmix,
+    tokens_from_latent,
+    write_tensor,
 )
 from specfuse.errors import (DegenerateInputError, InvalidParameterError, InvalidShapeError,
                              ShapeMismatchError, TruncatedPayloadError, UnsupportedFormatError)
+from specfuse.harness import block_weights, make_scene, run_stack
 
 FRAMES = [0, 0, 1, 1]
 OPERAND = np.arange(8.0).reshape(4, 2) / 8
@@ -53,15 +64,15 @@ def spfu_file(path, dtype=0, rank=4, dims=(1, 1, 1, 1), size=None):
 # (id, call(tmp_path), error, exact message)
 ERRORS = [
     ("frame_index-length", lambda p: TokenSequence(OPERAND, [0, 0, 1]),
-     ShapeMismatchError, "frame_index length must match token count"),
+     ShapeMismatchError, "frame_index must have shape (4,), got (3,)"),
     ("frame_index-start", lambda p: TokenSequence(OPERAND, [1, 1, 2, 2]),
      InvalidParameterError, "frame ids must start at 0"),
     ("qkv-token-count", lambda p: masked_attention(OPERAND, OPERAND[:2], OPERAND, FRAMES,
                                                    AttentionWindow(2)),
-     ShapeMismatchError, "Q, K, V must agree on token count"),
+     ShapeMismatchError, "k must have shape (4, 2), got (2, 2)"),
     ("qk-key-dimension", lambda p: masked_attention(OPERAND, np.ones((4, 3)), OPERAND, FRAMES,
                                                     AttentionWindow(2)),
-     ShapeMismatchError, "Q and K must share the key dimension"),
+     ShapeMismatchError, "k must have shape (4, 2), got (4, 3)"),
     ("global-window-span", lambda p: masked_attention(OPERAND, OPERAND, OPERAND, FRAMES,
                                                       AttentionWindow(1, "global")),
      InvalidParameterError, "global window must span the whole sequence"),
@@ -69,7 +80,7 @@ ERRORS = [
                                                  [0.5]),
      DegenerateInputError, "extended input has zero total spectral energy"),
     ("map-square", lambda p: AttnMap(np.full((2, 3), 1 / 3)),
-     InvalidParameterError, "map must be square, got (2, 3)"),
+     InvalidShapeError, "map entries must have shape (2, 2), got (2, 3)"),
     ("map-negative", lambda p: AttnMap([[1.5, -0.5], [0.5, 0.5]]),
      InvalidParameterError, "map entries must be non-negative"),
     ("map-rows", lambda p: AttnMap([[0.5, 0.4], [0.5, 0.5]]),
@@ -83,11 +94,11 @@ ERRORS = [
     ("config-bool", lambda p: FusionPlan.from_text("t_alpha = 8\nalphas = 1\nsparse_global = 1\n"),
      InvalidParameterError, "sparse_global must be 'true' or 'false', got '1'"),
     ("fuse-mask-shapes", lambda p: multiband_fuse([LATENT, LATENT], [MASKS[0], SMALL_MASK]),
-     ShapeMismatchError, "mask shapes differ"),
+     ShapeMismatchError, "masks must have shape (4, 2, 2), got (2, 2, 2)"),
     ("fuse-no-branch", lambda p: multiband_fuse([], []),
      InvalidParameterError, "need at least one branch"),
     ("fuse-mask-latent", lambda p: multiband_fuse([LATENT], [SMALL_MASK]),
-     ShapeMismatchError, "mask shape (2, 2, 2) does not match latent (4, 2, 2)"),
+     ShapeMismatchError, "masks must have shape (4, 2, 2), got (2, 2, 2)"),
     ("frequency_grid-domain", lambda p: frequency_grid((4, 2, 2), "polar"),
      InvalidParameterError, "domain_mode must be one of ('temporal', 'radial'), got 'polar'"),
     ("seed-64-bit", lambda p: SeededRng(2**64),
@@ -112,8 +123,14 @@ def test_error_type_and_message(call, error, message, tmp_path):
 
 
 ARRAY = np.ones((1, 4, 2, 2))
-# (id, call, exact message): a typed parameter given a plain array or a str
-# raises InvalidParameterError naming it, before any transform runs.
+TOKENS = TokenSequence(OPERAND, FRAMES)
+WEIGHTS = block_weights(2, SeededRng(0))
+PLAN = FusionPlan(2, (1, 2))
+PLAN_KEYS = {"t_alpha": 2, "alphas": (1, 2)}
+PARAMS = SpecMixParams(frames=8, t_alpha=4)
+# (id, call, exact message): a typed parameter given an object of another class
+# (a plain array, a str, a dict, an int or None) raises InvalidParameterError
+# naming it, before any transform runs.
 WRONG_CLASS = [
     ("fuse-mask-weights", lambda: multiband_fuse([LATENT, LATENT], [m.weights for m in MASKS]),
      "masks must be of type FrequencyMask, got ndarray"),
@@ -129,6 +146,35 @@ WRONG_CLASS = [
      "x must be of type VideoLatent, got ndarray"),
     ("scene-tone-str", lambda: SyntheticScene(shape=(1, 4, 2, 2), tones=("t",)),
      "tones must be of type Tone, got str"),
+    ("multiband-tokens", lambda: multiband_attention(OPERAND, WEIGHTS, PLAN, (1, 2)),
+     "tokens must be of type TokenSequence, got ndarray"),
+    ("multiband-plan", lambda: multiband_attention(TOKENS, WEIGHTS, PLAN_KEYS, (1, 2)),
+     "plan must be of type FusionPlan, got dict"),
+    ("blend-attention-tokens", lambda: spectral_blend_attention(OPERAND, WEIGHTS, PLAN, (1, 2)),
+     "tokens must be of type TokenSequence, got ndarray"),
+    ("blend-attention-plan", lambda: spectral_blend_attention(TOKENS, WEIGHTS, PLAN_KEYS, (1, 2)),
+     "plan must be of type FusionPlan, got dict"),
+    ("run_stack-tokens", lambda: run_stack(OPERAND, PLAN, 1, 0, (1, 2)),
+     "tokens must be of type TokenSequence, got ndarray"),
+    ("run_stack-plan", lambda: run_stack(TOKENS, PLAN_KEYS, 1, 0, (1, 2)),
+     "plan must be of type FusionPlan, got dict"),
+    ("project_qkv-tokens", lambda: project_qkv(OPERAND, WEIGHTS),
+     "tokens must be of type TokenSequence, got ndarray"),
+    ("latent_from_tokens-latent", lambda: latent_from_tokens(LATENT, (2, 2)),
+     "tokens must be of type TokenSequence, got VideoLatent"),
+    ("tokens_from_latent-array", lambda: tokens_from_latent(ARRAY),
+     "latent must be of type VideoLatent, got ndarray"),
+    ("write_tensor-array", lambda: write_tensor(os.devnull, ARRAY),
+     "latent must be of type VideoLatent, got ndarray"),
+    ("gaussian_latent-rng", lambda: gaussian_latent((1, 4, 2, 2), 3),
+     "rng must be of type SeededRng, got int"),
+    ("block_weights-rng", lambda: block_weights(2, 3), "rng must be of type SeededRng, got int"),
+    ("specmix-params", lambda: specmix(None, (1, 2, 2)),
+     "params must be of type SpecMixParams, got NoneType"),
+    ("base_noise-params", lambda: base_noise({"frames": 8, "t_alpha": 4}, (1, 2, 2)),
+     "params must be of type SpecMixParams, got dict"),
+    ("make_scene-none", lambda: make_scene(None),
+     "scene must be of type SyntheticScene, got NoneType"),
 ]
 
 

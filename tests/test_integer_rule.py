@@ -54,6 +54,12 @@ ENTRIES = [
     ("plan-alphas", lambda v: FusionPlan(t_alpha=8, alphas=(v, 8)),
      InvalidPlanError, "alphas", 1, 2),
     ("window-span", lambda v: AttentionWindow(v), InvalidParameterError, "span_frames", 1, 2),
+    ("for_span-span", lambda v: AttentionWindow.for_span(v, 8),
+     InvalidParameterError, "span_frames", 1, 4),
+    ("for_span-frames", lambda v: AttentionWindow.for_span(4, v),
+     InvalidParameterError, "num_frames", 1, 8),
+    ("plan-validate_for", lambda v: FusionPlan(t_alpha=8, alphas=(1, 2)).validate_for(v),
+     InvalidParameterError, "num_frames", 1, 8),
     ("uniform_keyframes", lambda v: uniform_keyframes(v, 0.5),
      InvalidParameterError, "num_frames", 1, 4),
     ("aggregate_attention", lambda v: aggregate_attention([np.eye(4)], v),
@@ -98,3 +104,19 @@ def test_integer_rule(call, error, name, minimum, valid, kind):
                else f"{name} must be an integer, got {value!r}")
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+# Values no comparison can order against a count: `for_span` and `validate_for`
+# read both counts through the rule before they compare them.
+@pytest.mark.parametrize("call, message", [
+    (lambda: AttentionWindow.for_span(np.array([2, 3]), 8),
+     "span_frames must be an integer, got array([2, 3])"),
+    (lambda: AttentionWindow.for_span(None, 8), "span_frames must be an integer, got None"),
+    (lambda: AttentionWindow.for_span(4, 2.5), "num_frames must be an integer, got 2.5"),
+    (lambda: FusionPlan(t_alpha=8, alphas=(1, 2)).validate_for("8"),
+     "num_frames must be an integer, got '8'"),
+], ids=["for_span-array", "for_span-none", "for_span-frames-fraction", "validate_for-str"])
+def test_counts_read_before_compared(call, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is InvalidParameterError
