@@ -33,11 +33,14 @@ def uniform_band_edges(num_bands: int) -> np.ndarray:
     return np.arange(1, num_bands) * (np.pi / num_bands)
 
 
-def _check_edges(edges) -> np.ndarray:
-    edges = check_sequence(edges, "edges", item=lambda e, name, _: check_real(e, name, 0, np.pi))
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise InvalidParameterError("edges must be strictly ascending within [0, pi]")
-    return np.array(edges, dtype=np.float64)
+def _check_edges(edges, name: str = "edges", closed: bool = False) -> np.ndarray:
+    """Reals in [0, pi], strictly ascending; `closed` boundaries: 2 or more, ascending."""
+    edges = np.array(check_sequence(edges, name, item=lambda e, n, _: check_real(e, n, 0, np.pi)))
+    steps = np.diff(edges)
+    if (len(edges) < 2 or (steps < 0).any()) if closed else (steps <= 0).any():
+        rule = "2 or more ascending reals" if closed else "strictly ascending"
+        raise InvalidParameterError(f"{name} must be {rule} within [0, pi]")
+    return edges
 
 
 def band_energy(x: VideoLatent, edges, domain_mode: str = "temporal") -> np.ndarray:
@@ -77,8 +80,8 @@ class SnrReport:
 
     Both arrays are read-only float64 copies of the inputs, so the
     caller's arrays are neither aliased nor frozen. The boundaries pass
-    `check_array`; the ratios pass its kind step, one per band, and are
-    non-negative, +inf included.
+    `check_array` and `_check_edges` (closed); the ratios pass its kind
+    step, one per band, and are non-negative, +inf included.
     """
 
     boundaries: np.ndarray  # band edges including 0 and pi, length n+1
@@ -87,6 +90,7 @@ class SnrReport:
 
     def __post_init__(self):
         bounds = check_array(self.boundaries, "boundaries", 1, copy=True)
+        _check_edges(bounds.tolist(), "boundaries", closed=True)
         ratios = np.asarray(self.ratios)
         _check_kind(ratios, "ratios")
         ratios = check_shape(np.array(ratios, dtype=np.float64), "ratios", (len(bounds) - 1,))

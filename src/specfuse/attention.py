@@ -55,7 +55,7 @@ Frame-level attention maps run through the same core: `frame_attention`
 passes a one-hot frame indicator as the values, so each output row is the
 weight mass its query puts on every key frame, and the (T, T) map costs
 O(n * T) memory. `attention_map` keeps the dense (n, n) weights as a
-diagnostic and test oracle.
+diagnostic and test oracle, its logits taken from the same q3 and kt3.
 """
 
 from __future__ import annotations
@@ -475,13 +475,12 @@ def attention_map(q, k, frame_index, window: AttentionWindow | None = None,
     q, k, _, _, t = _check_qkv(q, k, None, frame_index)
     admitted = _frame_set(t, window=window, keyframes=keyframes)
     tpf, d = len(q) // t, q.shape[1]
-    q3 = (q * (1.0 / math.sqrt(d))).reshape(t, tpf, d)
-    k3 = k.reshape(t, tpf, d)
+    q3, kt3, _ = _operand_stacks(t, tpf, d, 0, q, k)
     # Query frame i's rows, as (tpf, T, tpf) blocks per key frame.
     weights = np.zeros((t, tpf, t, tpf), dtype=np.float64)
     for i in range(t):
         keys = _frame_index(np.flatnonzero(admitted[i]))
-        logits = q3[i] @ k3[keys].reshape(-1, d).T
+        logits = np.matmul(q3[i, :, :d], kt3[keys, :d]).transpose(1, 0, 2).reshape(tpf, -1)
         weights[i][:, keys] = _softmax_rows(logits).reshape(tpf, -1, tpf)
     return weights.reshape(t * tpf, t * tpf)
 

@@ -5,20 +5,21 @@ plan.alphas[i] (ascending, local to global) and owns mask i. One fusion
 path: every branch comes from one pass of the multi-window attention core
 on shared Q, K, V, projected straight into the core's operand stacks and
 held once (see `attention`'s docstring for the layout and the pass's
-working set), and `_masked_sum` sums the branches' mask-weighted
-spectra in float64 (the masks must form a partition of unity). Branches
+working set). The masks M_b must sum to 1, so the fused latent is
+x_0 + IFFT(sum_{b>=1} M_b * F(x_b - x_0)): `_masked_sum` sums in float64
+the masked spectra of the branches' differences from branch 0, and mask 0
+is read only by the partition check. Against the literal sum_b M_b * F(x_b)
+that errs by (1 - sum_b M_b) * F(x_0), at most `PARTITION_TOLERANCE` *
+|F(x_0)|: exactly 0 for `band_masks`, rounding-level for [1 - P, P]. Branches
 are real, so the sum is kept in the masks' real-input half layout
 (`spectral._half_layout`): transformed only along the axes the masks vary
 on, T alone for temporal masks and (T, H, W) for radial ones, with the
-last of them halved. The sum runs over blocks of whole channels, each at
-most `_BLOCK_BYTES` of float64 input (one channel at least), so a block's
-transforms stay in cache. `_fuse` inverts each block's sum
-(`spectral._irfftn_real`) straight into its channels of the result, with
-the blocks split across the threads of `config.run_shares`. Each block's
-sum must be finite; after every block, the imaginary residue on the last
-axis's self-conjugate planes is checked once over the whole result. The
-output is bit-identical at every block size and thread count. The masks, built
-once where they are used and after the attention pass, pick the scheme:
+last of them halved. The sum runs over blocks of whole channels
+(`_fusion_operands`); `_fuse` inverts each block's sum straight into its
+channels of the result and adds branch 0's, with the blocks split across
+the threads of `config.run_shares`, and the output is bit-identical at
+every block size and thread count. The masks, built once where they are
+used and after the attention pass, pick the scheme:
 one hard band per scale (`band_masks`, in `multiband_attention`) or the
 Gaussian low-pass pair [1 - P, P] (`spectral_blend_attention`, low band
 from the global branch). Branch outputs stay float64 up to the returned
@@ -153,10 +154,10 @@ def _fusion_operands(branch_outputs, masks):
     VideoLatents or (C, T, H, W) arrays that pass `check_array`, uncopied,
     all of one shape; the masks, one per branch output and each of the
     branches' (T, H, W), must form a partition of unity. Returns the
-    branches' arrays, each mask's weights in the masks' half layout
-    (`spectral._half_layout`), the layout's axes, and the channel blocks
-    as slices: each holds at most `_BLOCK_BYTES` of float64 input, so a
-    block's transforms stay in cache, and never less than one channel.
+    branches' arrays, the weights of masks 1.. in their half layout
+    (`spectral._half_layout`), its axes, and the channel blocks as slices:
+    each holds at most `_BLOCK_BYTES` of float64 input, so a block's
+    transforms stay in cache, and never less than one channel.
     """
     branch_outputs = config.check_sequence(branch_outputs, "branch outputs")
     masks = config.check_sequence(masks, "masks", length=len(branch_outputs),
@@ -170,10 +171,10 @@ def _fusion_operands(branch_outputs, masks):
         check_shape(x, "branch outputs", shape)
         check_shape(mask.weights, "masks", shape[1:])
     _check_partition(masks)
-    axes, index = _half_layout(*(mask.weights for mask in masks))
+    axes, index = _half_layout(*(mask.weights for mask in masks[1:] or masks))
     per = max(1, _BLOCK_BYTES // (8 * math.prod(shape[1:])))
     blocks = [slice(lo, min(lo + per, shape[0])) for lo in range(0, shape[0], per)]
-    return data, [mask.weights[index] for mask in masks], axes, blocks
+    return data, [mask.weights[index] for mask in masks[1:]], axes, blocks
 
 
 def _block_scratch(shape, axes) -> tuple[np.ndarray, np.ndarray]:
@@ -184,19 +185,19 @@ def _block_scratch(shape, axes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -> None:
-    """Channels `block` of every branch's masked spectrum, summed in branch order into `total`.
+    """Channels `block` of sum_{b>=1} M_b * F(x_b - x_0), summed in branch order into `total`.
 
-    The one masked-sum path. Each branch's channels are staged in float64
-    in scratch[0] and transformed by `_rfftn` over the masks' axes; the
-    masks are constant along the other axes, so leaving those
-    untransformed changes nothing the inverse returns. At bins where a
-    branch's mask is zero its contribution is exactly zero, so branches
-    cannot leak outside their band. Raises NonFiniteValueError if the sum
-    is not finite.
+    The one masked-sum path; `weights` are masks 1.. (mask 0 is only
+    checked), and one branch leaves `total` as it is. Each difference is
+    staged in float64 in scratch[0] and transformed by `_rfftn` over the
+    masks' axes, which leaves the others as the inverse needs them. A
+    branch adds exactly zero at bins where its mask is zero, so it cannot
+    leak outside its band. Raises NonFiniteValueError if the sum is not
+    finite.
     """
     stage, term = (buf[: block.stop - block.start] for buf in scratch)
-    for i, (x, w) in enumerate(zip(data, weights)):
-        np.copyto(stage, x[block])
+    for i, (x, w) in enumerate(zip(data[1:], weights)):
+        np.subtract(x[block], data[0][block], out=stage, dtype=np.float64)
         spectrum = _rfftn(stage, axes, out=term if i else total)
         spectrum *= w
         if i:
@@ -206,35 +207,38 @@ def _masked_sum(data, weights, axes, block: slice, total: np.ndarray, scratch) -
 
 
 def fused_spectrum(branch_outputs, masks) -> np.ndarray:
-    """Sum of masked branch spectra, in branch order, as a complex128 half spectrum.
+    """Sum of masked branch spectra as a complex128 half spectrum (`spectral._half_layout`).
 
-    The sum is in the masks' half layout (`spectral._half_layout`),
-    computed one channel block at a time by `_masked_sum`. Raises
-    NonFiniteValueError if it is not finite; see `_fusion_operands` for the operands.
+    Per channel block, `_masked_sum` (zeros for one branch) plus F(x_0),
+    within the module docstring's bound of sum_b M_b * F(x_b). Raises
+    NonFiniteValueError if it is not finite; operands as in `_fusion_operands`.
     """
     data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
-    total = np.empty(_half_shape(data[0].shape, axes), dtype=np.complex128)
-    scratch = _block_scratch((blocks[0].stop, *data[0].shape[1:]), axes)
+    total = np.zeros(_half_shape(data[0].shape, axes), dtype=np.complex128)
+    _, term = scratch = _block_scratch((blocks[0].stop, *data[0].shape[1:]), axes)
     for block in blocks:
         _masked_sum(data, weights, axes, block, total[block], scratch)
-    return total
+        total[block] += _rfftn(data[0][block], axes, out=term[: block.stop - block.start])
+    return check_array(total, "spectrum values", 4, np.complex128)
 
 
 def _fuse(branch_outputs, masks) -> np.ndarray:
-    """Inverse of `fused_spectrum`, residue-checked, as a float64 (C, T, H, W) array.
+    """x_0 + IFFT(sum_{b>=1} M_b * F(x_b - x_0)), residue-checked, as float64 (C, T, H, W).
 
-    Streams over the channel blocks: each block's masked sum goes to its
-    share's own accumulator and is inverted by `_irfftn_real` straight
-    into the block's channels of the result. `config.run_shares` splits
-    the blocks, each share with its own accumulator and scratch. A
-    block whose sum is not finite raises NonFiniteValueError, which
-    `config.run_shares` passes on once every share has stopped; after
-    every block, the residue is checked once against the largest output
-    of the whole result. Each channel is computed by the same operations
-    whichever block or thread runs it, so the output does not depend on
-    either.
+    Mask 0 is only checked, the bound is the module docstring's, and B
+    branches cost B - 1 forward transforms and one inverse per channel
+    block; one branch is returned with none. Each block's masked sum goes
+    to its share's own accumulator (`config.run_shares`), is inverted by
+    `_irfftn_real` into the block's channels of the result, and branch 0 is
+    added. A block whose sum is not finite raises NonFiniteValueError, which
+    `config.run_shares` passes on once every share has stopped; after every
+    block, the imaginary residue on the last axis's self-conjugate planes is
+    checked once against the largest output. Each channel takes the same
+    operations whichever block or thread runs it.
     """
     data, weights, axes, blocks = _fusion_operands(branch_outputs, masks)
+    if len(data) == 1:
+        return np.array(data[0], dtype=np.float64)
     n = data[0].shape[1 + axes[-1]]
     out = np.empty(data[0].shape)
     # Per block: its residue and its largest |output|.
@@ -243,9 +247,11 @@ def _fuse(branch_outputs, masks) -> np.ndarray:
     def run(share, buffers):
         acc, scratch = buffers
         for j in share:
-            total = acc[: blocks[j].stop - blocks[j].start]
-            _masked_sum(data, weights, axes, blocks[j], total, scratch)
-            stats[j] = _irfftn_real(total, axes, n, out[blocks[j]])
+            block = out[blocks[j]]
+            _masked_sum(data, weights, axes, blocks[j], acc[: len(block)], scratch)
+            stats[j, 0] = _irfftn_real(acc[: len(block)], axes, n, block)[0]
+            block += data[0][blocks[j]]
+            stats[j, 1] = max(block.max(), -block.min())
 
     block_shape = (blocks[0].stop, *out.shape[1:])
     config.run_shares(run, len(blocks),
@@ -265,7 +271,8 @@ def spectral_blend(z_global: VideoLatent, z_local: VideoLatent,
     """Low band of the global latent plus high band of the local latent.
 
     The two-band case of multiband_fuse, with masks [1 - P, P] over
-    [z_local, z_global]: ifft3(fft3(z_local) * (1 - P) + fft3(z_global) * P).
+    [z_local, z_global]: z_local + ifft3(fft3(z_global - z_local) * P), 1 - P
+    only checked, within rounding of the literal two-band sum (module docstring).
     An `lpf` that is not a FrequencyMask raises InvalidParameterError.
     """
     config.check_instance(lpf, "lpf", kind=FrequencyMask)

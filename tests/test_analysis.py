@@ -192,11 +192,25 @@ class TestRelativeSnr:
         ([0, 1, 3], [1 + 1j, 1], InvalidShapeError, "ratios must hold real numbers, got complex128"),
         ([0, 1, 3], np.array([1 + 1j, 1]), InvalidShapeError,
          "ratios must hold real numbers, got complex128"),
+        ([3.0, 1.0, 0.0], [1, 1], InvalidParameterError,
+         "boundaries must be 2 or more ascending reals within [0, pi]"),
+        ([0.0], [], InvalidParameterError,
+         "boundaries must be 2 or more ascending reals within [0, pi]"),
+        ([0.0, 1.0, 4.0], [1, 1], InvalidParameterError,
+         f"boundaries must be a finite real number in [0, {np.pi}], got 4.0"),
     ], ids=["nan-ratio", "nan-boundary", "2d-ratios", "2d-boundaries", "complex-ratio-list",
-            "complex-ratio-array"])
+            "complex-ratio-array", "descending-boundaries", "one-boundary", "boundary-above-pi"])
     def test_malformed_report_rejected(self, boundaries, ratios, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SnrReport(boundaries, ratios)
+
+    def test_edges_at_the_ends_repeat_a_boundary(self):
+        # relative_snr adds 0 and pi around its edges; band [0, 0] holds the
+        # DC bin and band [pi, pi] nothing.
+        lat = gaussian_latent((1, 8, 4, 4), SeededRng(9))
+        report = relative_snr(lat, lat, [0.0, 1.0, np.pi])
+        assert report.boundaries.tolist() == [0.0, 0.0, 1.0, np.pi, np.pi]
+        assert report.ratios.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_copies_the_callers_arrays(self):
         bounds = np.array([0.0, 1.0, np.pi])

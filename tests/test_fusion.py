@@ -95,7 +95,7 @@ class TestSpectralBlend:
         z = gaussian_latent((2, 8, 4, 4), SeededRng(3))
         lpf = gaussian_lowpass((8, 4, 4), 0.25)
         out = spectral_blend(z, z, lpf)
-        assert np.abs(out.data - z.data).max() <= 1e-4
+        assert np.array_equal(out.data, z.data)
 
     def test_all_ones_filter_returns_global(self):
         zg = gaussian_latent((2, 8, 4, 4), SeededRng(4))
@@ -131,7 +131,16 @@ class TestMultibandFuse:
         z = gaussian_latent((2, 16, 4, 4), SeededRng(8))
         masks = band_masks([1, 2, 4], (16, 4, 4))
         out = multiband_fuse([z, z, z], masks)
-        assert np.abs(out.data - z.data).max() <= 1e-4
+        assert np.array_equal(out.data, z.data)
+
+    @pytest.mark.parametrize("alphas", [(1,), (1, 2, 4)])
+    @pytest.mark.parametrize("mode", ["temporal", "radial"])
+    def test_identical_float64_branches_return_the_branch(self, alphas, mode):
+        # Every difference from branch 0 is zero, so the fusion adds an
+        # exact zero to branch 0.
+        x = SeededRng(13).normals(2 * 16 * 4 * 4).reshape(2, 16, 4, 4)
+        out = fusion._fuse([x] * len(alphas), band_masks(alphas, (16, 4, 4), mode))
+        assert out is not x and np.array_equal(out, x)
 
     def test_two_bands_equals_spectral_blend(self):
         zg = gaussian_latent((2, 8, 4, 4), SeededRng(9))
@@ -182,7 +191,7 @@ class TestFusionProperties:
     def test_identical_branches_return_the_input(self, c, t, h, w, alphas, mode, seed):
         z = gaussian_latent((c, t, h, w), SeededRng(seed))
         out = multiband_fuse([z] * len(alphas), band_masks(alphas, (t, h, w), mode))
-        assert np.abs(out.data - z.data).max() <= 1e-6
+        assert np.array_equal(out.data, z.data)
 
     @given(c=st.integers(1, 3), t=st.integers(1, 12), h=st.integers(1, 5),
            w=st.sampled_from([1, 2, 3, 4, 7, 8]),
@@ -237,6 +246,36 @@ class TestChannelBlocks:
                 with mock.patch.object(config, "pool_width", return_value=width):
                     assert np.array_equal(fusion._fuse(branches, masks), whole)
                     assert np.array_equal(multiband_fuse(latents, masks).data, whole_latent)
+
+    @given(data=st.data(), c=st.integers(1, 9), t=st.sampled_from([1, 2, 5, 8]),
+           h=st.integers(1, 3), w=st.sampled_from([1, 2, 3, 7]),
+           alphas=st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True).map(sorted),
+           gaussian=st.booleans(), mode=st.sampled_from(["temporal", "radial"]),
+           seed=st.integers(0, 2**32))
+    def test_work_counts(self, data, c, t, h, w, alphas, gaussian, mode, seed):
+        # Per channel block, B branches cost B - 1 forward transforms and
+        # one inverse (one branch none), and `fused_spectrum` B forward ones.
+        if gaussian:
+            lpf = gaussian_lowpass((t, h, w), 0.3, mode)
+            masks = [lpf.complement(), lpf]
+        else:
+            masks = band_masks(alphas, (t, h, w), mode)
+        rng = SeededRng(seed)
+        branches = [rng.normals(c * t * h * w).reshape(c, t, h, w) for _ in masks]
+        per = data.draw(st.integers(1, c), label="channels per block")
+        b, blocks = len(masks), -(-c // per)
+        with mock.patch.object(fusion, "_BLOCK_BYTES", 8 * per * t * h * w), \
+                mock.patch.object(config, "pool_width", return_value=1), \
+                mock.patch.object(fusion, "_rfftn", wraps=fusion._rfftn) as forward, \
+                mock.patch.object(fusion, "_irfftn_real", wraps=fusion._irfftn_real) as inverse:
+            fused = fusion._fuse(branches, masks)
+            assert (forward.call_count, inverse.call_count) == ((b - 1) * blocks, (b > 1) * blocks)
+            forward.reset_mock()
+            inverse.reset_mock()
+            fusion.fused_spectrum(branches, masks)
+            assert (forward.call_count, inverse.call_count) == (b * blocks, 0)
+        if b == 1:
+            assert np.array_equal(fused, branches[0])
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_non_finite_sum_in_one_block_raises(self, width):
