@@ -200,7 +200,9 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     frame grid (`check_array`'s kind step; no finiteness pass, which would
     add a temporary of n * n bytes). Token pairs are mean-pooled within
     frame pairs, the collection is averaged, and rows are renormalized to
-    sum 1. `maps` that are not a sequence raise InvalidParameterError.
+    sum 1. A map that is not 2-D or not square raises InvalidShapeError; one
+    that is empty or does not tile `num_frames`, or `maps` that are not a
+    sequence, raise InvalidParameterError.
     """
     maps = check_sequence(maps, "attention matrices")
     if not maps:
@@ -209,9 +211,13 @@ def aggregate_attention(maps, num_frames: int) -> AttnMap:
     pooled = np.zeros((t, t), dtype=np.float64)
     for m in maps:
         m = np.asarray(m)
+        if m.ndim != 2:
+            raise InvalidShapeError(
+                f"attention matrices must have 2 non-empty axes, got shape {m.shape}")
         _check_kind(m, "attention matrices")
+        check_shape(m, "attention matrices", (len(m), len(m)), InvalidShapeError)
         m = m.astype(np.float64, copy=False)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % t or m.size == 0:
+        if m.shape[0] % t or m.size == 0:
             raise InvalidParameterError(f"matrix shape {m.shape} does not tile {t} frames")
         n = m.shape[0]
         tpf = n // t

@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 
-from .config import DOMAIN_MODES, MIX_DOMAINS, thread_cap
+from .config import DOMAIN_MODES, thread_cap
 from .errors import InvalidParameterError
 
 
@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--height", type=int, default=8)
     p.add_argument("--width", type=int, default=8)
-    p.add_argument("--mix-domain", choices=MIX_DOMAINS, default="spatial")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("analyze", help="band-wise relative SNR of extended vs reference")
@@ -152,7 +151,7 @@ def _cmd_specmix(args) -> int:
         seed_res=args.seed + 1,
         seed_perm=args.seed + 2,
     )
-    out = specmix(params, (args.channels, args.height, args.width), args.mix_domain)
+    out = specmix(params, (args.channels, args.height, args.width))
     write_tensor(args.out, out)
     return 0
 

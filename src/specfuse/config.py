@@ -1,5 +1,5 @@
 """Plain-text key = value config dialect shared by plans and scene specs,
-the integer, real-number, sequence and choice rules, the mode vocabularies,
+the integer, real-number, sequence and choice rules, the domain modes,
 the SPFU_THREADS environment variable, and the thread pool that splits a pass
 into shares.
 
@@ -26,10 +26,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameterError
 
-# The mode vocabularies, defined here so the library's checks and the CLI's
-# choices read the same tuples without loading numpy.
+# The domain modes, defined here so the library's checks and the CLI's
+# choices read the same tuple without loading numpy.
 DOMAIN_MODES = ("temporal", "radial")
-MIX_DOMAINS = ("spatial", "full3d")
 
 
 def parse_kv(text: str) -> dict[str, str]:

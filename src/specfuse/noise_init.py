@@ -7,20 +7,15 @@ Builds the starting noise tensor from two ingredients:
   pins the low-frequency content across windows;
 * a fresh Gaussian residual, sampled independently per frame.
 
-The two are mixed with cos/sin weights (`_mix_weights`) driven by the
-normalized distance of a temporal index to the sequence center: the
-center keeps the base, the edges keep the residual, and cos^2 + sin^2 = 1
-keeps the variance at 1 in expectation. Mixing domains ("mix_domain"):
-
-* "spatial" (default): a direct per-frame mix,
-  cos_w[t] * base[t] + sin_w[t] * residual[t]. Weights at the extreme
-  frames are clamped to exact 0/1. The residual stream is written
-  straight into the float32 output and mixed in place, one window and
-  channel block at a time in float64 scratch; each window's base frames
-  are read from the first window, so the base is never built.
-* "full3d": the index is the temporal-frequency bin; both inputs are
-  transformed along T, mixed bin by bin, and transformed back, keeping
-  the real part of the inverse.
+The two are mixed frame by frame with cos/sin weights (`_mix_weights`)
+driven by the normalized distance of a frame to the sequence center:
+cos_w[t] * base[t] + sin_w[t] * residual[t]. The center keeps the base,
+the edges keep the residual, and cos^2 + sin^2 = 1 keeps the variance at 1
+in expectation. Weights at the extreme frames are clamped to exact 0/1.
+The residual stream is written straight into the float32 output and mixed
+in place, one window and channel block at a time in float64 scratch; each
+window's base frames are read from the first window, so the base is never
+built.
 
 No (H, W) transform is needed: each weight is one scalar per temporal
 index, which commutes with any linear map over (H, W), so a spatial FFT
@@ -34,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core
-from .config import (MIX_DOMAINS, check_choice, check_instance, check_integer, check_sequence,
-                     check_size)
+from .config import check_instance, check_integer, check_sequence, check_size
 from .errors import InvalidShapeError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
@@ -53,6 +47,8 @@ class SpecMixParams:
     def __post_init__(self):
         t_alpha = check_integer(self.t_alpha, "t_alpha", minimum=1)
         check_integer(self.frames, "frames", minimum=t_alpha)
+        for name in ("seed_base", "seed_res", "seed_perm"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, minimum=0))
 
 
 def _windows(params: SpecMixParams):
@@ -101,25 +97,16 @@ def _mix_weights(frames: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_w.reshape(1, -1, 1, 1), sin_w.reshape(1, -1, 1, 1)
 
 
-def specmix(params: SpecMixParams, chw: tuple[int, int, int],
-            mix_domain: str = "spatial") -> VideoLatent:
+def specmix(params: SpecMixParams, chw: tuple[int, int, int]) -> VideoLatent:
     """Center-weighted mix of base and residual noise, (C, frames, H, W).
 
-    "spatial" mixes frame by frame in float64, in place in the float32
-    output one window and channel block at a time, and rounds each value
-    once; it never holds the whole base or a float64 latent. "full3d"
-    mixes the temporal FFT bins and keeps the real part of the inverse.
-    See the module docstring. Deterministic given the three seeds. `chw`
-    as in `base_noise`.
+    Mixes frame by frame in float64, in place in the float32 output one
+    window and channel block at a time, and rounds each value once; it
+    never holds the whole base or a float64 latent. See the module
+    docstring. Deterministic given the three seeds. `chw` as in
+    `base_noise`.
     """
     check_instance(params, "params", kind=SpecMixParams)
-    check_choice(mix_domain, "mix_domain", MIX_DOMAINS)
-    if mix_domain == "full3d":
-        base = base_noise(params, chw).data.astype(np.float64)
-        res = gaussian_latent(base.shape, SeededRng(params.seed_res)).data.astype(np.float64)
-        cos_w, sin_w = _mix_weights(params.frames)
-        mixed = cos_w * np.fft.fft(base, axis=1) + sin_w * np.fft.fft(res, axis=1)
-        return VideoLatent(np.fft.ifft(mixed, axis=1).real)
     c, h, w = check_sequence(chw, "shape", InvalidShapeError, 3, check_size)
     ta = params.t_alpha
     first = gaussian_latent((c, ta, h, w), SeededRng(params.seed_base)).data

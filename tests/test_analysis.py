@@ -284,6 +284,20 @@ class TestAggregateAttention:
                            match=r"^matrix shape \(0, 0\) does not tile 2 frames$"):
             aggregate_attention([np.zeros((0, 0))], 2)
 
+    @pytest.mark.parametrize("m, message", [
+        (np.ones(4) / 4, "attention matrices must have 2 non-empty axes, got shape (4,)"),
+        (np.ones((4, 3)) / 3, "attention matrices must have shape (4, 4), got (4, 3)"),
+    ], ids=["one-axis", "not-square"])
+    def test_malformed_map_is_a_shape_error(self, m, message):
+        with pytest.raises(InvalidShapeError, match=f"^{re.escape(message)}$"):
+            aggregate_attention([m], 2)
+
+    def test_map_that_does_not_tile_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^matrix shape \(6, 6\) does not tile 4 frames$") as info:
+            aggregate_attention([np.eye(6)], 4)
+        assert type(info.value) is InvalidParameterError
+
     def test_complex_map_rejected(self):
         # Not converted with its imaginary part dropped (a ComplexWarning).
         with pytest.raises(InvalidShapeError,

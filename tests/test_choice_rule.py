@@ -1,6 +1,6 @@
 """The one choice rule, `config.check_choice`, at every entry point that takes a
-mode, kind or axis name: window kinds, plan and mask domain modes, the SpecMix
-mix domain and tone axes, from constructors and from plan and scene files.
+mode, kind or axis name: window kinds, plan and mask domain modes and tone
+axes, from constructors and from plan and scene files.
 
 Each site gets the same inputs: a two-member str array, None, an int, bytes, a
 list holding a member and a wrong-case member, which must fail with the entry's
@@ -20,7 +20,6 @@ from specfuse import (
     AttentionWindow,
     FusionPlan,
     SeededRng,
-    SpecMixParams,
     SyntheticScene,
     Tone,
     band_energy,
@@ -29,7 +28,6 @@ from specfuse import (
     gaussian_latent,
     gaussian_lowpass,
     relative_snr,
-    specmix,
 )
 from specfuse import config
 from specfuse.errors import InvalidParameterError, SpecfuseError
@@ -37,9 +35,8 @@ from specfuse.harness import AXIS_NAMES
 
 LATENT = gaussian_latent((1, 4, 2, 2), SeededRng(0))
 EDGES = [0.0, 1.0, np.pi]
-PARAMS = SpecMixParams(frames=8, t_alpha=4)
 KINDS = ("local", "global")
-DOMAINS, MIXES = config.DOMAIN_MODES, config.MIX_DOMAINS
+DOMAINS = config.DOMAIN_MODES
 
 # (id, call, error, parameter name, vocabulary, prefix of file errors or None).
 # A file site writes the value's text into its file, so its message shows that text.
@@ -61,8 +58,6 @@ SITES = [
      InvalidParameterError, "domain_mode", DOMAINS, None),
     ("relative_snr", lambda v: relative_snr(LATENT, LATENT, EDGES, domain_mode=v),
      InvalidParameterError, "domain_mode", DOMAINS, None),
-    ("specmix", lambda v: specmix(PARAMS, (1, 2, 2), v),
-     InvalidParameterError, "mix_domain", MIXES, None),
     ("tone-axis", lambda v: Tone(v, 1.0, 1.0), InvalidParameterError, "axis", AXIS_NAMES, None),
     ("scene-file-axis",
      lambda v: SyntheticScene.from_text(f"shape = 1,4,2,2\ntones = {v}:1:1\n"),

@@ -13,11 +13,14 @@ import pytest
 from specfuse import (
     FusionPlan,
     SeededRng,
+    SpecMixParams,
     latent_from_tokens,
     multiband_attention,
     read_tensor,
+    specmix,
     spectral_blend_attention,
     tokens_from_latent,
+    write_tensor,
 )
 from specfuse import config
 from specfuse.cli import _build_parser, main
@@ -145,6 +148,20 @@ class TestSpecmixCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("frames, t_alpha, chw, seed", [
+        (32, 8, (4, 8, 8), 1), (37, 8, (4, 8, 8), 5), (37, 8, (4, 5, 7), 9)],
+        ids=["default-shape", "partial-window", "odd-height-width"])
+    def test_matches_the_library(self, tmp_path, frames, t_alpha, chw, seed):
+        c, h, w = chw
+        cli_out, lib_out = tmp_path / "cli.spfu", tmp_path / "lib.spfu"
+        code, _ = run_cli("specmix", "--frames", str(frames), "--t-alpha", str(t_alpha),
+                          "--seed", str(seed), "--channels", str(c), "--height", str(h),
+                          "--width", str(w), "--out", str(cli_out))
+        assert code == 0
+        params = SpecMixParams(frames, t_alpha, seed, seed + 1, seed + 2)
+        write_tensor(lib_out, specmix(params, (c, h, w)))
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
     def test_shape_flags(self, tmp_path):
         out = tmp_path / "x.spfu"
         run_cli("specmix", "--frames", "12", "--t-alpha", "4", "--seed", "2",
@@ -261,21 +278,17 @@ class TestParser:
         commands = next(a for a in _build_parser()._actions if a.choices).choices
         found = [(command, action.dest, action.choices) for command, sub in commands.items()
                  for action in sub._actions if action.choices]
-        vocabularies = [config.DOMAIN_MODES, config.MIX_DOMAINS, config.DOMAIN_MODES]
-        assert [f[:2] for f in found] == [("blend", "domain"), ("specmix", "mix_domain"),
-                                          ("analyze", "domain")]
-        assert all(f[2] is vocabulary for f, vocabulary in zip(found, vocabularies))
+        assert [f[:2] for f in found] == [("blend", "domain"), ("analyze", "domain")]
+        assert all(f[2] is config.DOMAIN_MODES for f in found)
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("blend", "--domain", "polar"), ("analyze", "--domain", "Temporal"),
-        ("specmix", "--mix-domain", "bogus")])
+        ("blend", "--domain", "polar"), ("analyze", "--domain", "Temporal")])
     def test_bad_choice_is_a_usage_error(self, tmp_path, scene_file, command, flag, value):
         lat = tmp_path / "x.spfu"
         run_cli("scene", "--config", str(scene_file), "--out", str(lat))
         out = tmp_path / "out"
         argv = {"blend": ["--global", str(lat), "--local", str(lat)],
-                "analyze": ["--ref", str(lat), "--ext", str(lat)],
-                "specmix": ["--frames", "8", "--t-alpha", "4"]}[command]
+                "analyze": ["--ref", str(lat), "--ext", str(lat)]}[command]
         stderr = io.StringIO()
         with pytest.raises(SystemExit) as exc, redirect_stderr(stderr):
             main([command, *argv, flag, value, "--out", str(out)])

@@ -72,6 +72,12 @@ ENTRIES = [
      InvalidParameterError, "t_alpha", 1, 4),
     ("specmix-frames", lambda v: SpecMixParams(frames=v, t_alpha=2),
      InvalidParameterError, "frames", 2, 4),
+    ("specmix-seed_base", lambda v: SpecMixParams(frames=8, t_alpha=4, seed_base=v),
+     InvalidParameterError, "seed_base", 0, 7),
+    ("specmix-seed_res", lambda v: SpecMixParams(frames=8, t_alpha=4, seed_res=v),
+     InvalidParameterError, "seed_res", 0, 7),
+    ("specmix-seed_perm", lambda v: SpecMixParams(frames=8, t_alpha=4, seed_perm=v),
+     InvalidParameterError, "seed_perm", 0, 7),
     ("specmix-chw", lambda v: specmix(SpecMixParams(frames=8, t_alpha=4), (v, 2, 2)),
      InvalidShapeError, "shape", 1, 2),
     ("base_noise-chw", lambda v: base_noise(SpecMixParams(frames=8, t_alpha=4), (2, 2, v)),

@@ -95,7 +95,7 @@ class TestSpecmix:
     test_per_slice_variance = staticmethod(selftest.check_specmix_variance)
 
     def test_spatial_mode_matches_pixel_domain_mix(self, monkeypatch):
-        # Spatial mode is the per-frame mix itself, cos_w * base + sin_w *
+        # specmix is the per-frame mix itself, cos_w * base + sin_w *
         # residual over whole float64 copies, stored once in float32, and
         # the base is the whole shuffled base, at every block size.
         for block in (1, 3, 16, tensor_core._BLOCK_PAIRS):
@@ -128,7 +128,7 @@ class TestSpecmix:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
 
-    @pytest.mark.parametrize("mode, axes", [("spatial", (2, 3)), ("full3d", (1, 2, 3))])
+    @pytest.mark.parametrize("mode, axes", [("spatial", (2, 3))])
     def test_matches_the_spectral_formulation(self, mode, axes):
         # Oracle: the weights applied to the orthonormal FFT over `axes` of
         # both inputs, then inverted over the same axes. The (H, W) part of
@@ -142,27 +142,14 @@ class TestSpecmix:
             mixed = (cos_w * np.fft.fftn(base, axes=axes, norm="ortho")
                      + sin_w * np.fft.fftn(res, axes=axes, norm="ortho"))
             oracle = np.fft.ifftn(mixed, axes=axes, norm="ortho").real
-            out = specmix(params, chw, mode).data
+            out = specmix(params, chw).data
             assert np.abs(out - oracle).max() < 1e-6
-
-    def test_full3d_mode_runs_and_differs(self):
-        params = SpecMixParams(frames=16, t_alpha=8, seed_base=10, seed_res=11, seed_perm=12)
-        spatial = specmix(params, (2, 4, 4), "spatial")
-        full = specmix(params, (2, 4, 4), "full3d")
-        assert spatial.shape == full.shape
-        assert not np.array_equal(spatial.data, full.data)
-
-    def test_unknown_mix_domain(self):
-        params = SpecMixParams(frames=8, t_alpha=8)
-        with pytest.raises(InvalidParameterError):
-            specmix(params, (1, 2, 2), "bogus")
 
     def test_single_frame_is_the_base(self):
         # One frame is the centre: cos = 1 and sin = 0, so the mix is the base itself.
         params = SpecMixParams(frames=1, t_alpha=1, seed_base=4, seed_res=5, seed_perm=6)
-        for mode in ("spatial", "full3d"):
-            assert specmix(params, (2, 3, 4), mode).data.tobytes() == \
-                base_noise(params, (2, 3, 4)).data.tobytes()
+        assert specmix(params, (2, 3, 4)).data.tobytes() == \
+            base_noise(params, (2, 3, 4)).data.tobytes()
 
     @pytest.mark.parametrize("chw", [(2.5, 4, 4), (2, 4, True), (2, 4.0, 4)],
                              ids=["float", "bool", "integral-float"])
