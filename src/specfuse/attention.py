@@ -24,17 +24,20 @@ logits matmul of every key frame reads one contiguous (d+1, tpf) block;
 and v3 (T, tpf, dv+1), the values beside a ones column. The fused path
 (`fusion._branch_latents`) projects Q and V straight into these stacks
 and K through one temporary (`_projected_stacks`); every other entry
-copies its q, k and v in (`_attend`), and `frame_attention` writes its
-one-hot values into v3. So the fused path holds one copy of its
+copies its q, k and v in (`_attend`), and `frame_attention` passes the
+ones column alone (dv = 0). So the fused path holds one copy of its
 operands, and the working set of its pass, in float64 words, is
 
     n * (2 * (d + 1) + dv + 1)                   the stacks
-    + sets * n * dv                              the set outputs
+    + sets * n * w                               the set outputs
     + width * rows * (group * tpf + (T + sets) * (dv + 1))
                                                  the share buffers
 
 for n tokens, `sets` frame sets and `width` shares, with `rows` query
-rows per chunk and `group` key frames per logits block (`_attend_stacks`).
+rows per chunk and `group` key frames per logits block (`_attend_stacks`);
+a set output is w = dv columns wide for values and w = T for frame
+masses, whose v3 (T, tpf, 1) and share partials (T, rows, 1) are one
+column wide.
 
 Query frames are independent, so `_attend_stacks` splits them across
 threads through `config.run_shares`, `config.pool_width()` shares wide: the
@@ -46,16 +49,19 @@ M*N*K <= 2**18, the size OpenBLAS runs on the calling thread, so the
 threads never queue for OpenBLAS's own pool. Each small numpy call hands
 the GIL from one thread to another, so the shares make as few as they
 can: the frame sets are planned once per call on the calling thread
-(`_frame_plans`), and each chunk ends in one divide and one fallback test
-for all sets. Every row is computed by the same operations in the same
-order whichever thread runs it, so outputs are bit-identical at every
-width.
+(`_frame_plans`), and each chunk ends in one fallback test for all sets
+and, for values, one divide for all sets. Every row is computed by the
+same operations in the same order whichever thread runs it, so outputs
+are bit-identical at every width.
 
-Frame-level attention maps run through the same core: `frame_attention`
-passes a one-hot frame indicator as the values, so each output row is the
-weight mass its query puts on every key frame, and the (T, T) map costs
-O(n * T) memory. `attention_map` keeps the dense (n, n) weights as a
-diagnostic and test oracle, its logits taken from the same q3 and kt3.
+Frame-level attention maps run through the same core, in its frame-mass
+kind: the mass a query row puts on key frame j is that frame's
+ones-column sum, the row-sum bookkeeping the value kind divides by. So
+`frame_attention` needs no values, each (n, T) output row holds its
+query's mass on every key frame, and the (T, T) map costs one attention
+pass with a one-column value matmul and O(n * T) memory. `attention_map`
+keeps the dense (n, n) weights as a diagnostic and test oracle, its
+logits taken from the same q3 and kt3.
 """
 
 from __future__ import annotations
@@ -329,7 +335,7 @@ def _exact_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _softmax_rows(logits) @ v.reshape(-1, v.shape[-1])
 
 
-def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
+def _attend_frames(q3, kt3, v3, plans, outs, masses, frame_ids, buffers) -> None:
     """`_attend_stacks`'s work for the query frames `frame_ids`, in `buffers` of its own.
 
     q3 and v3 carry the extra column (shift, ones) and kt3 the extra row
@@ -337,11 +343,13 @@ def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
     frames' rows of `outs` and of q3's shift column, and calls only numpy,
     so it can run on a pool thread next to other shares. Per query-row
     chunk it makes one `exp` and two matmuls per key group, one sum per
-    set, and one divide and one fallback test for all sets; only when
-    that test fails does it look for each set's rows to recompute.
-    Floating-point errors are ignored on the shifted path, whose failures
-    the fallback catches, and follow the caller's np.errstate in the
-    fallback.
+    set, and one fallback test for all sets; the value kind then makes one
+    divide for all sets, the frame-mass kind (`masses`, v3 holding no
+    values) one per set. Only when that test fails does it look for each
+    set's rows to recompute, with the values, or for masses with a block
+    indicator of the set's key frames as the values. Floating-point errors
+    are ignored on the shifted path, whose failures the fallback catches,
+    and follow the caller's np.errstate in the fallback.
     """
     tpf = q3.shape[1]
     block, partial, totals = buffers
@@ -365,21 +373,32 @@ def _attend_frames(q3, kt3, v3, plans, outs, frame_ids, buffers) -> None:
                 for s, keys in enumerate(sets):
                     np.sum(partial[keys, :m], axis=0, out=totals[s, :m])
                 rows_out = outs[:, i, r0 : r0 + m]
-                np.divide(totals[:, :m, :-1], totals[:, :m, -1:], out=rows_out)
+                if masses:
+                    for s, keys in enumerate(sets):
+                        rows_out[s][:, keys] = partial[keys, :m, 0].T / totals[s, :m]
+                else:
+                    np.divide(totals[:, :m, :-1], totals[:, :m, -1:], out=rows_out)
                 if totals[:, :m, -1].min() >= _MIN_ROW_SUM and np.isfinite(totals[:, :m]).all():
                     continue
                 for s, keys in enumerate(sets):
                     total = totals[s, :m]
-                    lost = ~((total[:, -1] >= _MIN_ROW_SUM) & np.isfinite(total).all(axis=1))
-                    if lost.any():
+                    lost = np.flatnonzero(~((total[:, -1] >= _MIN_ROW_SUM)
+                                            & np.isfinite(total).all(axis=1)))
+                    if lost.size:
+                        if masses:  # a (J * tpf, J) block indicator of the set's frames
+                            ids = np.arange(q3.shape[0])[keys]
+                            values = np.repeat(np.eye(ids.size), tpf, axis=0)
+                            where = np.ix_(lost, ids)
+                        else:
+                            values, where = v3[keys, :, :-1], lost
                         with np.errstate(**caller):
-                            rows_out[s, lost] = _exact_rows(
-                                q3[i, r0 + np.flatnonzero(lost), :-1],
-                                kt3[keys, :-1].transpose(0, 2, 1), v3[keys, :, :-1])
+                            rows_out[s][where] = _exact_rows(
+                                q3[i, r0 + lost, :-1], kt3[keys, :-1].transpose(0, 2, 1), values)
 
 
 def _attend_stacks(q3, kt3, v3, frame_sets) -> list[np.ndarray]:
-    """One-pass multi-window attention core; one (n, d_v) output per frame set.
+    """One-pass multi-window attention core; one (n, d_v) output per frame set,
+    or with no values (dv = 0) one (n, T) output of frame masses.
 
     q3, kt3, v3 come from `_operand_stacks`; each (T, T) frame set from
     `_frame_set`. For each query frame i, the logits of every key frame in
@@ -400,21 +419,27 @@ def _attend_stacks(q3, kt3, v3, frame_sets) -> list[np.ndarray]:
     whose sum is below `_MIN_ROW_SUM` or not finite is recomputed with the
     set's own row max. Neither the shift nor the fallback depends on the
     other sets, so a set's output is bit-identical to the same set run
-    alone. The key groups and the sets' frames of every query frame are
-    planned once, on the calling thread (`_frame_plans`). Query frames are
+    alone. With v3 the ones column alone (dv = 0) the core has the
+    frame-mass kind: each set's (n, T) output holds p_j[:, 0] /
+    sum_j p_j[:, 0] at the set's key frames j and zeros elsewhere, the
+    per-frame softmax mass of each row; its fallback gives the same kind.
+    The key groups and the sets' frames of every query frame are planned
+    once, on the calling thread (`_frame_plans`). Query frames are
     split across `config.pool_width()` threads (see the module docstring)
     and the output does not depend on the width. The core counts no work
     (see `MacCounter` for reading counts off the matrices).
     """
     t, tpf, d1 = q3.shape
     dv = v3.shape[2] - 1
+    masses = dv == 0
     rows = max(1, min(tpf, _SERIAL_GEMM_MACS // (tpf * max(d1, dv + 1))))
     group = min(t, max(1, _BLOCK_BYTES // (8 * rows * tpf)))
-    outs = np.empty((len(frame_sets), t, tpf, dv), dtype=np.float64)
+    shape = (len(frame_sets), t, tpf, t if masses else dv)
+    outs = np.zeros(shape) if masses else np.empty(shape)
     plans = _frame_plans(np.stack(frame_sets), group)
-    config.run_shares(functools.partial(_attend_frames, q3, kt3, v3, plans, outs), t,
+    config.run_shares(functools.partial(_attend_frames, q3, kt3, v3, plans, outs, masses), t,
                       lambda: _share_buffers(t, len(frame_sets), group, rows, tpf, dv))
-    return [out.reshape(t * tpf, dv) for out in outs]
+    return [out.reshape(t * tpf, shape[-1]) for out in outs]
 
 
 def _attend(q, k, v, frame_sets) -> list[np.ndarray]:
@@ -492,15 +517,14 @@ def frame_attention(q, k, frame_index, window: AttentionWindow | None = None,
     Entry (i, j) is the mean over frame i's query rows of the weight mass
     each row puts on key frame j, rows renormalized to sum 1: the map
     `aggregate_attention([attention_map(...)], T)` pools from the dense
-    weights, to rounding. `_attend_stacks` computes it with a one-hot frame
-    indicator written straight into its value stack as the values, so no
-    (n, n) matrix is formed. Exactly one of `window` / `keyframes` selects
-    the mask; both None means global.
+    weights, to rounding. `_attend_stacks` computes the (n, T) row masses in
+    its frame-mass kind, from the ones column of a value stack that holds
+    nothing else, so neither an (n, n) matrix nor a T-wide value stack is
+    formed. Exactly one of `window` / `keyframes` selects the mask; both
+    None means global.
     """
     q, k, _, _, t = _check_qkv(q, k, None, frame_index)
     admitted = _frame_set(t, window=window, keyframes=keyframes)
-    q3, kt3, v3 = _operand_stacks(t, len(q) // t, q.shape[1], t, q, k)
-    v3[..., :t] = np.eye(t)[:, None]  # frame i's tokens hold the indicator of frame i
-    (mass,) = _attend_stacks(q3, kt3, v3, [admitted])
+    (mass,) = _attend_stacks(*_operand_stacks(t, len(q) // t, q.shape[1], 0, q, k), [admitted])
     pooled = mass.reshape(t, -1, t).mean(axis=1)
     return AttnMap(pooled / pooled.sum(axis=1, keepdims=True))

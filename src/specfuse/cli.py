@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 
-from .config import DOMAIN_MODES, thread_cap
+from .config import DOMAIN_MODES, check_seed, thread_cap
 from .errors import InvalidParameterError
 
 
@@ -101,7 +101,7 @@ def _projection_weights(d: int, seed):
     if seed is None:
         eye = np.eye(d)
         return eye, eye, eye
-    return block_weights(d, SeededRng(seed))
+    return block_weights(d, SeededRng(check_seed(seed, "weights_seed")))
 
 
 def _cmd_scene(args) -> int:
@@ -144,12 +144,13 @@ def _cmd_specmix(args) -> int:
     from .noise_init import SpecMixParams, specmix
     from .tensor_core import write_tensor
 
+    seed = check_seed(args.seed, "seed", offset=2)
     params = SpecMixParams(
         frames=args.frames,
         t_alpha=args.t_alpha,
-        seed_base=args.seed,
-        seed_res=args.seed + 1,
-        seed_perm=args.seed + 2,
+        seed_base=seed,
+        seed_res=seed + 1,
+        seed_perm=seed + 2,
     )
     out = specmix(params, (args.channels, args.height, args.width))
     write_tensor(args.out, out)

@@ -1,7 +1,7 @@
 """Plain-text key = value config dialect shared by plans and scene specs,
-the integer, real-number, sequence and choice rules, the domain modes,
-the SPFU_THREADS environment variable, and the thread pool that splits a pass
-into shares.
+the integer (with its seed form), real-number, sequence and choice rules,
+the domain modes, the SPFU_THREADS environment variable, and the thread
+pool that splits a pass into shares.
 
 One `key = value` pair per line; blank lines and lines starting with '#'
 are ignored. Keys are case-sensitive. No sections, no nesting.
@@ -101,6 +101,19 @@ def check_integer(value, name: str, error: type = InvalidParameterError,
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_seed(value, name: str, offset: int = 0) -> int:
+    """`value` as a seed: the integer rule from 0, with `value + offset` below
+    2**64, so that it and the `offset` seeds a caller derives after it
+    (value + 1, ..., value + offset) each key a 64-bit Philox stream; else
+    InvalidParameterError naming `name`, with the value as given."""
+    seed = check_integer(value, name, minimum=0)
+    if seed + offset >= 2**64:
+        bound = ("a 64-bit unsigned integer" if offset == 0 else
+                 f"<= {2**64 - 1 - offset}, so that {name} + {offset} is a 64-bit unsigned integer")
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
+    return seed
 
 
 def check_real(value, name: str, low: float = -math.inf, high: float = math.inf,

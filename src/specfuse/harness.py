@@ -61,7 +61,7 @@ class SyntheticScene:
     def __post_init__(self):
         object.__setattr__(self, "noise_level",
                            config.check_real(self.noise_level, "noise_level", 0))
-        config.check_integer(self.seed, "seed", minimum=0)
+        config.check_seed(self.seed, "seed")
         object.__setattr__(self, "shape", config.check_sequence(
             self.shape, "shape", InvalidShapeError, 4, config.check_size))
         object.__setattr__(self, "tones", config.check_sequence(

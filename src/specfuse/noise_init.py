@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_core
-from .config import check_instance, check_integer, check_sequence, check_size
+from .config import check_instance, check_integer, check_seed, check_sequence, check_size
 from .errors import InvalidShapeError
 from .tensor_core import SeededRng, VideoLatent, gaussian_latent
 
@@ -48,7 +48,7 @@ class SpecMixParams:
         t_alpha = check_integer(self.t_alpha, "t_alpha", minimum=1)
         check_integer(self.frames, "frames", minimum=t_alpha)
         for name in ("seed_base", "seed_res", "seed_perm"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name, minimum=0))
+            object.__setattr__(self, name, check_seed(getattr(self, name), name))
 
 
 def _windows(params: SpecMixParams):

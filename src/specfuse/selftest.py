@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 
-from . import attention
+from . import attention, config
 from .analysis import aggregate_attention, band_energy, diagonality, relative_snr, uniform_band_edges
 from .attention import (
     AttentionWindow,
@@ -426,16 +426,35 @@ def check_aggregate_row_stochastic():
 
 
 def check_frame_attention_oracle():
-    # The linear-memory map against pooling the dense (n, n) weights.
-    for t, tpf, d, seed in ((1, 3, 4, 47), (8, 4, 8, 43), (12, 5, 6, 48)):
-        toks, q, k, _ = _rand_qkv(t, tpf, d, seed)
+    # The linear-memory map against pooling the dense (n, n) weights, at
+    # pool widths 1 and 2 bit for bit. The last input's queries, scaled by
+    # 300, send a row of its global and span-4 maps to `_exact_rows`.
+    rows = []
+    exact_rows = attention._exact_rows
+
+    def counted(q, k, v):
+        rows.append(len(q))
+        return exact_rows(q, k, v)
+
+    inputs = [_rand_qkv(t, tpf, d, seed)[:3]
+              for t, tpf, d, seed in ((1, 3, 4, 47), (8, 4, 8, 43), (12, 5, 6, 48))]
+    toks, q, k, _ = _rand_qkv(8, 4, 8, 43)
+    inputs.append((toks, 300 * q, k))
+    for toks, q, k in inputs:
+        t = toks.num_frames
         masks = [{}, {"window": AttentionWindow.for_span(4, t)},
                  {"window": AttentionWindow.local(1)}, {"keyframes": range(0, t, 3)}]
         for mask in masks:
-            got = frame_attention(q, k, toks.frame_index, **mask).matrix
+            maps = []
+            for width in (1, 2):
+                with mock.patch.object(attention, "_exact_rows", side_effect=counted), \
+                        mock.patch.object(config, "pool_width", return_value=width):
+                    maps.append(frame_attention(q, k, toks.frame_index, **mask).matrix)
             want = aggregate_attention([attention_map(q, k, toks.frame_index, **mask)], t).matrix
-            err = np.abs(got - want).max()
+            err = np.abs(maps[0] - want).max()
             assert err <= 1e-12, f"frame map differs from the pooled dense map by {err}"
+            assert np.array_equal(maps[0], maps[1]), "frame map differs across pool widths"
+    assert rows, "no frame-map row fell back to the exact softmax"
 
 
 def check_scene_placement():

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_instance, check_integer, check_sequence, check_size
+from .config import check_instance, check_integer, check_seed, check_sequence, check_size
 from .errors import (
     BadMagicError,
-    InvalidParameterError,
     InvalidShapeError,
     NonFiniteValueError,
     ShapeMismatchError,
@@ -133,9 +132,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = check_integer(seed, "seed", minimum=0)
-        if self.seed >= 2**64:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        self.seed = check_seed(seed, "seed")
         self._bits = np.random.Philox(key=self.seed)
 
     def _uniforms_into(self, u: np.ndarray) -> None:

@@ -546,6 +546,28 @@ class TestFrameAttention:
                         maps.append(frame_attention(q, k, toks.frame_index, **mask).matrix)
             assert np.array_equal(maps[0], maps[1])
 
+    def test_core_gets_no_values(self):
+        # The map is the core's frame-mass kind: the value stack is the ones
+        # column alone, so each share's partial sums are (T, rows, 1).
+        toks = random_tokens(6, 3, 4, 52)
+        q, k, _ = project_qkv(toks, random_weights(4, 53))
+        attend, share_buffers = attention._attend_stacks, attention._share_buffers
+        shapes = []
+
+        def spy_attend(q3, kt3, v3, frame_sets):
+            shapes.append(("v3", v3.shape))
+            return attend(q3, kt3, v3, frame_sets)
+
+        def spy_buffers(*args):
+            buffers = share_buffers(*args)
+            shapes.append(("partial", buffers[1].shape))
+            return buffers
+
+        with mock.patch.object(attention, "_attend_stacks", spy_attend), \
+                mock.patch.object(attention, "_share_buffers", spy_buffers), pooled(2):
+            frame_attention(q, k, toks.frame_index)
+        assert shapes == [("v3", (6, 3, 1)), ("partial", (6, 3, 1)), ("partial", (6, 3, 1))]
+
     def test_window_and_keyframes_together_rejected(self):
         toks = random_tokens(4, 2, 4, 50)
         q, k, _ = project_qkv(toks, random_weights(4, 51))

@@ -2,8 +2,9 @@
 
 One row per raise statement: frame ids and attention operands, the zero-energy
 extended input of `relative_snr`, `AttnMap`'s invariants, the config dialect,
-fusion operands, `frequency_grid`'s domain mode, the seed range and the
-`.spfu` header; and every typed parameter given an object of another class.
+fusion operands, `frequency_grid`'s domain mode, the seed range (each seed,
+and the CLI's `--seed`, whose derived seeds must fit too) and the `.spfu`
+header; and every typed parameter given an object of another class.
 """
 
 import os
@@ -42,6 +43,7 @@ from specfuse import (
     tokens_from_latent,
     write_tensor,
 )
+from specfuse.cli import main
 from specfuse.errors import (DegenerateInputError, InvalidParameterError, InvalidShapeError,
                              ShapeMismatchError, TruncatedPayloadError, UnsupportedFormatError)
 from specfuse.harness import block_weights, make_scene, run_stack
@@ -103,6 +105,14 @@ ERRORS = [
      InvalidParameterError, "domain_mode must be one of ('temporal', 'radial'), got 'polar'"),
     ("seed-64-bit", lambda p: SeededRng(2**64),
      InvalidParameterError, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ("specmix-seed_base-64-bit", lambda p: SpecMixParams(frames=8, t_alpha=4, seed_base=2**64),
+     InvalidParameterError, "seed_base must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ("specmix-seed_res-64-bit", lambda p: SpecMixParams(frames=8, t_alpha=4, seed_res=2**64),
+     InvalidParameterError, "seed_res must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ("specmix-seed_perm-64-bit", lambda p: SpecMixParams(frames=8, t_alpha=4, seed_perm=2**64),
+     InvalidParameterError, "seed_perm must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ("scene-seed-64-bit", lambda p: SyntheticScene(shape=(1, 2, 2, 2), seed=2**64),
+     InvalidParameterError, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
     ("spfu-header", lambda p: read_tensor(spfu_file(p / "t.spfu", size=10)),
      TruncatedPayloadError, "header truncated at 10 bytes"),
     ("spfu-dtype", lambda p: read_tensor(spfu_file(p / "t.spfu", dtype=1)),
@@ -120,6 +130,33 @@ def test_error_type_and_message(call, error, message, tmp_path):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("seed, code, err", [
+    (2**64 - 2, 1, "error: seed must be <= 18446744073709551613, so that seed + 2 is a 64-bit "
+                   "unsigned integer, got 18446744073709551614\n"),
+    (2**64 - 3, 0, ""),
+], ids=["overflows", "largest"])
+def test_cli_seed_names_the_option_not_a_derived_seed(seed, code, err, tmp_path, capsys):
+    # `specmix --seed S` seeds its three streams with S, S + 1 and S + 2.
+    out = tmp_path / "noise.spfu"
+    assert main(["specmix", "--frames", "4", "--t-alpha", "2", "--channels", "1", "--height", "2",
+                 "--width", "2", "--seed", str(seed), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("seed, err", [
+    (-1, "error: weights_seed must be >= 0, got -1\n"),
+    (2**64, "error: weights_seed must be a 64-bit unsigned integer, got 18446744073709551616\n"),
+], ids=["negative", "64-bit"])
+def test_cli_weights_seed_names_the_option(seed, err, tmp_path, capsys):
+    lat, out = tmp_path / "x.spfu", tmp_path / "map.csv"
+    write_tensor(lat, LATENT)
+    assert main(["attnmap", "--input", str(lat), "--weights-seed", str(seed),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 ARRAY = np.ones((1, 4, 2, 2))
